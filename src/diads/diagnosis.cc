@@ -169,10 +169,11 @@ std::vector<double> MetricPerRun(
     const monitor::TimeSeriesStore& store, ComponentId component,
     monitor::MetricId metric,
     const std::vector<const db::QueryRunRecord*>& runs, int* missing) {
+  const std::vector<monitor::Sample>& series = store.Series(component, metric);
   std::vector<double> out;
   int missed = 0;
   for (const db::QueryRunRecord* run : runs) {
-    Result<double> mean = store.MeanIn(component, metric, run->interval);
+    Result<double> mean = monitor::MeanIn(series, run->interval);
     if (mean.ok()) {
       out.push_back(*mean);
     } else {

@@ -110,8 +110,11 @@ void FairQueue::ShedExpiredHead(Tenant* tenant,
 }
 
 uint64_t FairQueue::MinQueuedArrival() const {
+  // Only ring members hold queued items, so this scans the active tenants,
+  // not every tenant ever seen.
   uint64_t min_arrival = std::numeric_limits<uint64_t>::max();
-  for (const auto& [tag, tenant] : tenants_) {
+  for (const std::string& key : ring_) {
+    const Tenant& tenant = tenants_.at(key);
     if (!tenant.items.empty()) {
       min_arrival = std::min(min_arrival, tenant.items.front().arrival);
     }

@@ -12,23 +12,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Appends a batch's series into the collected store, accumulating the
+/// Moves a batch's series into the collected store, accumulating the
 /// integrated volume into `counters`. Samples within a series are
-/// time-ordered (covering slices preserve store order), so the appends
-/// cannot fail.
-void Integrate(const MetricBatch& batch, TimeSeriesStore* collected,
+/// time-ordered (covering slices preserve store order), and the plan
+/// fetches each component once, so every series is new to the store and
+/// the appends cannot fail.
+void Integrate(MetricBatch batch, TimeSeriesStore* collected,
                GatherCounters* counters) {
-  for (const MetricSeries& series : batch.series) {
-    for (const Sample& sample : series.samples) {
-      collected->Append(batch.component, series.metric, sample.time,
-                        sample.value);
-    }
-    counters->samples_collected += series.samples.size();
+  for (MetricSeries& series : batch.series) {
+    const size_t samples = series.samples.size();
+    counters->samples_collected += samples;
     // Approximate wire size: one (time, value) pair per sample plus a
     // small per-series header. Good enough for "which diagnosis moved
     // how much data" attribution; nothing bills by it.
     counters->bytes_collected +=
-        series.samples.size() * sizeof(Sample) + sizeof(MetricSeries);
+        samples * sizeof(Sample) + sizeof(MetricSeries);
+    collected->AppendSamples(batch.component, series.metric,
+                             std::move(series.samples));
   }
 }
 
@@ -150,9 +150,9 @@ GatherResult MetricGatherer::Gather(const std::vector<FetchRequest>& plan,
       continue;
     }
     result.fetch_ms.push_back(batch.fetch_ms);
-    Integrate(batch, &result.collected, &result.counters);
     entry.span.Note("outcome", "ok");
     entry.span.Note("fetch_ms", batch.fetch_ms);
+    Integrate(std::move(batch), &result.collected, &result.counters);
     entry.span.End();
   }
 

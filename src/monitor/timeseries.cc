@@ -1,6 +1,7 @@
 #include "monitor/timeseries.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace diads::monitor {
 namespace {
@@ -10,12 +11,16 @@ const std::vector<Sample>& EmptySeries() {
   return kEmpty;
 }
 
-std::vector<Sample>::const_iterator LowerBoundTime(
-    const std::vector<Sample>& s, SimTimeMs t) {
+using SampleIt = std::vector<Sample>::const_iterator;
+
+/// First sample in [first, last) with time >= t.
+SampleIt LowerBoundTime(SampleIt first, SampleIt last, SimTimeMs t) {
   return std::lower_bound(
-      s.begin(), s.end(), t,
+      first, last, t,
       [](const Sample& a, SimTimeMs tt) { return a.time < tt; });
 }
+
+bool EarlierThan(const Sample& a, const Sample& b) { return a.time < b.time; }
 
 }  // namespace
 
@@ -39,6 +44,44 @@ Status TimeSeriesStore::Append(ComponentId component, MetricId metric,
   return Status::Ok();
 }
 
+Status TimeSeriesStore::AppendSamples(ComponentId component, MetricId metric,
+                                      std::vector<Sample> samples) {
+  const SeriesKey key{component, metric};
+  auto existing = series_.find(key);
+  const bool continues_series =
+      samples.empty() || existing == series_.end() ||
+      existing->second.samples.empty() ||
+      samples.front().time >= existing->second.samples.back().time;
+  if (!continues_series ||
+      !std::is_sorted(samples.begin(), samples.end(), EarlierThan)) {
+    return Status::InvalidArgument(
+        "samples must be appended in non-decreasing time order");
+  }
+  if (samples.empty()) return Status::Ok();
+  if (listener_ != nullptr) {
+    // The listener sees each sample with the counters as of that sample,
+    // which only per-sample appends reproduce. Validated above, so none
+    // of them can fail.
+    for (const Sample& sample : samples) {
+      Append(component, metric, sample.time, sample.value);
+    }
+    return Status::Ok();
+  }
+  SeriesData& s = existing != series_.end() ? existing->second : series_[key];
+  if (s.ordinal == kUnassignedOrdinal) s.ordinal = next_ordinal_++;
+  const size_t n = samples.size();
+  if (s.samples.empty()) {
+    s.samples = std::move(samples);
+  } else {
+    s.samples.insert(s.samples.end(), samples.begin(), samples.end());
+  }
+  s.generation += n;
+  component_generation_[component] += n;
+  store_generation_ += n;
+  total_samples_ += n;
+  return Status::Ok();
+}
+
 uint64_t TimeSeriesStore::ComponentGeneration(ComponentId component) const {
   auto it = component_generation_.find(component);
   return it == component_generation_.end() ? 0 : it->second;
@@ -47,10 +90,8 @@ uint64_t TimeSeriesStore::ComponentGeneration(ComponentId component) const {
 SampleSpan TimeSeriesStore::SliceView(ComponentId component, MetricId metric,
                                       const TimeInterval& interval) const {
   const std::vector<Sample>& s = Series(component, metric);
-  auto lo = LowerBoundTime(s, interval.begin);
-  auto hi = std::lower_bound(
-      lo, s.end(), interval.end,
-      [](const Sample& a, SimTimeMs t) { return a.time < t; });
+  auto lo = LowerBoundTime(s.begin(), s.end(), interval.begin);
+  auto hi = LowerBoundTime(lo, s.end(), interval.end);
   if (lo == hi) return SampleSpan();
   return SampleSpan(&*lo, static_cast<size_t>(hi - lo));
 }
@@ -69,8 +110,8 @@ std::vector<Sample> TimeSeriesStore::CoveringSlice(
   if (s.empty()) return {};
   // [lo, hi) is the in-window range; widen by one sample on each side when
   // one exists (the stale-fallback reading and the tail reading).
-  auto lo = LowerBoundTime(s, interval.begin);
-  auto hi = LowerBoundTime(s, interval.end);
+  auto lo = LowerBoundTime(s.begin(), s.end(), interval.begin);
+  auto hi = LowerBoundTime(s.begin(), s.end(), interval.end);
   if (lo != s.begin()) --lo;
   if (hi != s.end()) ++hi;
   return std::vector<Sample>(lo, hi);
@@ -88,26 +129,7 @@ std::vector<double> TimeSeriesStore::ValuesIn(
 
 Result<double> TimeSeriesStore::MeanIn(ComponentId component, MetricId metric,
                                        const TimeInterval& interval) const {
-  const SampleSpan view = SliceView(component, metric, interval);
-  // Samples are stamped at the *end* of the collection interval they
-  // aggregate, so the sample covering this window's tail lands at the first
-  // grid point at or after interval.end. Include it: for a run shorter than
-  // the monitoring interval it is often the only reading that reflects the
-  // run at all (Section 1.1's coarse-interval reality).
-  const std::vector<Sample>& series = Series(component, metric);
-  auto tail = LowerBoundTime(series, interval.end);
-  size_t count = view.size();
-  double sum = 0;
-  for (const Sample& s : view) sum += s.value;
-  if (tail != series.end()) {
-    sum += tail->value;
-    ++count;
-  }
-  if (count > 0) return sum / static_cast<double>(count);
-  // No samples at all in or after the window: report the newest stale one.
-  Result<Sample> latest = LatestAtOrBefore(component, metric, interval.begin);
-  DIADS_RETURN_IF_ERROR(latest.status());
-  return latest->value;
+  return monitor::MeanIn(Series(component, metric), interval);
 }
 
 Result<Sample> TimeSeriesStore::LatestAtOrBefore(ComponentId component,
@@ -146,6 +168,40 @@ std::vector<MetricId> TimeSeriesStore::MetricsFor(ComponentId component) const {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+Result<double> MeanIn(const std::vector<Sample>& series,
+                      const TimeInterval& interval) {
+  // Samples are stamped at the *end* of the collection interval they
+  // aggregate, so the sample covering this window's tail lands at the first
+  // grid point at or after interval.end. Include it: for a run shorter than
+  // the monitoring interval it is often the only reading that reflects the
+  // run at all (Section 1.1's coarse-interval reality).
+  const SampleIt lo = LowerBoundTime(series.begin(), series.end(),
+                                     interval.begin);
+  // The tail lies at or after the window's start unless the interval is
+  // inverted (end < begin), where it may precede it; the window [lo, tail)
+  // is then empty.
+  const SampleIt tail =
+      LowerBoundTime(interval.end < interval.begin ? series.begin() : lo,
+                     series.end(), interval.end);
+  size_t count = 0;
+  double sum = 0;
+  for (SampleIt it = lo; it < tail; ++it) {
+    sum += it->value;
+    ++count;
+  }
+  if (tail != series.end()) {
+    sum += tail->value;
+    ++count;
+  }
+  if (count > 0) return sum / static_cast<double>(count);
+  // No samples at all in or after the window, so every sample precedes
+  // interval.begin: report the newest stale one.
+  if (series.empty()) {
+    return Status::NotFound("no sample at or before requested time");
+  }
+  return series.back().value;
 }
 
 void TimeSeriesStore::ForEachSeries(

@@ -13,9 +13,12 @@
 // Hot-path note: because every series is appended in non-decreasing time
 // order, any interval maps to one contiguous range found with two binary
 // searches. SliceView exposes that range as a non-owning SampleSpan —
-// O(log n) and zero copies — and MeanIn/ValuesIn are built on it. Slice
-// keeps the copying contract for callers that need ownership (snapshots,
-// cross-thread handoff).
+// O(log n) and zero copies — and ValuesIn is built on it. MeanIn has one
+// definition over an already-resolved series, so a caller averaging one
+// series over many runs looks the series up once. Slice keeps the copying
+// contract for callers that need ownership (snapshots, cross-thread
+// handoff). A collected snapshot is filled by AppendSamples, one whole
+// time-ordered run per series.
 #ifndef DIADS_MONITOR_TIMESERIES_H_
 #define DIADS_MONITOR_TIMESERIES_H_
 
@@ -38,7 +41,7 @@ struct Sample {
 };
 
 /// Non-owning view of a contiguous run of samples inside one series.
-/// Valid until the next Append to that series (appends may reallocate).
+/// Valid until the next append to that series (appends may reallocate).
 class SampleSpan {
  public:
   SampleSpan() = default;
@@ -113,6 +116,16 @@ class TimeSeriesStore {
   Status Append(ComponentId component, MetricId metric, SimTimeMs time,
                 double value);
 
+  /// Appends a whole run of samples to one series, leaving exactly the
+  /// state `samples.size()` single Append calls would: every generation
+  /// counter and total_samples() advance by the run length, and an
+  /// installed listener sees every sample in order. All or nothing: a run
+  /// that is out of order internally, or starts before the series' last
+  /// sample, is rejected (InvalidArgument) with the store unchanged. A new
+  /// series adopts the vector without copying it.
+  Status AppendSamples(ComponentId component, MetricId metric,
+                       std::vector<Sample> samples);
+
   /// Installs (or, with nullptr, clears) the append listener. At most one
   /// per store; not owned, must outlive its installation. The store is
   /// not thread-safe, so the listener inherits the store's threading
@@ -122,7 +135,7 @@ class TimeSeriesStore {
 
   /// All samples of a series with time in [interval.begin, interval.end)
   /// as a non-owning view: two binary searches, no copy. The view is
-  /// invalidated by the next Append to the same series.
+  /// invalidated by the next append to the same series.
   SampleSpan SliceView(ComponentId component, MetricId metric,
                        const TimeInterval& interval) const;
 
@@ -143,10 +156,7 @@ class TimeSeriesStore {
   std::vector<double> ValuesIn(ComponentId component, MetricId metric,
                                const TimeInterval& interval) const;
 
-  /// Mean of the samples in the interval; NotFound if there are none.
-  /// When the interval is shorter than the sampling period, falls back to
-  /// the nearest sample at or before interval.begin (the value the
-  /// monitoring tool would report for that window).
+  /// monitor::MeanIn over Series(component, metric).
   Result<double> MeanIn(ComponentId component, MetricId metric,
                         const TimeInterval& interval) const;
 
@@ -206,6 +216,16 @@ class TimeSeriesStore {
   uint32_t next_ordinal_ = 0;
   AppendListener* listener_ = nullptr;
 };
+
+/// Mean of the samples of `series` in the interval, plus the first sample
+/// at or after interval.end (the reading that covers the window's tail).
+/// With neither, falls back to the nearest sample at or before
+/// interval.begin (the value the monitoring tool would report for a
+/// window shorter than the sampling period); NotFound if the series is
+/// empty. `series` must be in non-decreasing time order, as every store
+/// series is.
+Result<double> MeanIn(const std::vector<Sample>& series,
+                      const TimeInterval& interval);
 
 }  // namespace diads::monitor
 

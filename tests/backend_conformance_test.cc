@@ -17,6 +17,9 @@
 //     match tests/golden_report_digests.txt, so future changes cannot
 //     silently regress either engine (regenerate explicitly with
 //     DIADS_UPDATE_GOLDEN_DIGESTS=1);
+//   * CollectedDiagnosisMatchesGoldenDigest — the serving path (gather
+//     into a collected snapshot, then diagnose over it) reproduces the
+//     same golden digest per configuration, model cache cold and warm;
 //   * cross-backend parity properties — semantically identical testbeds
 //     expose identical SAN component sets and identical
 //     SeriesKeyHash-keyed metric inventories through either backend
@@ -28,7 +31,10 @@
 #include <tuple>
 
 #include "apg/schema.h"
+#include "diads/model_cache.h"
 #include "diads/symptom_index.h"
+#include "monitor/async_collector.h"
+#include "monitor/gather.h"
 #include "monitor/timeseries.h"
 #include "support/conformance_util.h"
 
@@ -93,6 +99,56 @@ TEST_P(ConformanceCaseTest, ApgSatisfiesStructuralSchema) {
   std::set<std::string> volumes;
   for (ComponentId v : apg.PlanVolumes()) volumes.insert(registry.NameOf(v));
   EXPECT_EQ(volumes, (std::set<std::string>{"V1", "V2"}));
+}
+
+// The engine diagnoses through gather -> collected snapshot ->
+// DiagnoseOverCollection, not through the serial Diagnose the golden table
+// is computed from. Both must give the golden digest, on every
+// configuration, whether the baseline models are fitted (cold) or served
+// from a model cache the first diagnosis filled (warm).
+TEST_P(ConformanceCaseTest, CollectedDiagnosisMatchesGoldenDigest) {
+  const DiagnosedScenario* d = Diagnosed();
+  ASSERT_NE(d, nullptr);
+  // A run that regenerates the goldens writes them from the serial
+  // digests; hold the serving path to those instead of the old file.
+  std::string expected = d->digest_hash;
+  if (!testsupport::UpdateGoldenDigestsRequested()) {
+    Result<testsupport::GoldenDigestTable> golden =
+        testsupport::LoadGoldenDigests(testsupport::GoldenDigestPath());
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    auto it = golden->find({workload::ScenarioName(GetParam().first),
+                            db::BackendKindName(GetParam().second)});
+    ASSERT_TRUE(it != golden->end()) << "no golden digest for this case";
+    expected = it->second;
+  }
+
+  monitor::SimulatedLatencyOptions latency;
+  latency.base_latency_ms = 0;
+  latency.connections = 2;
+  monitor::SimulatedSanCollector collector(latency);
+  const monitor::MetricGatherer gatherer(&collector, monitor::GatherOptions{});
+  const diag::SymptomsDb symptoms = diag::SymptomsDb::MakeDefault();
+  diag::BaselineModelCache cache;
+  diag::DiagnosisContext ctx = d->scenario.MakeContext();
+  ctx.model_cache = &cache;
+  const diag::Workflow workflow(std::move(ctx), diag::WorkflowConfig{},
+                                &symptoms);
+  diag::BaselineModelCache::Counters cold;
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm model cache" : "cold model cache");
+    diag::CollectionOutcome outcome;
+    Result<diag::DiagnosisReport> report = workflow.DiagnoseWithCollection(
+        gatherer, diag::ImpactMethod::kInverseDependency, nullptr, &outcome);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(outcome.degraded());
+    EXPECT_EQ(diag::ReportDigestHashHex(*report), expected);
+    if (!warm) {
+      cold = cache.TotalCounters();
+    } else if (cold.entries > 0) {
+      // Plan-change diagnoses fit no models; every other one reuses them.
+      EXPECT_GT(cache.TotalCounters().hits, cold.hits);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -251,6 +251,51 @@ TEST(FairQueueTest, TenantRowsTrackPerTenantOutcomes) {
   EXPECT_EQ(rows[1].rejected_share, 0u);
 }
 
+/// A flood with two light tenants arriving mid-drain. Returns the dispatch
+/// order; `*starvation_avoided` receives the overtakes the mix added.
+std::vector<std::string> FloodWithLightTenants(FairQueue& queue,
+                                               uint64_t* starvation_avoided) {
+  const uint64_t before = queue.counters().starvation_avoided;
+  std::vector<std::string> order;
+  std::vector<QueueTask> shed;
+  QueueTask task;
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(PushThrough(queue, Task("flood")));
+  for (int round = 0; round < 6; ++round) {
+    EXPECT_TRUE(PushThrough(queue, Task(round % 2 == 0 ? "light-a"
+                                                        : "light-b")));
+    EXPECT_TRUE(PushThrough(queue, Task("flood")));
+    for (int k = 0; k < 3 && queue.Pop(&task, Clock::now(), &shed); ++k) {
+      order.push_back(task.tenant);
+    }
+  }
+  while (queue.Pop(&task, Clock::now(), &shed)) order.push_back(task.tenant);
+  EXPECT_TRUE(shed.empty());
+  *starvation_avoided = queue.counters().starvation_avoided - before;
+  return order;
+}
+
+TEST(FairQueueTest, DispatchIsIndependentOfServedTenantHistory) {
+  FairQueue fresh(FairnessOptions{}, /*cost_capacity=*/1000);
+  uint64_t fresh_overtakes = 0;
+  const std::vector<std::string> fresh_order =
+      FloodWithLightTenants(fresh, &fresh_overtakes);
+  EXPECT_GT(fresh_overtakes, 0u);
+
+  // A long-running queue remembers every tenant it has served; none of
+  // them may change how the queued ones are dispatched.
+  FairQueue served(FairnessOptions{}, /*cost_capacity=*/1000);
+  QueueTask task;
+  std::vector<QueueTask> shed;
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(PushThrough(served, Task("one-shot-" + std::to_string(i))));
+    ASSERT_TRUE(served.Pop(&task, Clock::now(), &shed));
+  }
+  ASSERT_TRUE(served.empty());
+  uint64_t served_overtakes = 0;
+  EXPECT_EQ(FloodWithLightTenants(served, &served_overtakes), fresh_order);
+  EXPECT_EQ(served_overtakes, fresh_overtakes);
+}
+
 // --- Through ThreadPool ------------------------------------------------------
 
 TEST(FairQueueThreadPoolTest, ShareRejectionIsImmediateAndTyped) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/event_log.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "monitor/metrics.h"
 #include "monitor/noise.h"
 #include "monitor/san_collector.h"
@@ -184,6 +187,270 @@ TEST(TimeSeriesStoreTest, GenerationCountsAppendsPerSeries) {
   // A rejected append (time regression) does not advance the generation.
   EXPECT_FALSE(store.Append(a, MetricId::kVolBytesRead, 5, 4.0).ok());
   EXPECT_EQ(store.Generation(a, MetricId::kVolBytesRead), 2u);
+}
+
+// --- AppendSamples (bulk append) ---------------------------------------------
+
+const ComponentId kBulkComponents[] = {ComponentId{1}, ComponentId{2},
+                                       ComponentId{3}};
+const MetricId kBulkMetrics[] = {MetricId::kVolTotalIos,
+                                 MetricId::kVolBytesRead,
+                                 MetricId::kVolBytesWritten};
+
+/// Everything a TimeSeriesStore exposes about the series a bulk-append
+/// test can touch, as text (doubles in hex, so equal text is equal bits).
+std::string DumpStore(const TimeSeriesStore& store) {
+  std::string out = StrFormat(
+      "store_gen=%llu total=%zu series=%zu\n",
+      static_cast<unsigned long long>(store.StoreGeneration()),
+      store.total_samples(), store.series_count());
+  for (ComponentId c : kBulkComponents) {
+    out += StrFormat("C%u component_gen=%llu metrics=", c.value,
+                     static_cast<unsigned long long>(
+                         store.ComponentGeneration(c)));
+    for (MetricId m : store.MetricsFor(c)) {
+      out += StrFormat("%d,", static_cast<int>(m));
+    }
+    out += "\n";
+    for (MetricId m : kBulkMetrics) {
+      out += StrFormat(" m%d gen=%llu:", static_cast<int>(m),
+                       static_cast<unsigned long long>(
+                           store.Generation(c, m)));
+      for (const Sample& sample : store.Series(c, m)) {
+        out += StrFormat(" %lld=%a", static_cast<long long>(sample.time),
+                         sample.value);
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+/// Records each OnAppend call with the store-wide counter it saw.
+class RecordingListener : public AppendListener {
+ public:
+  explicit RecordingListener(const TimeSeriesStore* store) : store_(store) {}
+
+  void OnAppend(ComponentId component, MetricId metric, const Sample& sample,
+                uint64_t series_generation, uint32_t series_ordinal) override {
+    calls.push_back(StrFormat(
+        "C%u m%d %lld=%a gen=%llu ordinal=%u store_gen=%llu",
+        component.value, static_cast<int>(metric),
+        static_cast<long long>(sample.time), sample.value,
+        static_cast<unsigned long long>(series_generation), series_ordinal,
+        static_cast<unsigned long long>(store_->StoreGeneration())));
+  }
+
+  std::vector<std::string> calls;
+
+ private:
+  const TimeSeriesStore* store_;
+};
+
+/// One run of samples bound for one series.
+struct SampleRun {
+  ComponentId component;
+  MetricId metric;
+  std::vector<Sample> samples;
+};
+
+/// Random time-ordered series (ties allowed) cut into random runs, some
+/// empty, interleaved across series while each series keeps its order.
+std::vector<SampleRun> RandomRuns(SeededRng& rng) {
+  std::vector<std::vector<SampleRun>> per_series;
+  for (ComponentId c : kBulkComponents) {
+    for (MetricId m : kBulkMetrics) {
+      const int length = static_cast<int>(rng.UniformInt(0, 40));
+      SimTimeMs t = rng.UniformInt(0, 1000);
+      std::vector<SampleRun> runs;
+      for (int i = 0; i < length;) {
+        SampleRun run{c, m, {}};
+        const int run_length = static_cast<int>(rng.UniformInt(0, 12));
+        for (int k = 0; k < run_length && i < length; ++k, ++i) {
+          t += rng.UniformInt(0, 300);
+          run.samples.push_back(Sample{t, rng.Normal(100, 30)});
+        }
+        runs.push_back(std::move(run));
+      }
+      if (!runs.empty()) per_series.push_back(std::move(runs));
+    }
+  }
+  std::vector<SampleRun> out;
+  std::vector<size_t> next(per_series.size(), 0);
+  size_t left = per_series.size();
+  while (left > 0) {
+    const size_t pick = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(per_series.size()) - 1));
+    if (next[pick] == per_series[pick].size()) continue;
+    out.push_back(per_series[pick][next[pick]++]);
+    if (next[pick] == per_series[pick].size()) --left;
+  }
+  return out;
+}
+
+TEST(TimeSeriesStoreTest, AppendSamplesMatchesPerSampleAppends) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    SeededRng rng(seed);
+    const std::vector<SampleRun> runs = RandomRuns(rng);
+    // Half the seeds run with listeners installed: per-sample delivery is
+    // then part of what must match.
+    const bool listen = seed % 2 == 0;
+    TimeSeriesStore per_sample, bulk;
+    RecordingListener per_sample_listener(&per_sample);
+    RecordingListener bulk_listener(&bulk);
+    if (listen) {
+      per_sample.SetAppendListener(&per_sample_listener);
+      bulk.SetAppendListener(&bulk_listener);
+    }
+    for (const SampleRun& run : runs) {
+      for (const Sample& sample : run.samples) {
+        ASSERT_TRUE(per_sample
+                        .Append(run.component, run.metric, sample.time,
+                                sample.value)
+                        .ok());
+      }
+      ASSERT_TRUE(
+          bulk.AppendSamples(run.component, run.metric, run.samples).ok());
+      ASSERT_EQ(DumpStore(per_sample), DumpStore(bulk));
+
+      // A rejected run leaves the store exactly as it was.
+      const std::vector<Sample>& series = bulk.Series(run.component,
+                                                      run.metric);
+      if (series.empty()) continue;
+      const Sample tail = series.back();
+      const std::vector<Sample> out_of_order = {
+          {tail.time + 10, 1.0}, {tail.time + 5, 2.0}};
+      const std::vector<Sample> older_than_tail = {{tail.time - 1, 3.0},
+                                                   {tail.time + 1, 4.0}};
+      const std::string before = DumpStore(bulk);
+      const size_t calls_before = bulk_listener.calls.size();
+      for (const std::vector<Sample>& bad : {out_of_order, older_than_tail}) {
+        const Status status =
+            bulk.AppendSamples(run.component, run.metric, bad);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(DumpStore(bulk), before);
+        EXPECT_EQ(bulk_listener.calls.size(), calls_before);
+      }
+    }
+    EXPECT_EQ(per_sample_listener.calls, bulk_listener.calls);
+    if (listen) {
+      EXPECT_EQ(bulk_listener.calls.size(), bulk.total_samples());
+    }
+  }
+}
+
+TEST(TimeSeriesStoreTest, AppendSamplesRejectsDisorderedNewSeries) {
+  TimeSeriesStore store;
+  RecordingListener listener(&store);
+  store.SetAppendListener(&listener);
+  const ComponentId c{1};
+  EXPECT_EQ(store
+                .AppendSamples(c, MetricId::kVolTotalIos,
+                               {{200, 1.0}, {100, 2.0}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.series_count(), 0u);
+  EXPECT_EQ(store.StoreGeneration(), 0u);
+  EXPECT_TRUE(store.MetricsFor(c).empty());
+  EXPECT_TRUE(listener.calls.empty());
+  // An empty run is a no-op that creates no series.
+  EXPECT_TRUE(store.AppendSamples(c, MetricId::kVolTotalIos, {}).ok());
+  EXPECT_EQ(store.series_count(), 0u);
+}
+
+// --- MeanIn -------------------------------------------------------------------
+
+/// MeanIn's semantics spelled out sample by sample: the in-window samples
+/// in order, then the first sample at or after interval.end (also for an
+/// inverted interval, whose window is empty); with neither, the newest
+/// sample at or before interval.begin.
+Result<double> NaiveMeanIn(const std::vector<Sample>& series,
+                           const TimeInterval& interval) {
+  double sum = 0;
+  size_t count = 0;
+  for (const Sample& s : series) {
+    if (s.time >= interval.begin && s.time < interval.end) {
+      sum += s.value;
+      ++count;
+    }
+  }
+  for (const Sample& s : series) {
+    if (s.time >= interval.end) {
+      sum += s.value;
+      ++count;
+      break;
+    }
+  }
+  if (count > 0) return sum / static_cast<double>(count);
+  const Sample* latest = nullptr;
+  for (const Sample& s : series) {
+    if (s.time <= interval.begin) latest = &s;
+  }
+  if (latest == nullptr) return Status::NotFound("no sample");
+  return latest->value;
+}
+
+TEST(TimeSeriesStoreTest, MeanInMatchesNaiveReference) {
+  constexpr SimTimeMs kPeriod = 300;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    SeededRng rng(seed);
+    TimeSeriesStore store;
+    const ComponentId c{1};
+    // Seed 1 leaves the series empty.
+    const int length =
+        seed == 1 ? 0 : static_cast<int>(rng.UniformInt(1, 60));
+    SimTimeMs t = rng.UniformInt(0, 1000);
+    for (int i = 0; i < length; ++i) {
+      // Mostly one sampling period apart, with jitter, ties and gaps.
+      t += rng.Bernoulli(0.1) ? 0 : kPeriod + rng.UniformInt(-50, 400);
+      ASSERT_TRUE(
+          store.Append(c, MetricId::kVolTotalIos, t, rng.Normal(50, 20)).ok());
+    }
+    const std::vector<Sample>& series =
+        store.Series(c, MetricId::kVolTotalIos);
+    const SimTimeMs first = series.empty() ? 0 : series.front().time;
+    const SimTimeMs last = series.empty() ? 0 : series.back().time;
+    std::vector<TimeInterval> intervals = {
+        {first - 2000, first - 100},  // Before every sample.
+        {last + 1, last + 2000},      // After every sample.
+        {first, first},               // Zero-length, on a sample.
+        {last + 7, last + 7},         // Zero-length, past the end.
+        {first + 100, first + 200},   // Shorter than a sampling period.
+        {last, first},                // Inverted.
+        {first, last},
+        {first, last + 1},
+    };
+    for (int q = 0; q < 200; ++q) {
+      const SimTimeMs a = rng.UniformInt(first - 1000, last + 1000);
+      // Lengths from -1500 (inverted) up to three sampling periods.
+      const SimTimeMs b = a + rng.UniformInt(-1500, 3 * kPeriod);
+      intervals.push_back(TimeInterval{a, b});
+      // Edges on sample times.
+      if (!series.empty()) {
+        const size_t i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(series.size()) - 1));
+        const size_t j = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(series.size()) - 1));
+        intervals.push_back(TimeInterval{series[i].time, series[j].time});
+      }
+    }
+    for (const TimeInterval& interval : intervals) {
+      SCOPED_TRACE(StrFormat("[%lld, %lld)",
+                             static_cast<long long>(interval.begin),
+                             static_cast<long long>(interval.end)));
+      const Result<double> expected = NaiveMeanIn(series, interval);
+      const Result<double> resolved = MeanIn(series, interval);
+      const Result<double> by_key =
+          store.MeanIn(c, MetricId::kVolTotalIos, interval);
+      ASSERT_EQ(resolved.ok(), expected.ok());
+      ASSERT_EQ(by_key.ok(), expected.ok());
+      if (!expected.ok()) continue;
+      EXPECT_EQ(*resolved, *expected);
+      EXPECT_EQ(*by_key, *expected);
+    }
+  }
 }
 
 TEST(SeriesKeyHashTest, SpreadsMetricFamiliesAcrossBuckets) {
