@@ -74,12 +74,16 @@ size_t BaselineModelKeyHash::operator()(
 BaselineModelCache::BaselineModelCache() : BaselineModelCache(Options{}) {}
 
 BaselineModelCache::BaselineModelCache(Options options) {
-  const int shards = std::max(1, options.shards);
-  shard_capacity_ =
-      std::max<size_t>(1, options.capacity / static_cast<size_t>(shards));
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
+  // One shard per entry at most, so no shard is empty and the shard
+  // capacities add up to exactly options.capacity.
+  const size_t requested = static_cast<size_t>(std::max(1, options.shards));
+  const size_t shards =
+      std::max<size_t>(1, std::min(requested, options.capacity));
+  shards_.reserve(shards);
+  for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->capacity = options.capacity / shards +
+                               (i < options.capacity % shards ? 1 : 0);
   }
 }
 
@@ -87,6 +91,31 @@ BaselineModelCache::Shard& BaselineModelCache::ShardFor(
     const BaselineModelKey& key) {
   const size_t h = BaselineModelKeyHash{}(key);
   return *shards_[h % shards_.size()];
+}
+
+std::optional<size_t> BaselineModelCache::Shard::ClaimSlot() {
+  if (!free_slots.empty()) {
+    const size_t at = free_slots.back();
+    free_slots.pop_back();
+    return at;
+  }
+  if (slots.size() < capacity) {
+    slots.emplace_back();
+    return slots.size() - 1;
+  }
+  const size_t sweep = std::min(kClockSweep, slots.size());
+  for (size_t step = 0; step < sweep; ++step) {
+    const size_t at = hand;
+    hand = (hand + 1) % slots.size();
+    if (slots[at].referenced) {
+      slots[at].referenced = false;
+      continue;
+    }
+    index.erase(slots[at].key);
+    ++evictions;
+    return at;
+  }
+  return std::nullopt;
 }
 
 std::optional<CachedBaseline> BaselineModelCache::Get(
@@ -98,38 +127,42 @@ std::optional<CachedBaseline> BaselineModelCache::Get(
     ++shard.misses;
     return std::nullopt;
   }
-  if (it->second->generation != generation) {
-    // The source advanced past the fit: drop the stale entry so the
-    // recompute replaces it instead of thrashing against it.
-    shard.lru.erase(it->second);
+  Slot& slot = shard.slots[it->second];
+  if (slot.generation != generation) {
+    // The source advanced past the fit: free the slot so the recompute
+    // takes it back instead of displacing a resident.
+    slot.baseline = CachedBaseline{};
+    shard.free_slots.push_back(it->second);
     shard.index.erase(it);
     ++shard.invalidations;
     ++shard.misses;
     return std::nullopt;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  slot.referenced = true;
   ++shard.hits;
-  return it->second->baseline;
+  return slot.baseline;
 }
 
 void BaselineModelCache::Put(const BaselineModelKey& key, uint64_t generation,
                              CachedBaseline baseline) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
+  size_t at = 0;
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->generation = generation;
-    it->second->baseline = std::move(baseline);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    at = it->second;  // A concurrent fit of the same key landed first.
+  } else if (std::optional<size_t> claimed = shard.ClaimSlot()) {
+    at = *claimed;
+    shard.index.emplace(key, at);
+  } else {
+    ++shard.declined;
     return;
   }
-  shard.lru.push_front(Entry{key, generation, std::move(baseline)});
-  shard.index.emplace(key, shard.lru.begin());
-  if (shard.lru.size() > shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  Slot& slot = shard.slots[at];
+  slot.key = key;
+  slot.generation = generation;
+  slot.baseline = std::move(baseline);
+  slot.referenced = true;
 }
 
 BaselineModelCache::Counters BaselineModelCache::TotalCounters() const {
@@ -140,7 +173,8 @@ BaselineModelCache::Counters BaselineModelCache::TotalCounters() const {
     out.misses += shard->misses;
     out.evictions += shard->evictions;
     out.invalidations += shard->invalidations;
-    out.entries += shard->lru.size();
+    out.declined += shard->declined;
+    out.entries += shard->index.size();
   }
   return out;
 }
@@ -148,8 +182,10 @@ BaselineModelCache::Counters BaselineModelCache::TotalCounters() const {
 void BaselineModelCache::Clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
+    shard->slots.clear();
+    shard->free_slots.clear();
     shard->index.clear();
+    shard->hand = 0;
   }
 }
 

@@ -32,15 +32,41 @@
 // recompute would produce. Golden tests assert digest equality with the
 // cache on vs off, including across Append-driven invalidation.
 //
+// Replacement policy: a CLOCK ring that keeps its residents. The traffic
+// is periodic: the same questions are diagnosed again each cycle (report
+// generation, dashboards, a fleet's incident stream), so each baseline
+// recurs once per cycle. When a cycle needs more models than the cache
+// holds, LRU always evicts the entry the cycle needs next and hits
+// nothing. Each shard is therefore a fixed ring of slots:
+//
+//   * every slot has a referenced bit, set on insert and on every hit (a
+//     hit moves nothing);
+//   * a new key takes a slot freed by a generation mismatch, or a
+//     never-used slot, when one exists;
+//   * in a full shard the hand passes at most kClockSweep slots, clearing
+//     their bits, and the newcomer evicts the first unreferenced resident;
+//   * if every slot the hand passed was referenced, the newcomer is
+//     declined: it is not cached, and the caller still gets its freshly
+//     fitted baseline.
+//
+// A cyclic working set of W models over a shard of C slots then hits
+// about C / W of its lookups with no evictions, and a working set that
+// shifts stops being referenced and turns over within about one cycle.
+// The limit: each declined newcomer moves the hand kClockSweep slots, so
+// residents last only while W <= (1 + 1 / kClockSweep) x C. Past that the
+// hand laps faster than the cycle and the hit rate falls toward LRU's
+// zero. The declined counter shows an undersized cache: it rises while
+// evictions stay near zero.
+//
 // Thread-safety: sharded like the engine's ResultCache — each shard owns
-// a mutex, an LRU list, and an index. Cached values and models are
+// a mutex guarding its ring, index and counters (a hit writes the
+// referenced bit, so Get locks too). Cached values and models are
 // immutable once published and safe to read concurrently.
 #ifndef DIADS_DIADS_MODEL_CACHE_H_
 #define DIADS_DIADS_MODEL_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -134,17 +160,24 @@ struct CachedBaseline {
 class BaselineModelCache {
  public:
   struct Options {
-    size_t capacity = 4096;  ///< Total entries across shards.
+    /// Total entries across shards, exactly: the cache uses at most
+    /// `capacity` shards and spreads the remainder one slot per shard.
+    size_t capacity = 4096;
     int shards = 16;
   };
 
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
+    /// Residents replaced by a newcomer after a full hand pass.
     uint64_t evictions = 0;
     /// Entries dropped because the source's generation advanced (a strict
     /// subset of misses).
     uint64_t invalidations = 0;
+    /// Newcomers not cached because every slot the hand passed was
+    /// referenced (the shard is holding a working set larger than
+    /// itself).
+    uint64_t declined = 0;
     size_t entries = 0;
   };
 
@@ -157,7 +190,9 @@ class BaselineModelCache {
   std::optional<CachedBaseline> Get(const BaselineModelKey& key,
                                     uint64_t generation);
 
-  /// Inserts or replaces; evicts the shard's LRU entry at capacity.
+  /// Inserts or replaces. In a full shard the newcomer evicts the first
+  /// unreferenced resident within kClockSweep slots of the hand, or is
+  /// declined when there is none.
   void Put(const BaselineModelKey& key, uint64_t generation,
            CachedBaseline baseline);
 
@@ -168,23 +203,36 @@ class BaselineModelCache {
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
-  struct Entry {
+  /// Slots the hand may pass for one newcomer before declining it.
+  static constexpr size_t kClockSweep = 4;
+
+  struct Slot {
     BaselineModelKey key;
     uint64_t generation = 0;
     CachedBaseline baseline;
+    bool referenced = false;
   };
   struct Shard {
     std::mutex mu;
-    std::list<Entry> lru;  ///< Front = most recently used.
-    std::unordered_map<BaselineModelKey, std::list<Entry>::iterator,
-                       BaselineModelKeyHash>
-        index;
-    uint64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
+    size_t capacity = 0;
+    /// The ring; grows to `capacity` and then stays that size.
+    std::vector<Slot> slots;
+    /// Slots emptied by a generation mismatch, reused before the hand.
+    std::vector<size_t> free_slots;
+    std::unordered_map<BaselineModelKey, size_t, BaselineModelKeyHash> index;
+    size_t hand = 0;
+    uint64_t hits = 0, misses = 0, evictions = 0, invalidations = 0,
+             declined = 0;
+
+    /// The slot a new key goes into: a freed slot, a never-used one, or
+    /// the first unreferenced resident within kClockSweep slots of the
+    /// hand (evicted). nullopt when every slot passed was referenced.
+    /// Caller holds `mu`.
+    std::optional<size_t> ClaimSlot();
   };
 
   Shard& ShardFor(const BaselineModelKey& key);
 
-  size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -644,6 +644,7 @@ EngineStatsSnapshot DiagnosisEngine::Stats() const {
   snapshot.model_cache_misses = models.misses;
   snapshot.model_cache_evictions = models.evictions;
   snapshot.model_cache_invalidations = models.invalidations;
+  snapshot.model_cache_declined = models.declined;
   snapshot.model_cache_entries = models.entries;
   return snapshot;
 }

@@ -156,6 +156,13 @@ struct EngineOptions {
   /// tags, overlapping windows, re-runs after a threshold tweak of an
   /// unrelated knob). Reports are digest-identical either way.
   bool enable_model_cache = true;
+  /// Total fitted models the model cache holds, exactly (over at most
+  /// this many shards). When a cycle of re-diagnoses needs more models
+  /// than this, the cache keeps its residents and declines the rest (see
+  /// model_cache.h): the hit rate is about capacity / models per cycle,
+  /// up to 1.25x capacity, past which it falls toward zero.
+  /// EngineStatsSnapshot::model_cache_declined counts the models turned
+  /// away.
   size_t model_cache_capacity = 8192;
   int model_cache_shards = 16;
   /// Fleet-wide symptom store (may be null). When set, every successfully

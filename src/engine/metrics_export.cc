@@ -83,11 +83,14 @@ void EmitEngineSnapshot(const EngineStatsSnapshot& snapshot,
                   "Baseline-model cache misses", labels,
                   snapshot.model_cache_misses);
   emitter.Counter("diads_model_cache_evictions_total",
-                  "Baseline-model cache LRU evictions", labels,
+                  "Baseline-model cache CLOCK evictions", labels,
                   snapshot.model_cache_evictions);
   emitter.Counter("diads_model_cache_invalidations_total",
                   "Baseline-model cache append-driven drops", labels,
                   snapshot.model_cache_invalidations);
+  emitter.Counter("diads_model_cache_declined_total",
+                  "Fitted models the baseline-model cache declined to admit",
+                  labels, snapshot.model_cache_declined);
   emitter.Gauge("diads_model_cache_entries",
                 "Baseline-model cache live entries", labels,
                 static_cast<double>(snapshot.model_cache_entries));

@@ -198,11 +198,12 @@ std::string EngineStatsSnapshot::Render() const {
   if (model_cache_hits + model_cache_misses > 0) {
     out += StrFormat(
         "models: %llu hits, %llu misses, %llu evictions, "
-        "%llu invalidations (hit rate %.1f%%, %zu cached)\n",
+        "%llu invalidations, %llu declined (hit rate %.1f%%, %zu cached)\n",
         static_cast<unsigned long long>(model_cache_hits),
         static_cast<unsigned long long>(model_cache_misses),
         static_cast<unsigned long long>(model_cache_evictions),
         static_cast<unsigned long long>(model_cache_invalidations),
+        static_cast<unsigned long long>(model_cache_declined),
         ModelCacheHitRate() * 100.0, model_cache_entries);
   }
   out += StrFormat("queue:  depth %zu (max %zu)\n", queue_depth,
@@ -283,11 +284,13 @@ std::string EngineStatsSnapshot::ToJson() const {
   out += StrFormat(
       "\"model_cache_hits\":%llu,\"model_cache_misses\":%llu,"
       "\"model_cache_evictions\":%llu,\"model_cache_invalidations\":%llu,"
+      "\"model_cache_declined\":%llu,"
       "\"model_cache_entries\":%zu,\"model_cache_hit_rate\":%.4f,",
       static_cast<unsigned long long>(model_cache_hits),
       static_cast<unsigned long long>(model_cache_misses),
       static_cast<unsigned long long>(model_cache_evictions),
       static_cast<unsigned long long>(model_cache_invalidations),
+      static_cast<unsigned long long>(model_cache_declined),
       model_cache_entries, ModelCacheHitRate());
   out += StrFormat(
       "\"collection_fetches\":%llu,\"collection_timeouts\":%llu,"

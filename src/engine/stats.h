@@ -87,6 +87,9 @@ struct EngineStatsSnapshot {
   uint64_t model_cache_misses = 0;
   uint64_t model_cache_evictions = 0;
   uint64_t model_cache_invalidations = 0;  ///< Append-driven drops.
+  /// Fitted models not cached because the shard's hand found no
+  /// unreferenced resident (an undersized cache keeping its residents).
+  uint64_t model_cache_declined = 0;
   size_t model_cache_entries = 0;
   size_t queue_depth = 0;
   size_t max_queue_depth = 0;

@@ -31,10 +31,11 @@ Status TimeSeriesStore::Append(ComponentId component, MetricId metric,
     return Status::InvalidArgument(
         "samples must be appended in non-decreasing time order");
   }
-  if (s.ordinal == kUnassignedOrdinal) s.ordinal = next_ordinal_++;
+  ComponentData& c = components_[component];
+  if (s.ordinal == kUnassignedOrdinal) AddSeries(metric, s, c);
   s.samples.push_back(Sample{time, value});
   ++s.generation;
-  ++component_generation_[component];
+  ++c.generation;
   ++store_generation_;
   ++total_samples_;
   if (listener_ != nullptr) {
@@ -68,7 +69,8 @@ Status TimeSeriesStore::AppendSamples(ComponentId component, MetricId metric,
     return Status::Ok();
   }
   SeriesData& s = existing != series_.end() ? existing->second : series_[key];
-  if (s.ordinal == kUnassignedOrdinal) s.ordinal = next_ordinal_++;
+  ComponentData& c = components_[component];
+  if (s.ordinal == kUnassignedOrdinal) AddSeries(metric, s, c);
   const size_t n = samples.size();
   if (s.samples.empty()) {
     s.samples = std::move(samples);
@@ -76,15 +78,23 @@ Status TimeSeriesStore::AppendSamples(ComponentId component, MetricId metric,
     s.samples.insert(s.samples.end(), samples.begin(), samples.end());
   }
   s.generation += n;
-  component_generation_[component] += n;
+  c.generation += n;
   store_generation_ += n;
   total_samples_ += n;
   return Status::Ok();
 }
 
+void TimeSeriesStore::AddSeries(MetricId metric, SeriesData& series,
+                                ComponentData& component) {
+  series.ordinal = next_ordinal_++;
+  component.metrics.insert(std::upper_bound(component.metrics.begin(),
+                                            component.metrics.end(), metric),
+                           metric);
+}
+
 uint64_t TimeSeriesStore::ComponentGeneration(ComponentId component) const {
-  auto it = component_generation_.find(component);
-  return it == component_generation_.end() ? 0 : it->second;
+  auto it = components_.find(component);
+  return it == components_.end() ? 0 : it->second.generation;
 }
 
 SampleSpan TimeSeriesStore::SliceView(ComponentId component, MetricId metric,
@@ -159,15 +169,11 @@ uint64_t TimeSeriesStore::Generation(ComponentId component,
   return it->second.generation;
 }
 
-std::vector<MetricId> TimeSeriesStore::MetricsFor(ComponentId component) const {
-  std::vector<MetricId> out;
-  for (const auto& [key, series] : series_) {
-    if (key.component == component && !series.samples.empty()) {
-      out.push_back(key.metric);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+const std::vector<MetricId>& TimeSeriesStore::MetricsFor(
+    ComponentId component) const {
+  static const std::vector<MetricId> kNone;
+  auto it = components_.find(component);
+  return it == components_.end() ? kNone : it->second.metrics;
 }
 
 Result<double> MeanIn(const std::vector<Sample>& series,

@@ -186,8 +186,10 @@ class TimeSeriesStore {
   /// unchanged — the result-cache's Append-driven invalidation stamp.
   uint64_t StoreGeneration() const { return store_generation_; }
 
-  /// Metrics that have at least one sample for `component`.
-  std::vector<MetricId> MetricsFor(ComponentId component) const;
+  /// Metrics that have at least one sample for `component`, ascending.
+  /// Kept as series are created, so this is one hash lookup. The
+  /// reference stays valid until an append creates a new series.
+  const std::vector<MetricId>& MetricsFor(ComponentId component) const;
 
   /// Visits every non-empty series (iteration order is unspecified; sort
   /// on the key if determinism matters). The visited sample vectors are
@@ -208,9 +210,18 @@ class TimeSeriesStore {
     uint32_t ordinal = kUnassignedOrdinal;
   };
   static constexpr uint32_t kUnassignedOrdinal = 0xFFFFFFFFu;
+  struct ComponentData {
+    uint64_t generation = 0;  ///< See ComponentGeneration.
+    std::vector<MetricId> metrics;  ///< See MetricsFor.
+  };
+
+  /// Creates `series` for `metric` on its first sample: assigns the
+  /// ordinal and lists the metric under its component.
+  void AddSeries(MetricId metric, SeriesData& series,
+                 ComponentData& component);
 
   std::unordered_map<SeriesKey, SeriesData, SeriesKeyHash> series_;
-  std::unordered_map<ComponentId, uint64_t> component_generation_;
+  std::unordered_map<ComponentId, ComponentData> components_;
   uint64_t store_generation_ = 0;
   size_t total_samples_ = 0;
   uint32_t next_ordinal_ = 0;

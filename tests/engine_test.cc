@@ -352,6 +352,34 @@ TEST_F(EngineScenarioTest, ModelCacheOnVsOffDigestIdentical) {
   EngineStatsSnapshot off_stats = off_engine.Stats();
   EXPECT_EQ(off_stats.model_cache_hits, 0u);
   EXPECT_EQ(off_stats.model_cache_misses, 0u);
+
+  // A cache smaller than the scenario's model set: LRU would evict each
+  // model just before the second incident asks for it again. The CLOCK
+  // cache keeps its residents, declines the surplus, and must still
+  // report byte-identically. One shard keeps the outcome independent of
+  // where the store happens to be allocated (the key hashes its address).
+  ASSERT_GT(on_stats.model_cache_entries, 8u);
+  EngineOptions small_options = on_options;
+  small_options.model_cache_shards = 1;
+  small_options.model_cache_capacity =
+      on_stats.model_cache_entries - on_stats.model_cache_entries / 8;
+  DiagnosisEngine small_engine(small_options, symptoms_);
+  DiagnosisRequest cold = RequestForScenario();
+  cold.tag = "incident-4";
+  DiagnosisResponse r4 = small_engine.Submit(std::move(cold)).get();
+  ASSERT_TRUE(r4.ok()) << r4.status.ToString();
+  const EngineStatsSnapshot after_cold = small_engine.Stats();
+  DiagnosisRequest again = RequestForScenario();
+  again.tag = "incident-5";
+  DiagnosisResponse r5 = small_engine.Submit(std::move(again)).get();
+  ASSERT_TRUE(r5.ok()) << r5.status.ToString();
+  const EngineStatsSnapshot after_again = small_engine.Stats();
+  EXPECT_EQ(diag::ReportDigest(*r4.report), *serial_digest_);
+  EXPECT_EQ(diag::ReportDigest(*r5.report), *serial_digest_);
+  EXPECT_GT(after_again.model_cache_hits, after_cold.model_cache_hits);
+  EXPECT_GT(after_again.model_cache_declined, after_cold.model_cache_declined);
+  EXPECT_LE(after_again.model_cache_entries,
+            small_options.model_cache_capacity);
 }
 
 TEST_F(EngineScenarioTest, ConcurrentIdenticalRequestsCoalesce) {

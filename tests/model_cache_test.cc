@@ -1,8 +1,8 @@
-// Unit and golden tests for the baseline-model cache: LRU/sharding
-// mechanics, generation-driven invalidation, the GetOrFitBaseline helper,
-// and the digest contract — a workflow diagnosing with a shared cache
-// produces byte-identical reports to one without, including after
-// Append-driven invalidation.
+// Unit and golden tests for the baseline-model cache: the CLOCK admission
+// policy and sharding mechanics, generation-driven invalidation, the
+// GetOrFitBaseline helper, and the digest contract — a workflow
+// diagnosing with a shared cache produces byte-identical reports to one
+// without, including after Append-driven invalidation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -121,18 +121,85 @@ TEST(BaselineModelCacheTest, DistinctKeysDistinctEntries) {
   EXPECT_EQ(cache.TotalCounters().entries, 3u);
 }
 
-TEST(BaselineModelCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
-  BaselineModelCache cache(BaselineModelCache::Options{/*capacity=*/4,
-                                                       /*shards=*/1});
-  const auto extract = [] { return MakeBaseline({1, 2, 3}); };
-  for (uint64_t series = 0; series < 6; ++series) {
-    ASSERT_TRUE(GetOrFitBaseline(&cache, KeyFor(series), 1,
-                                 stats::BandwidthRule::kSilverman, extract)
+/// Looks series [first, first + count) up once each, in order, fitting on
+/// a miss as the modules do. Returns how many lookups hit.
+uint64_t RunCycle(BaselineModelCache& cache, uint64_t first, uint64_t count) {
+  obs::ModelLookupCounters lookups;
+  for (uint64_t series = first; series < first + count; ++series) {
+    EXPECT_TRUE(GetOrFitBaseline(
+                    &cache, KeyFor(series), /*generation=*/1,
+                    stats::BandwidthRule::kSilverman,
+                    [] { return MakeBaseline({1, 2, 3}); }, &lookups)
                     .ok());
   }
+  return lookups.hits;
+}
+
+TEST(BaselineModelCacheTest, CapacityIsAnExactTotal) {
+  struct Shape {
+    size_t capacity;
+    int shards;
+    int expected_shards;
+  };
+  for (const Shape& shape : {Shape{4, 16, 4}, Shape{100, 16, 16},
+                             Shape{64, 1, 1}}) {
+    SCOPED_TRACE(testing::Message() << shape.capacity << " over "
+                                    << shape.shards << " shards");
+    BaselineModelCache cache(
+        BaselineModelCache::Options{shape.capacity, shape.shards});
+    EXPECT_EQ(cache.shard_count(), shape.expected_shards);
+    for (uint64_t series = 0; series < 2000; ++series) {
+      RunCycle(cache, series, 1);
+      ASSERT_LE(cache.TotalCounters().entries, shape.capacity);
+    }
+    // Enough distinct keys reach every shard to fill it.
+    EXPECT_EQ(cache.TotalCounters().entries, shape.capacity);
+  }
+}
+
+TEST(BaselineModelCacheTest, CyclicWorkingSetLargerThanCacheKeepsResidents) {
+  // 72 models recurring once per cycle through one 64-slot shard. LRU
+  // evicts each model just before its next use and never hits.
+  BaselineModelCache cache(BaselineModelCache::Options{/*capacity=*/64,
+                                                       /*shards=*/1});
+  EXPECT_EQ(RunCycle(cache, 0, 72), 0u);
+  uint64_t hits = 0;
+  for (int cycle = 2; cycle <= 4; ++cycle) hits += RunCycle(cache, 0, 72);
+  EXPECT_GE(static_cast<double>(hits), 0.85 * 3 * 72);
   const BaselineModelCache::Counters counters = cache.TotalCounters();
+  EXPECT_EQ(counters.evictions, 0u);
+  EXPECT_GT(counters.declined, 0u);
+  EXPECT_EQ(counters.entries, 64u);
+
+  // The working set moves to 72 other models: the old residents stop
+  // being referenced, so the new set takes over within a cycle.
+  RunCycle(cache, 1000, 72);
+  EXPECT_GE(static_cast<double>(RunCycle(cache, 1000, 72)), 0.85 * 72);
+  for (uint64_t series = 0; series < 72; ++series) {
+    EXPECT_FALSE(cache.Get(KeyFor(series), /*generation=*/1).has_value())
+        << "old model " << series << " is still cached";
+  }
+  EXPECT_EQ(cache.TotalCounters().entries, 64u);
+}
+
+TEST(BaselineModelCacheTest, InvalidatedSlotIsReusedWithoutEviction) {
+  BaselineModelCache cache(BaselineModelCache::Options{/*capacity=*/4,
+                                                       /*shards=*/1});
+  RunCycle(cache, 0, 4);  // Full, and every resident referenced.
+  // Series 1's source advanced: its slot is freed on lookup.
+  EXPECT_FALSE(cache.Get(KeyFor(1), /*generation=*/2).has_value());
+  // A newcomer takes the freed slot; without it the hand would find
+  // only referenced residents and decline.
+  EXPECT_EQ(RunCycle(cache, 9, 1), 0u);
+  const BaselineModelCache::Counters counters = cache.TotalCounters();
+  EXPECT_EQ(counters.invalidations, 1u);
+  EXPECT_EQ(counters.evictions, 0u);
+  EXPECT_EQ(counters.declined, 0u);
   EXPECT_EQ(counters.entries, 4u);
-  EXPECT_EQ(counters.evictions, 2u);
+  for (uint64_t series : {0, 2, 3, 9}) {
+    EXPECT_TRUE(cache.Get(KeyFor(series), /*generation=*/1).has_value())
+        << "series " << series;
+  }
 }
 
 TEST(BaselineModelCacheTest, SubTwoSampleBaselinesAreNotCached) {

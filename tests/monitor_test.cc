@@ -515,6 +515,70 @@ TEST(TimeSeriesStoreTest, MetricsForComponent) {
   EXPECT_TRUE(store.MetricsFor(ComponentId{9}).empty());
 }
 
+/// MetricsFor as a scan over every series: the reference the indexed
+/// per-component lists must match.
+std::vector<MetricId> ScannedMetricsFor(const TimeSeriesStore& store,
+                                        ComponentId component) {
+  std::vector<MetricId> out;
+  store.ForEachSeries([&](ComponentId c, MetricId metric,
+                          const std::vector<Sample>&) {
+    if (c == component) out.push_back(metric);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(TimeSeriesStoreTest, MetricsForMatchesScanOfRandomStore) {
+  const std::vector<MetricMeta>& catalog = AllMetrics();
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    SeededRng rng(seed);
+    TimeSeriesStore store;
+    // Odd seeds route AppendSamples through its per-sample listener path.
+    RecordingListener listener(&store);
+    if (seed % 2 == 1) store.SetAppendListener(&listener);
+    for (int op = 0; op < 300; ++op) {
+      const ComponentId c{static_cast<uint32_t>(rng.UniformInt(0, 5))};
+      const MetricId m =
+          catalog[static_cast<size_t>(rng.UniformInt(
+                      0, static_cast<int64_t>(catalog.size()) - 1))]
+              .id;
+      const std::vector<Sample>& series = store.Series(c, m);
+      const SimTimeMs last = series.empty() ? 0 : series.back().time;
+      const double kind = rng.Uniform();
+      if (kind < 0.35) {
+        // A single sample; one in five lands before the series' end, which
+        // an existing series rejects.
+        const SimTimeMs t =
+            rng.Bernoulli(0.2) ? last - 1 : last + rng.UniformInt(0, 300);
+        (void)store.Append(c, m, t, rng.Normal(10, 3));
+      } else if (kind < 0.75) {
+        // A time-ordered run of 0-5 samples (an empty run creates nothing).
+        std::vector<Sample> run;
+        SimTimeMs t = last;
+        for (int64_t i = rng.UniformInt(0, 5); i > 0; --i) {
+          t += rng.UniformInt(0, 300);
+          run.push_back(Sample{t, rng.Normal(10, 3)});
+        }
+        ASSERT_TRUE(store.AppendSamples(c, m, std::move(run)).ok());
+      } else {
+        // A run out of order internally: rejected, and its metric must
+        // not appear if the series did not exist.
+        const SimTimeMs t = last + 500;
+        EXPECT_EQ(store.AppendSamples(c, m, {{t, 1.0}, {t - 100, 2.0}})
+                      .code(),
+                  StatusCode::kInvalidArgument);
+      }
+      for (uint32_t v = 0; v <= 6; ++v) {
+        const ComponentId component{v};
+        ASSERT_EQ(store.MetricsFor(component),
+                  ScannedMetricsFor(store, component))
+            << "component " << v << " after op " << op;
+      }
+    }
+  }
+}
+
 // --- NoiseModel ---------------------------------------------------------------------
 
 TEST(NoiseModelTest, DefaultGaussianJitter) {

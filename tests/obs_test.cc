@@ -305,6 +305,7 @@ engine::EngineStatsSnapshot SentinelSnapshot() {
   s.model_cache_misses = static_cast<uint64_t>(next++);
   s.model_cache_evictions = static_cast<uint64_t>(next++);
   s.model_cache_invalidations = static_cast<uint64_t>(next++);
+  s.model_cache_declined = static_cast<uint64_t>(next++);
   s.model_cache_entries = static_cast<size_t>(next++);
   s.collection_fetches = static_cast<uint64_t>(next++);
   s.collection_timeouts = static_cast<uint64_t>(next++);
@@ -323,10 +324,10 @@ TEST(MetricsBridgeTest, NoEngineCounterLost) {
   RecordingEmitter emitter;
   engine::EmitEngineSnapshot(snapshot, {}, emitter);
 
-  // Every sentinel value must surface in some emitted sample: 30 distinct
+  // Every sentinel value must surface in some emitted sample: 31 distinct
   // sentinels were planted above (counters, admission/shedding counters,
   // cache blocks, gather stats, queue/throughput gauges).
-  for (double sentinel = 1000; sentinel < 1030; sentinel += 1) {
+  for (double sentinel = 1000; sentinel < 1031; sentinel += 1) {
     EXPECT_TRUE(emitter.SawValue(sentinel))
         << "snapshot field with sentinel " << sentinel
         << " was dropped by EmitEngineSnapshot";
