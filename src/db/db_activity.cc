@@ -78,6 +78,9 @@ Status DbCollector::CollectRange(SimTimeMs from, SimTimeMs to) {
   if (to <= from) {
     return Status::InvalidArgument("collection range must be non-empty");
   }
+  if (sampling_interval_ <= 0) {
+    return Status::InvalidArgument("sampling interval must be positive");
+  }
   using monitor::MetricId;
   for (SimTimeMs t0 = from; t0 < to; t0 += sampling_interval_) {
     const TimeInterval interval{t0, std::min(t0 + sampling_interval_, to)};

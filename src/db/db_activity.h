@@ -62,6 +62,7 @@ class DbCollector {
               SimTimeMs sampling_interval = Minutes(5));
 
   /// Collects every interval [t, t+dt) with t in [from, to).
+  /// InvalidArgument for an empty range or a sampling interval <= 0.
   Status CollectRange(SimTimeMs from, SimTimeMs to);
 
  private:

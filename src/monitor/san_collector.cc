@@ -1,6 +1,7 @@
 #include "monitor/san_collector.h"
 
 #include <cassert>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -72,8 +73,10 @@ Status SanCollector::CollectInterval(const TimeInterval& interval) {
     }
   }
 
+  std::unordered_map<ComponentId, double> disk_utilization;
   for (ComponentId disk : topology_->AllDisks()) {
     const san::DiskIntervalStats s = perf_model_->DiskStats(disk, interval);
+    disk_utilization[disk] = s.utilization;
     DIADS_RETURN_IF_ERROR(
         EmitSample(disk, MetricId::kDiskUtilization, t, s.utilization));
     DIADS_RETURN_IF_ERROR(EmitSample(disk, MetricId::kDiskIops, t, s.iops));
@@ -86,7 +89,7 @@ Status SanCollector::CollectInterval(const TimeInterval& interval) {
     int n = 0;
     for (ComponentId disk : topology_->pool(pool).disks) {
       if (topology_->disk(disk).failed) continue;
-      mean_util += perf_model_->DiskStats(disk, interval).utilization;
+      mean_util += disk_utilization.at(disk);
       ++n;
     }
     if (n > 0) mean_util /= n;
@@ -165,6 +168,9 @@ Status SanCollector::CollectInterval(const TimeInterval& interval) {
 Status SanCollector::CollectRange(SimTimeMs from, SimTimeMs to) {
   if (to <= from) {
     return Status::InvalidArgument("collection range must be non-empty");
+  }
+  if (config_.sampling_interval <= 0) {
+    return Status::InvalidArgument("sampling interval must be positive");
   }
   for (SimTimeMs t = from; t < to; t += config_.sampling_interval) {
     TimeInterval interval{t, std::min(t + config_.sampling_interval, to)};

@@ -42,7 +42,8 @@ class SanCollector {
 
   /// Collects every interval [t, t+dt) with t in [from, to), appending one
   /// sample per component metric per interval. Idempotence is the caller's
-  /// responsibility (collect each range once).
+  /// responsibility (collect each range once). InvalidArgument for an empty
+  /// range or a sampling interval <= 0.
   Status CollectRange(SimTimeMs from, SimTimeMs to);
 
   SimTimeMs sampling_interval() const { return config_.sampling_interval; }

@@ -18,10 +18,41 @@
 // Everything is piecewise-constant in time, so interval averages integrate
 // exactly over load-event boundaries; spikes shorter than the monitoring
 // interval get averaged away, reproducing the paper's noisy-data challenge.
+//
+// Time index. Queries read an index of the registrations, built by the
+// first query (again after ReleaseIndex) and kept current by every later
+// registration:
+//
+//   * the sorted distinct begin/end times of every registration; times
+//     registered since the last read are merged in by the next one. An
+//     interval's segments are the registered times strictly inside it,
+//     found by binary search;
+//   * per key (loads per volume, per pool and per port; pool overheads per
+//     pool; CPU loads per server), the key's registrations in insertion
+//     order and its timeline: the key's own sorted times and, for each
+//     segment between two of them, the registrations active there in
+//     insertion order. A registration makes its keys' timelines stale and
+//     a query rebuilds only the stale timelines it reads, so queries that
+//     alternate with registrations (the executor's, between Q2 runs)
+//     rebuild only the components they touch. An instantaneous query
+//     visits only what is active at t, and PortStats only the loads
+//     overlapping its interval.
+//
+// The index holds nothing the registrations do not; ReleaseIndex frees it
+// once a caller has finished querying (the testbed does after collecting).
+//
+// Float order. The collected samples feed every ReportDigest, so evaluation
+// order is part of the contract. An interval statistic accumulates
+// value x segment length over its segments in time order, each statistic
+// in its own accumulator, however many share one pass over the segments.
+// A sum over registrations accumulates them in insertion order, and a
+// pool's loads before its overheads. The index only skips inactive
+// registrations; it never reorders the ones it visits.
 #ifndef DIADS_SAN_PERF_MODEL_H_
 #define DIADS_SAN_PERF_MODEL_H_
 
-#include <unordered_map>
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -120,12 +151,14 @@ struct ServerIntervalStats {
   double cpu_utilization = 0;  ///< In [0, 1].
 };
 
-/// The performance model. Not thread-safe; the simulation is
+/// The performance model. Not thread-safe, queries included: the const
+/// queries build the time index on demand. The simulation is
 /// single-threaded.
 class SanPerfModel {
  public:
   /// `topology` must outlive the model.
   explicit SanPerfModel(const SanTopology* topology, PerfParams params = {});
+  ~SanPerfModel();
 
   /// Registers an I/O demand. Events may be added in any time order. An
   /// event with an invalid `volume` is a pure fabric stream: it loads the
@@ -187,6 +220,10 @@ class SanPerfModel {
   const PerfParams& params() const { return params_; }
   size_t load_event_count() const { return events_.size(); }
 
+  /// Frees the time index; the next query rebuilds it. Results are
+  /// unaffected: this only trades the index's memory for a rebuild.
+  void ReleaseIndex();
+
  private:
   struct CpuLoad {
     ComponentId server;
@@ -199,39 +236,57 @@ class SanPerfModel {
     double utilization;
   };
 
-  /// Demand on `disk` at time t, split by op type, in disk-seconds/sec.
+  /// Demand on each active disk of a pool at time t, split by op type, in
+  /// disk-seconds/sec.
   struct DiskDemand {
     double read_busy = 0;   ///< rho contribution from reads.
     double write_busy = 0;  ///< rho contribution from writes (incl. RAID).
     double read_ops = 0;    ///< Backend read ops/s.
     double write_ops = 0;   ///< Backend write ops/s.
   };
-  DiskDemand DiskDemandAt(ComponentId disk, SimTimeMs t,
-                          const IoProfile& extra_self,
-                          ComponentId extra_self_volume) const;
+  /// The demand every active disk of `pool` sees: the pool's loads, then
+  /// `extra_self` (the caller's own unregistered demand), then the pool's
+  /// overheads. Zero when no disk of the pool survives.
+  DiskDemand PoolDemandAt(ComponentId pool, SimTimeMs t,
+                          const IoProfile& extra_self) const;
+  DiskDemand DiskDemandAt(ComponentId disk, SimTimeMs t) const;
+
+  /// What a volume's latency depends on at time t, shared by its read and
+  /// write latency and its backend statistics.
+  struct VolumeState {
+    IoProfile own;         ///< Registered demand on the volume.
+    DiskDemand per_disk;   ///< Demand on each of its surviving disks.
+    size_t disks = 0;      ///< Its surviving disks.
+    double rho = 0;        ///< Mean capped utilisation over them.
+    double fabric_ms = 0;  ///< FabricLatencyMs.
+  };
+  VolumeState VolumeStateAt(ComponentId volume, SimTimeMs t,
+                            const IoProfile& extra_self) const;
+  double ReadLatencyMs(const VolumeState& s,
+                       const IoProfile& extra_self) const;
+  double WriteLatencyMs(const VolumeState& s) const;
 
   double ReadServiceMs(const IoProfile& p) const;
   double WriteDiskServiceMs(const IoProfile& p) const;
   double QueueInflation(double rho) const;
 
-  /// Averages an instantaneous function over the interval by integrating
-  /// across the piecewise-constant segments induced by event boundaries.
-  template <typename Fn>
-  double AverageOver(const TimeInterval& interval, Fn&& fn) const;
+  /// Averages the N instantaneous statistics `fn(t)` returns over the
+  /// interval, integrating across the piecewise-constant segments induced
+  /// by registration boundaries (all zero for an empty interval).
+  template <size_t N, typename Fn>
+  std::array<double, N> AverageOver(const TimeInterval& interval,
+                                    Fn&& fn) const;
 
-  /// Sorted distinct event boundary times inside `interval`.
-  std::vector<SimTimeMs> SegmentBoundaries(const TimeInterval& interval) const;
+  struct Index;
+  /// The time index, built on first use.
+  Index& index() const;
 
   const SanTopology* topology_;
   PerfParams params_;
   std::vector<LoadEvent> events_;
-  std::unordered_map<ComponentId, std::vector<size_t>> events_by_volume_;
-  std::unordered_map<ComponentId, std::vector<size_t>> events_by_pool_;
-  /// Indices of events crossing each port, in insertion order (the same
-  /// order a full-events scan visits them, so float sums are unchanged).
-  std::unordered_map<ComponentId, std::vector<size_t>> events_by_port_;
   std::vector<CpuLoad> cpu_loads_;
   std::vector<PoolOverhead> pool_overheads_;
+  mutable std::unique_ptr<Index> index_;
 };
 
 }  // namespace diads::san

@@ -61,6 +61,9 @@ Result<db::Plan> Testbed::OptimizeQ2() const {
 
 Status Testbed::CollectMonitors(SimTimeMs from, SimTimeMs to) {
   DIADS_RETURN_IF_ERROR(san_collector.CollectRange(from, to));
+  // Collection is the model's last heavy reader: a collected testbed keeps
+  // its registrations, not their time index.
+  perf_model.ReleaseIndex();
   return db_collector.CollectRange(from, to);
 }
 

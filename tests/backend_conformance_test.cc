@@ -17,6 +17,10 @@
 //     match tests/golden_report_digests.txt, so future changes cannot
 //     silently regress either engine (regenerate explicitly with
 //     DIADS_UPDATE_GOLDEN_DIGESTS=1);
+//   * StoreDigestsMatchGoldenTable — per-(scenario, backend) hashes of the
+//     whole monitoring store match tests/golden_store_digests.txt, so the
+//     SAN/DB sample generators cannot drift even in series no diagnosis
+//     reads;
 //   * CollectedDiagnosisMatchesGoldenDigest — the serving path (gather
 //     into a collected snapshot, then diagnose over it) reproduces the
 //     same golden digest per configuration, model cache cold and warm;
@@ -304,43 +308,73 @@ TEST(BackendParityTest, CollectMetricKeysIdenticalAcrossBackends) {
   }
 }
 
-// --- Golden ReportDigests ----------------------------------------------------
+// --- Golden digest tables ----------------------------------------------------
 
-TEST(GoldenDigestTest, ReportDigestsMatchGoldenTable) {
-  testsupport::GoldenDigestTable computed;
-  for (const auto& [id, backend] : AllConformanceCases()) {
-    Result<const DiagnosedScenario*> d = GetDiagnosed(id, backend);
-    ASSERT_TRUE(d.ok()) << CaseName(id, backend) << ": "
-                        << d.status().ToString();
-    computed[{workload::ScenarioName(id), db::BackendKindName(backend)}] =
-        (*d)->digest_hash;
-  }
-  testsupport::MaybeDumpComputedDigests(computed);
-
-  const std::string path = testsupport::GoldenDigestPath();
+/// Compares a computed per-configuration table with the golden file at
+/// `path` (or, with DIADS_UPDATE_GOLDEN_DIGESTS=1, rewrites that file), and
+/// dumps it for CI next to DIADS_DIGEST_OUT with `dump_suffix`.
+void CheckGoldenTable(const testsupport::GoldenDigestTable& computed,
+                      const std::string& path, const std::string& subject,
+                      const std::string& dump_suffix) {
+  testsupport::MaybeDumpComputedDigests(computed, dump_suffix, subject);
   if (testsupport::UpdateGoldenDigestsRequested()) {
-    const Status written = testsupport::WriteGoldenDigests(computed, path);
+    const Status written =
+        testsupport::WriteGoldenDigests(computed, path, subject);
     ASSERT_TRUE(written.ok()) << written.ToString();
-    GTEST_SKIP() << "golden digests regenerated at " << path;
+    GTEST_SKIP() << "golden " << subject << " hashes regenerated at " << path;
   }
 
   Result<testsupport::GoldenDigestTable> golden =
       testsupport::LoadGoldenDigests(path);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   ASSERT_FALSE(golden->empty())
-      << "no golden digests checked in; bootstrap with "
-         "DIADS_UPDATE_GOLDEN_DIGESTS=1";
+      << "no golden " << subject << " hashes checked in at " << path
+      << "; bootstrap with DIADS_UPDATE_GOLDEN_DIGESTS=1";
   EXPECT_EQ(golden->size(), computed.size());
   for (const auto& [key, hash] : computed) {
     auto it = golden->find(key);
     ASSERT_TRUE(it != golden->end())
-        << "no golden digest for " << key.first << "/" << key.second;
+        << "no golden " << subject << " hash for " << key.first << "/"
+        << key.second;
     EXPECT_EQ(it->second, hash)
-        << key.first << " on " << key.second
-        << " drifted from its golden ReportDigest. If the change is "
-           "intentional, regenerate with DIADS_UPDATE_GOLDEN_DIGESTS=1 "
-        << "and review the diff.";
+        << key.first << " on " << key.second << " drifted from its golden "
+        << subject << " hash. If the change is intentional, regenerate with "
+        << "DIADS_UPDATE_GOLDEN_DIGESTS=1 and review the diff.";
   }
+}
+
+/// One table row per conformance configuration, taken from its memoised
+/// diagnosis by `field`.
+testsupport::GoldenDigestTable ComputeTable(
+    std::string DiagnosedScenario::*field) {
+  testsupport::GoldenDigestTable computed;
+  for (const auto& [id, backend] : AllConformanceCases()) {
+    Result<const DiagnosedScenario*> d = GetDiagnosed(id, backend);
+    EXPECT_TRUE(d.ok()) << CaseName(id, backend) << ": "
+                        << d.status().ToString();
+    if (!d.ok()) continue;
+    computed[{workload::ScenarioName(id), db::BackendKindName(backend)}] =
+        (*d)->*field;
+  }
+  return computed;
+}
+
+TEST(GoldenDigestTest, ReportDigestsMatchGoldenTable) {
+  const testsupport::GoldenDigestTable computed =
+      ComputeTable(&DiagnosedScenario::digest_hash);
+  ASSERT_FALSE(HasFailure());
+  CheckGoldenTable(computed, testsupport::GoldenDigestPath(), "ReportDigest",
+                   "");
+}
+
+// Every sample every collector stored, per configuration: a change to a
+// port, disk or server series that no ReportDigest reads still fails here.
+TEST(GoldenDigestTest, StoreDigestsMatchGoldenTable) {
+  const testsupport::GoldenDigestTable computed =
+      ComputeTable(&DiagnosedScenario::store_digest_hash);
+  ASSERT_FALSE(HasFailure());
+  CheckGoldenTable(computed, testsupport::GoldenStoreDigestPath(),
+                   "StoreDigest", "_store");
 }
 
 }  // namespace

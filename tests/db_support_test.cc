@@ -92,6 +92,28 @@ TEST(DbCollectorTest, EmitsDatabaseColumnMetrics) {
   EXPECT_FALSE(collector.CollectRange(5, 5).ok());
 }
 
+// A zero or negative interval never advances the sampling cursor: the
+// collector must refuse it instead of looping forever.
+TEST(DbCollectorTest, RejectsNonPositiveSamplingInterval) {
+  ComponentRegistry registry;
+  EventLog events;
+  const ComponentId database =
+      registry.MustRegister(ComponentKind::kDatabase, "db");
+  Catalog catalog(&registry, &events);
+  DbActivityModel activity;
+  LockManager locks;
+  monitor::TimeSeriesStore store;
+  monitor::NoiseModel noise(monitor::NoiseSpec{0, 0, 3.0, 0, 0}, SeededRng(1));
+  for (SimTimeMs interval : {SimTimeMs{0}, -Minutes(5)}) {
+    DbCollector collector(&activity, &locks, &catalog, database, &store,
+                          &noise, interval);
+    const Status status = collector.CollectRange(0, Minutes(10));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  EXPECT_EQ(store.total_samples(), 0u);
+}
+
 // --- BufferPool -------------------------------------------------------------------
 
 struct BufferPoolFixture {

@@ -726,5 +726,19 @@ TEST(SanCollectorTest, RejectsEmptyRange) {
   EXPECT_FALSE(collector.CollectRange(100, 100).ok());
 }
 
+// A zero or negative interval never advances the sampling cursor: the
+// collector must refuse it instead of looping forever.
+TEST(SanCollectorTest, RejectsNonPositiveSamplingInterval) {
+  for (SimTimeMs interval : {SimTimeMs{0}, -Minutes(5)}) {
+    CollectorFixture f;
+    SanCollector collector(&f.topology, &f.model, &f.store, &f.noise,
+                           &f.events, SanCollectorConfig{interval, 0, 0});
+    const Status status = collector.CollectRange(0, Minutes(15));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(f.store.total_samples(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace diads::monitor

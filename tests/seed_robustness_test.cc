@@ -1,14 +1,16 @@
 // Seed-robustness property test.
 //
-// Every quantitative claim in EXPERIMENTS.md is reported at the default
-// seed; this suite guards against seed-tuning by re-running representative
-// scenarios across a seed sweep and requiring the top-ranked cause to match
-// the injected ground truth at every seed. (A broader 6-scenario x 10-seed
-// sweep measured 60/60 during development; the subset here keeps the suite
-// fast while pinning the property.)
+// The conformance suite and its golden digests pin every (scenario,
+// backend) configuration at the default seed 42. This suite guards against
+// seed-tuning: it re-runs all 50 configurations at four other seeds and
+// requires the top-ranked cause to match the injected ground truth at
+// every one. The seeds were fixed before the matrix was widened to all 50
+// configurations; a failing case is a finding to report, not a seed to
+// swap.
 #include <gtest/gtest.h>
 
 #include "diads/workflow.h"
+#include "support/conformance_util.h"
 #include "workload/scenario.h"
 
 namespace diads {
@@ -21,11 +23,12 @@ using workload::ScenarioOutput;
 
 struct SeedCase {
   ScenarioId id;
+  db::BackendKind backend;
   uint64_t seed;
 };
 
 void PrintTo(const SeedCase& c, std::ostream* os) {
-  *os << workload::ScenarioName(c.id) << "/seed" << c.seed;
+  *os << testsupport::CaseName(c.id, c.backend) << "/seed" << c.seed;
 }
 
 class SeedRobustnessTest : public ::testing::TestWithParam<SeedCase> {};
@@ -33,6 +36,7 @@ class SeedRobustnessTest : public ::testing::TestWithParam<SeedCase> {};
 TEST_P(SeedRobustnessTest, TopCauseMatchesGroundTruth) {
   workload::ScenarioOptions options;
   options.seed = GetParam().seed;
+  options.testbed.backend = GetParam().backend;
   Result<ScenarioOutput> scenario = RunScenario(GetParam().id, options);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   diag::SymptomsDb symptoms = diag::SymptomsDb::MakeDefault();
@@ -55,13 +59,9 @@ TEST_P(SeedRobustnessTest, TopCauseMatchesGroundTruth) {
 
 std::vector<SeedCase> AllCases() {
   std::vector<SeedCase> cases;
-  for (ScenarioId id :
-       {ScenarioId::kS1SanMisconfiguration,
-        ScenarioId::kS2DualExternalContention,
-        ScenarioId::kS3DataPropertyChange, ScenarioId::kS5LockingWithNoise,
-        ScenarioId::kS6IndexDrop}) {
+  for (const auto& [id, backend] : testsupport::AllConformanceCases()) {
     for (uint64_t seed : {1ull, 7ull, 19ull, 101ull}) {
-      cases.push_back(SeedCase{id, seed});
+      cases.push_back(SeedCase{id, backend, seed});
     }
   }
   return cases;
@@ -70,11 +70,8 @@ std::vector<SeedCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SeedRobustnessTest, ::testing::ValuesIn(AllCases()),
     [](const ::testing::TestParamInfo<SeedCase>& info) {
-      std::string name = workload::ScenarioName(info.param.id);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(info.param.seed);
+      return testsupport::CaseName(info.param.id, info.param.backend) +
+             "_seed" + std::to_string(info.param.seed);
     });
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include "support/conformance_util.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
 
 #include "common/strings.h"
 
@@ -57,6 +60,8 @@ Result<DiagnosedScenario> DiagnoseScenario(ScenarioId id,
   options.testbed.backend = backend;
   DIADS_ASSIGN_OR_RETURN(workload::ScenarioOutput scenario,
                          workload::RunScenario(id, options));
+  const std::string store_digest_hash = StoreDigestHashHex(
+      scenario.testbed->store, scenario.testbed->registry);
   diag::SymptomsDb symptoms = diag::SymptomsDb::MakeDefault();
   diag::Workflow workflow(scenario.MakeContext(), diag::WorkflowConfig{},
                           &symptoms);
@@ -65,6 +70,7 @@ Result<DiagnosedScenario> DiagnoseScenario(ScenarioId id,
   out.scenario = std::move(scenario);
   out.digest = diag::ReportDigest(report);
   out.digest_hash = diag::ReportDigestHashHex(report);
+  out.store_digest_hash = store_digest_hash;
   out.report = std::move(report);
   return out;
 }
@@ -131,6 +137,44 @@ std::string GoldenDigestPath() {
   return std::string(DIADS_SOURCE_DIR) + "/tests/golden_report_digests.txt";
 }
 
+std::string GoldenStoreDigestPath() {
+  return std::string(DIADS_SOURCE_DIR) + "/tests/golden_store_digests.txt";
+}
+
+std::string StoreDigestHashHex(const monitor::TimeSeriesStore& store,
+                               const ComponentRegistry& registry) {
+  struct Series {
+    std::string component;
+    std::string metric;
+    const std::vector<monitor::Sample>* samples;
+  };
+  std::vector<Series> series;
+  store.ForEachSeries([&](ComponentId component, monitor::MetricId metric,
+                          const std::vector<monitor::Sample>& samples) {
+    series.push_back(Series{registry.NameOf(component),
+                            monitor::MetricShortName(metric), &samples});
+  });
+  std::sort(series.begin(), series.end(),
+            [](const Series& a, const Series& b) {
+              return std::tie(a.component, a.metric) <
+                     std::tie(b.component, b.metric);
+            });
+  uint64_t h = kFnv1a64OffsetBasis;
+  for (const Series& s : series) {
+    h = Fnv1a64Fold(h, s.component);
+    h = Fnv1a64Fold(h, s.metric);
+    h = Fnv1a64FoldWord(h, s.samples->size());
+    for (const monitor::Sample& sample : *s.samples) {
+      uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(sample.value));
+      std::memcpy(&bits, &sample.value, sizeof(bits));
+      h = Fnv1a64FoldWord(h, static_cast<uint64_t>(sample.time));
+      h = Fnv1a64FoldWord(h, bits);
+    }
+  }
+  return StrFormat("%016llx", static_cast<unsigned long long>(h));
+}
+
 Result<GoldenDigestTable> LoadGoldenDigests(const std::string& path) {
   GoldenDigestTable table;
   std::ifstream in(path);
@@ -152,11 +196,12 @@ Result<GoldenDigestTable> LoadGoldenDigests(const std::string& path) {
   return table;
 }
 
-std::string FormatGoldenDigests(const GoldenDigestTable& table) {
+std::string FormatGoldenDigests(const GoldenDigestTable& table,
+                                const std::string& subject) {
   std::string out =
-      "# Golden per-(scenario, backend) ReportDigest hashes.\n"
+      "# Golden per-(scenario, backend) " + subject + " hashes.\n"
       "# One line per conformance configuration: <scenario> <backend> "
-      "<fnv1a64 of ReportDigest>.\n"
+      "<fnv1a64 of " + subject + ">.\n"
       "# Regenerate with: DIADS_UPDATE_GOLDEN_DIGESTS=1 "
       "./build/backend_conformance_test\n";
   for (const auto& [key, hash] : table) {
@@ -166,12 +211,13 @@ std::string FormatGoldenDigests(const GoldenDigestTable& table) {
 }
 
 Status WriteGoldenDigests(const GoldenDigestTable& table,
-                          const std::string& path) {
+                          const std::string& path,
+                          const std::string& subject) {
   std::ofstream out(path, std::ios::trunc);
   if (!out.is_open()) {
     return Status::Internal("cannot open golden digest file: " + path);
   }
-  out << FormatGoldenDigests(table);
+  out << FormatGoldenDigests(table, subject);
   return out.good() ? Status::Ok()
                     : Status::Internal("write failed: " + path);
 }
@@ -181,10 +227,18 @@ bool UpdateGoldenDigestsRequested() {
   return env != nullptr && std::string(env) == "1";
 }
 
-void MaybeDumpComputedDigests(const GoldenDigestTable& computed) {
-  const char* path = std::getenv("DIADS_DIGEST_OUT");
-  if (path == nullptr || *path == '\0') return;
-  (void)WriteGoldenDigests(computed, path);
+void MaybeDumpComputedDigests(const GoldenDigestTable& computed,
+                              const std::string& suffix,
+                              const std::string& subject) {
+  const char* env = std::getenv("DIADS_DIGEST_OUT");
+  if (env == nullptr || *env == '\0') return;
+  std::string path = env;
+  const size_t slash = path.find_last_of('/');
+  const size_t dot = path.find_last_of('.');
+  const bool has_extension =
+      dot != std::string::npos && (slash == std::string::npos || dot > slash);
+  path.insert(has_extension ? dot : path.size(), suffix);
+  (void)WriteGoldenDigests(computed, path, subject);
 }
 
 }  // namespace diads::testsupport

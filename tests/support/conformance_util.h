@@ -10,9 +10,11 @@
 //     memoised per test binary so every assertion family (ground truth,
 //     APG schema, golden digests, narrative checks) shares one run;
 //   * the canonical conformance-case enumeration and naming;
-//   * the golden ReportDigest table: loading the checked-in
-//     tests/golden_report_digests.txt, formatting a computed table, and
-//     the regeneration / CI-artifact environment hooks.
+//   * the golden digest tables: loading the checked-in
+//     tests/golden_report_digests.txt (one ReportDigest hash per
+//     configuration) and tests/golden_store_digests.txt (one hash of the
+//     configuration's whole monitoring store), formatting a computed table,
+//     and the regeneration / CI-artifact environment hooks.
 #ifndef DIADS_TESTS_SUPPORT_CONFORMANCE_UTIL_H_
 #define DIADS_TESTS_SUPPORT_CONFORMANCE_UTIL_H_
 
@@ -26,6 +28,7 @@
 #include "db/backend.h"
 #include "diads/report.h"
 #include "diads/workflow.h"
+#include "monitor/timeseries.h"
 #include "workload/scenario.h"
 
 namespace diads::testsupport {
@@ -38,6 +41,9 @@ struct DiagnosedScenario {
   diag::DiagnosisReport report;
   std::string digest;       ///< Full ReportDigest text.
   std::string digest_hash;  ///< ReportDigestHashHex.
+  /// StoreDigestHashHex of the testbed's store, taken as RunScenario
+  /// returned it (before the diagnosis reads it).
+  std::string store_digest_hash;
 };
 
 /// The 12 Table-1 / plan-change scenarios plus the 4 multipath failover
@@ -76,25 +82,37 @@ Result<const DiagnosedScenario*> GetDiagnosed(workload::ScenarioId id,
     const diag::DiagnosisReport& report);
 ::testing::AssertionResult DiagnosesGroundTruth(const DiagnosedScenario& d);
 
-// --- Golden ReportDigest table ---------------------------------------------
+// --- Golden digest tables ----------------------------------------------------
 
 /// (scenario name, backend name) -> digest hash hex.
 using GoldenDigestTable = std::map<std::pair<std::string, std::string>,
                                    std::string>;
 
-/// The checked-in golden file (under the source tree).
+/// The checked-in golden ReportDigest file (under the source tree).
 std::string GoldenDigestPath();
+
+/// The checked-in golden store-digest file (under the source tree).
+std::string GoldenStoreDigestPath();
+
+/// fnv1a64 (hex) over every sample in `store`: series in (component name,
+/// metric short name) order, each folding its names, its length, and every
+/// sample's time and value bits in time order. Any change to any stored
+/// sample — including series no ReportDigest reads — changes the hash.
+std::string StoreDigestHashHex(const monitor::TimeSeriesStore& store,
+                               const ComponentRegistry& registry);
 
 /// Parses the golden file. Missing file yields an empty table + ok status
 /// (the regeneration flow bootstraps it).
 Result<GoldenDigestTable> LoadGoldenDigests(const std::string& path);
 
 /// Renders a table in the golden file format (one "scenario backend hash"
-/// line, sorted, with a header comment).
-std::string FormatGoldenDigests(const GoldenDigestTable& table);
+/// line, sorted, with a header comment naming what `subject` was hashed).
+std::string FormatGoldenDigests(const GoldenDigestTable& table,
+                                const std::string& subject = "ReportDigest");
 
 Status WriteGoldenDigests(const GoldenDigestTable& table,
-                          const std::string& path);
+                          const std::string& path,
+                          const std::string& subject = "ReportDigest");
 
 /// True when DIADS_UPDATE_GOLDEN_DIGESTS=1: digest mismatches rewrite the
 /// golden file instead of failing (the explicit regeneration flag the CI
@@ -102,8 +120,13 @@ Status WriteGoldenDigests(const GoldenDigestTable& table,
 bool UpdateGoldenDigestsRequested();
 
 /// When DIADS_DIGEST_OUT names a file, writes the computed table there
-/// (the CI artifact hook). Best effort.
-void MaybeDumpComputedDigests(const GoldenDigestTable& computed);
+/// (the CI artifact hook). Best effort. A non-empty `suffix` goes before
+/// the file's extension, so other tables land next to the ReportDigest
+/// one: suffix "_store" turns conformance_digests.txt into
+/// conformance_digests_store.txt.
+void MaybeDumpComputedDigests(const GoldenDigestTable& computed,
+                              const std::string& suffix = "",
+                              const std::string& subject = "ReportDigest");
 
 }  // namespace diads::testsupport
 
