@@ -185,12 +185,14 @@ Status Catalog::RefreshOptimizerStats(SimTimeMs t, const std::string& table,
   const double old_rows = it->second.optimizer_stats.row_count;
   it->second.optimizer_stats = it->second.actual_stats;
   it->second.optimizer_stats.row_count *= (1.0 + rel_error);
+  // Module PD's what-if probe reverts to old_row_count, so it is logged
+  // with round-trip precision: sampled refreshes leave non-integer counts.
   return LogEvent(
       t, EventType::kTableStatsChanged, it->second.id,
       StrFormat("%s (row count now %.0f)", reason.c_str(),
                 it->second.optimizer_stats.row_count),
       {{"table", table},
-       {"old_row_count", StrFormat("%.0f", old_rows)}});
+       {"old_row_count", StrFormat("%.17g", old_rows)}});
 }
 
 Status Catalog::SetIndexDroppedSilently(const std::string& index_name,

@@ -28,8 +28,7 @@ ColumnarBackend::ColumnarBackend(const BackendInit& init)
 }
 
 Result<Plan> ColumnarBackend::OptimizeQuery(const QuerySpec& spec) const {
-  ColumnarOptimizer optimizer(catalog_, params_);
-  return optimizer.Optimize(spec);
+  return PlanQuery(ColumnarCostModel(catalog_, params_), spec);
 }
 
 Result<Plan> ColumnarBackend::OptimizeQueryWithParam(const QuerySpec& spec,
@@ -37,8 +36,7 @@ Result<Plan> ColumnarBackend::OptimizeQueryWithParam(const QuerySpec& spec,
                                                      double value) const {
   ColumnarParams what_if = params_;
   DIADS_RETURN_IF_ERROR(SetColumnarParamByName(&what_if, param, value));
-  ColumnarOptimizer optimizer(catalog_, what_if);
-  return optimizer.Optimize(spec);
+  return PlanQuery(ColumnarCostModel(catalog_, what_if), spec);
 }
 
 Result<Plan> ColumnarBackend::MakePaperPlan() const {
@@ -54,10 +52,7 @@ Result<double> ColumnarBackend::GetParam(const std::string& name) const {
 }
 
 std::vector<std::string> ColumnarBackend::ParamNames() const {
-  return {"segment_read_cost",      "compression_codec_cost",
-          "tuple_reconstruct_cost", "vector_batch_rows",
-          "batch_dispatch_cost",    "zone_map_consult_cost",
-          "zone_map_refresh_threshold", "buffer_pool_mb"};
+  return ColumnarParamNames();
 }
 
 PlanMisconfigKnob ColumnarBackend::MisconfigKnob() const {

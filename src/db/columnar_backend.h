@@ -1,4 +1,4 @@
-// The column-store-ish backend: DbBackend over ColumnarOptimizer, the
+// The column-store-ish backend: DbBackend over ColumnarCostModel, the
 // ColumnarParams vocabulary, and the MakeColumnarQ2Plan fixture.
 //
 // Statistics semantics differ from both row stores: the engine watches

@@ -1,88 +1,30 @@
 #include "db/columnar_optimizer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <functional>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "common/strings.h"
 
 namespace diads::db {
-
-Status SetColumnarParamByName(ColumnarParams* params, const std::string& name,
-                              double value) {
-  if (name == "segment_read_cost") params->segment_read_cost = value;
-  else if (name == "compression_codec_cost")
-    params->compression_codec_cost = value;
-  else if (name == "tuple_reconstruct_cost")
-    params->tuple_reconstruct_cost = value;
-  else if (name == "vector_batch_rows") params->vector_batch_rows = value;
-  else if (name == "batch_dispatch_cost") params->batch_dispatch_cost = value;
-  else if (name == "zone_map_consult_cost")
-    params->zone_map_consult_cost = value;
-  else if (name == "zone_map_refresh_threshold")
-    params->zone_map_refresh_threshold = value;
-  else if (name == "buffer_pool_mb") params->buffer_pool_mb = value;
-  else return Status::InvalidArgument("unknown parameter: " + name);
-  return Status::Ok();
-}
-
-Result<double> GetColumnarParamByName(const ColumnarParams& params,
-                                      const std::string& name) {
-  if (name == "segment_read_cost") return params.segment_read_cost;
-  if (name == "compression_codec_cost") return params.compression_codec_cost;
-  if (name == "tuple_reconstruct_cost") return params.tuple_reconstruct_cost;
-  if (name == "vector_batch_rows") return params.vector_batch_rows;
-  if (name == "batch_dispatch_cost") return params.batch_dispatch_cost;
-  if (name == "zone_map_consult_cost") return params.zone_map_consult_cost;
-  if (name == "zone_map_refresh_threshold")
-    return params.zone_map_refresh_threshold;
-  if (name == "buffer_pool_mb") return params.buffer_pool_mb;
-  return Status::InvalidArgument("unknown parameter: " + name);
-}
-
-/// Internal plan node built during enumeration; flattened into a Plan at
-/// the end. Shared pointers let DP states share subtrees cheaply.
-struct ColumnarOptimizer::Node {
-  OpType type = OpType::kSeqScan;
-  std::vector<std::shared_ptr<const Node>> children;
-  std::string alias;
-  std::string table;
-  std::string index_name;
-  std::string detail;
-  std::string engine_op;   ///< "vector scan", "zone-pruned scan", ...
-  double rows = 0;
-  double cost = 0;         ///< Cumulative.
-  double pages = 0;        ///< Segment pages attributable to this op itself.
-  double width = 64;       ///< Bytes per output row (projected columns).
-};
-
 namespace {
 
-using NodePtr = std::shared_ptr<const ColumnarOptimizer::Node>;
-
-struct PlannerCtx {
-  const Catalog* catalog;
-  const ColumnarParams* params;
+constexpr ParamRow<ColumnarParams> kParamTable[] = {
+    {"segment_read_cost", &ColumnarParams::segment_read_cost},
+    {"compression_codec_cost", &ColumnarParams::compression_codec_cost},
+    {"tuple_reconstruct_cost", &ColumnarParams::tuple_reconstruct_cost},
+    {"vector_batch_rows", &ColumnarParams::vector_batch_rows},
+    {"batch_dispatch_cost", &ColumnarParams::batch_dispatch_cost},
+    {"zone_map_consult_cost", &ColumnarParams::zone_map_consult_cost},
+    {"zone_map_refresh_threshold",
+     &ColumnarParams::zone_map_refresh_threshold},
+    {"buffer_pool_mb", &ColumnarParams::buffer_pool_mb},
 };
 
 /// Fraction of a table's pages a scan actually touches: only the columns
 /// the query references are decompressed (Q2 projects a handful of the
 /// TPC-H columns), so page math is scaled down uniformly.
 constexpr double kColumnProjection = 0.35;
-
-double ColumnNdv(const PlannerCtx& ctx, const QuerySpec& spec,
-                 const std::string& alias, const std::string& column) {
-  const TableRef* ref = spec.FindAlias(alias);
-  if (ref == nullptr) return 1000;
-  Result<const TableDef*> table = ctx.catalog->FindTable(ref->table);
-  if (!table.ok()) return 1000;
-  const ColumnStats* col = (*table)->FindColumn(column);
-  return col != nullptr ? std::max(1.0, col->ndv) : 1000;
-}
 
 double Batches(const ColumnarParams& p, double rows) {
   return std::ceil(std::max(1.0, rows) / std::max(1.0, p.vector_batch_rows));
@@ -100,25 +42,64 @@ std::vector<std::string> JoinColumnsOf(const QuerySpec& spec,
   return out;
 }
 
+/// Vectorized hash join, the engine's only join: a blocking hash build
+/// over the newly joined side, probed in batches by the outer.
+PlanNodePtr HashJoin(const ColumnarParams& p, const PlanNodePtr& outer,
+                     const PlanNodePtr& inner, std::string detail,
+                     double out_rows) {
+  auto build = MakeUnaryNode(OpType::kHash, inner);
+  build->engine_op = "hash build";
+  build->cost = inner->cost + inner->rows * p.tuple_reconstruct_cost;
+
+  auto join = MakeJoinNode(OpType::kHashJoin, outer, build, std::move(detail),
+                           out_rows);
+  join->engine_op = "vectorized hash join";
+  join->cost = outer->cost + build->cost +
+               Batches(p, outer->rows) * p.batch_dispatch_cost +
+               outer->rows * 0.25 * p.tuple_reconstruct_cost +
+               out_rows * p.tuple_reconstruct_cost;
+  return join;
+}
+
+}  // namespace
+
+Status SetColumnarParamByName(ColumnarParams* params, const std::string& name,
+                              double value) {
+  return SetParamInTable(kParamTable, params, name, value);
+}
+
+Result<double> GetColumnarParamByName(const ColumnarParams& params,
+                                      const std::string& name) {
+  return GetParamInTable(kParamTable, params, name);
+}
+
+std::vector<std::string> ColumnarParamNames() {
+  return ParamTableNames(kParamTable);
+}
+
+ColumnarCostModel::ColumnarCostModel(const Catalog* catalog,
+                                     const ColumnarParams& params)
+    : CostModel(catalog, "limit"), params_(params) {}
+
 /// Best access path for one table reference: a full vector scan vs a
 /// zone-pruned scan through the best available zone map. Both paths are
 /// decompression-dominated; pruning trades per-zone min/max consults for
 /// skipped segments, and pays off in proportion to the column's physical
 /// clustering.
-Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
-                         const TableRef& ref) {
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(ref.table);
+Result<PlanNodePtr> ColumnarCostModel::ScanPath(const QuerySpec& block,
+                                                const TableRef& ref) const {
+  Result<const TableDef*> table_r = catalog().FindTable(ref.table);
   DIADS_RETURN_IF_ERROR(table_r.status());
   const TableDef& table = **table_r;
   const TableStats& stats = table.optimizer_stats;
-  const ColumnarParams& p = *ctx.params;
+  const ColumnarParams& p = params_;
 
   const double out_rows =
       std::max(1.0, stats.row_count * ref.filter_selectivity);
   const double zones = Batches(p, stats.row_count);
   const double full_pages = std::max(1.0, stats.pages() * kColumnProjection);
 
-  auto full = std::make_shared<ColumnarOptimizer::Node>();
+  auto full = std::make_shared<PlanNode>();
   full->type = OpType::kSeqScan;
   full->engine_op = "vector scan";
   full->alias = ref.alias;
@@ -146,8 +127,8 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
   };
   std::vector<PruneOption> options;
   if (!ref.filter_column.empty()) {
-    for (const IndexDef* zm : ctx.catalog->IndexesOn(ref.table,
-                                                     ref.filter_column)) {
+    for (const IndexDef* zm : catalog().IndexesOn(ref.table,
+                                                  ref.filter_column)) {
       // A predicate gives explicit value bounds, so zone min/max pruning
       // approaches the selectivity on a well-clustered column and decays
       // to nothing on a shuffled one.
@@ -157,8 +138,8 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
                          StrFormat("%s zones", ref.filter_column.c_str())});
     }
   }
-  for (const std::string& column : JoinColumnsOf(spec, ref.alias)) {
-    for (const IndexDef* zm : ctx.catalog->IndexesOn(ref.table, column)) {
+  for (const std::string& column : JoinColumnsOf(block, ref.alias)) {
+    for (const IndexDef* zm : catalog().IndexesOn(ref.table, column)) {
       // Semi-join pushdown. Unique-key zone maps never prune: the key
       // values spread across every segment, so each zone's min/max spans
       // the whole domain.
@@ -169,10 +150,10 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
     }
   }
 
-  NodePtr best = full;
+  PlanNodePtr best = full;
   for (const PruneOption& option : options) {
     const double scanned_rows = option.fraction * stats.row_count;
-    auto pruned = std::make_shared<ColumnarOptimizer::Node>();
+    auto pruned = std::make_shared<PlanNode>();
     pruned->type = OpType::kIndexScan;
     pruned->engine_op = "zone-pruned scan";
     pruned->alias = ref.alias;
@@ -194,269 +175,41 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
   return best;
 }
 
-/// The join predicate (if any) connecting `alias` to any alias in `joined`.
-const JoinPredicate* FindConnection(const QuerySpec& spec,
-                                    const std::vector<std::string>& joined,
-                                    const std::string& alias) {
-  for (const JoinPredicate& j : spec.joins) {
-    for (const std::string& a : joined) {
-      if ((j.left_alias == a && j.right_alias == alias) ||
-          (j.right_alias == a && j.left_alias == alias)) {
-        return &j;
-      }
-    }
-  }
-  return nullptr;
+PlanNodePtr ColumnarCostModel::Join(const JoinStep& step) const {
+  return HashJoin(params_, step.outer, step.inner_scan, step.detail(),
+                  step.rows);
 }
 
-double JoinOutputRows(const PlannerCtx& ctx, const QuerySpec& spec,
-                      double outer_rows, double inner_rows,
-                      const JoinPredicate& pred) {
-  const double ndv_l =
-      ColumnNdv(ctx, spec, pred.left_alias, pred.left_column);
-  const double ndv_r =
-      ColumnNdv(ctx, spec, pred.right_alias, pred.right_column);
-  return std::max(1.0, outer_rows * inner_rows / std::max(ndv_l, ndv_r));
+void ColumnarCostModel::CostAggregate(const PlanNode& input,
+                                      PlanNode* agg) const {
+  const ColumnarParams& p = params_;
+  agg->engine_op = "vectorized hash agg";
+  agg->cost = input.cost +
+              Batches(p, input.rows) * p.batch_dispatch_cost +
+              input.rows * 0.5 * p.tuple_reconstruct_cost +
+              agg->rows * p.tuple_reconstruct_cost;
 }
 
-/// Vectorized hash join, the engine's only join: a blocking hash build
-/// over the newly joined side, probed in batches by the outer.
-NodePtr MakeHashJoin(const PlannerCtx& ctx, const NodePtr& outer,
-                     const NodePtr& inner, const std::string& detail,
-                     double out_rows) {
-  const ColumnarParams& p = *ctx.params;
-
-  auto build = std::make_shared<ColumnarOptimizer::Node>();
-  build->type = OpType::kHash;
-  build->engine_op = "hash build";
-  build->children = {inner};
-  build->rows = inner->rows;
-  build->width = inner->width;
-  build->cost = inner->cost + inner->rows * p.tuple_reconstruct_cost;
-
-  auto join = std::make_shared<ColumnarOptimizer::Node>();
-  join->type = OpType::kHashJoin;
-  join->engine_op = "vectorized hash join";
-  join->children = {outer, build};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + build->cost +
-               Batches(p, outer->rows) * p.batch_dispatch_cost +
-               outer->rows * 0.25 * p.tuple_reconstruct_cost +
-               out_rows * p.tuple_reconstruct_cost;
-  join->detail = detail;
-  return join;
+PlanNodePtr ColumnarCostModel::SubqueryJoin(const QuerySpec& spec,
+                                            const PlanNodePtr& outer,
+                                            const PlanNodePtr& sub,
+                                            double rows) const {
+  // Late materialization of the decorrelated block: the subquery's
+  // result is buffered as a column block and hash-joined back into the
+  // main block — there is no per-row probing machinery to do anything
+  // else with it.
+  auto mat = MakeUnaryNode(OpType::kMaterialize, sub, "column block buffer");
+  mat->engine_op = "late materialize";
+  mat->cost = sub->cost + sub->rows * 0.5 * params_.tuple_reconstruct_cost;
+  return HashJoin(params_, outer, mat, PredicateText(spec.subplan_join),
+                  rows);
 }
 
-/// Plans one query block (no subquery handling) with left-deep DP over
-/// hash-join orders.
-Result<NodePtr> PlanBlock(const PlannerCtx& ctx, const QuerySpec& spec) {
-  if (spec.tables.empty()) {
-    return Status::InvalidArgument("query block has no tables");
-  }
-  if (spec.tables.size() > 16) {
-    return Status::InvalidArgument("too many tables in block (max 16)");
-  }
-  const size_t n = spec.tables.size();
-
-  struct DpState {
-    NodePtr node;
-    std::vector<std::string> aliases;
-  };
-  std::map<uint32_t, DpState> dp;
-
-  for (size_t i = 0; i < n; ++i) {
-    Result<NodePtr> scan = ScanPath(ctx, spec, spec.tables[i]);
-    DIADS_RETURN_IF_ERROR(scan.status());
-    dp[1u << i] = DpState{*scan, {spec.tables[i].alias}};
-  }
-
-  for (size_t size = 1; size < n; ++size) {
-    std::vector<uint32_t> masks;
-    for (const auto& [mask, state] : dp) {
-      if (static_cast<size_t>(__builtin_popcount(mask)) == size) {
-        masks.push_back(mask);
-      }
-    }
-    for (uint32_t mask : masks) {
-      const DpState& outer_state = dp[mask];
-      // A cartesian extension is allowed only when nothing better exists:
-      // no remaining table joins this subset (disconnected join graph, or
-      // no predicates at all).
-      bool any_connected = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        if (FindConnection(spec, outer_state.aliases,
-                           spec.tables[i].alias) != nullptr) {
-          any_connected = true;
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        const TableRef& inner_ref = spec.tables[i];
-        // The singleton states already hold each table's best access path.
-        const NodePtr& inner_scan = dp[1u << i].node;
-        const JoinPredicate* pred =
-            FindConnection(spec, outer_state.aliases, inner_ref.alias);
-        NodePtr candidate;
-        if (pred != nullptr) {
-          const double out_rows =
-              JoinOutputRows(ctx, spec, outer_state.node->rows,
-                             inner_scan->rows, *pred);
-          candidate = MakeHashJoin(
-              ctx, outer_state.node, inner_scan,
-              StrFormat("%s.%s = %s.%s", pred->left_alias.c_str(),
-                        pred->left_column.c_str(), pred->right_alias.c_str(),
-                        pred->right_column.c_str()),
-              out_rows);
-        } else if (!any_connected) {
-          candidate = MakeHashJoin(ctx, outer_state.node, inner_scan,
-                                   "cartesian",
-                                   outer_state.node->rows * inner_scan->rows);
-        } else {
-          continue;
-        }
-        const uint32_t new_mask = mask | (1u << i);
-        auto it = dp.find(new_mask);
-        if (it == dp.end() || candidate->cost < it->second.node->cost) {
-          DpState state;
-          state.node = candidate;
-          state.aliases = outer_state.aliases;
-          state.aliases.push_back(inner_ref.alias);
-          dp[new_mask] = std::move(state);
-        }
-      }
-    }
-  }
-
-  const uint32_t full = n == 32 ? 0xFFFFFFFFu : ((1u << n) - 1);
-  auto it = dp.find(full);
-  if (it == dp.end()) {
-    return Status::Internal("join enumeration failed to cover all tables");
-  }
-  NodePtr result = it->second.node;
-
-  if (spec.aggregate) {
-    const ColumnarParams& p = *ctx.params;
-    auto agg = std::make_shared<ColumnarOptimizer::Node>();
-    agg->type = OpType::kAggregate;
-    agg->engine_op = "vectorized hash agg";
-    agg->children = {result};
-    const double groups = std::min(
-        result->rows,
-        ColumnNdv(ctx, spec, spec.agg_group_alias, spec.agg_group_column));
-    agg->rows = std::max(1.0, groups);
-    agg->width = result->width;
-    agg->cost = result->cost +
-                Batches(p, result->rows) * p.batch_dispatch_cost +
-                result->rows * 0.5 * p.tuple_reconstruct_cost +
-                agg->rows * p.tuple_reconstruct_cost;
-    agg->detail = StrFormat("group by %s.%s", spec.agg_group_alias.c_str(),
-                            spec.agg_group_column.c_str());
-    result = agg;
-  }
-  return result;
-}
-
-}  // namespace
-
-ColumnarOptimizer::ColumnarOptimizer(const Catalog* catalog,
-                                     ColumnarParams params)
-    : catalog_(catalog), params_(params) {
-  assert(catalog != nullptr);
-}
-
-Result<Plan> ColumnarOptimizer::Optimize(const QuerySpec& spec) const {
-  PlannerCtx ctx{catalog_, &params_};
-
-  Result<NodePtr> main_r = PlanBlock(ctx, spec);
-  DIADS_RETURN_IF_ERROR(main_r.status());
-  NodePtr root = *main_r;
-
-  if (spec.subplan != nullptr) {
-    // Late materialization of the decorrelated block: the subquery's
-    // result is buffered as a column block and hash-joined back into the
-    // main block — there is no per-row probing machinery to do anything
-    // else with it.
-    Result<NodePtr> sub_r = PlanBlock(ctx, *spec.subplan);
-    DIADS_RETURN_IF_ERROR(sub_r.status());
-    const ColumnarParams& p = params_;
-
-    auto mat = std::make_shared<Node>();
-    mat->type = OpType::kMaterialize;
-    mat->engine_op = "late materialize";
-    mat->children = {*sub_r};
-    mat->rows = (*sub_r)->rows;
-    mat->width = (*sub_r)->width;
-    mat->cost = (*sub_r)->cost +
-                (*sub_r)->rows * 0.5 * p.tuple_reconstruct_cost;
-    mat->detail = "column block buffer";
-
-    const double out_rows =
-        std::max(1.0, root->rows * spec.subplan_join_selectivity);
-    root = MakeHashJoin(
-        ctx, root, mat,
-        StrFormat("%s.%s = %s.%s", spec.subplan_join.left_alias.c_str(),
-                  spec.subplan_join.left_column.c_str(),
-                  spec.subplan_join.right_alias.c_str(),
-                  spec.subplan_join.right_column.c_str()),
-        out_rows);
-  }
-
-  if (spec.sort) {
-    const ColumnarParams& p = params_;
-    auto sort = std::make_shared<Node>();
-    sort->type = OpType::kSort;
-    sort->engine_op = "vectorized merge sort";
-    sort->children = {root};
-    sort->rows = root->rows;
-    sort->width = root->width;
-    const double n = std::max(2.0, root->rows);
-    sort->cost =
-        root->cost + n * std::log2(n) * 0.5 * p.tuple_reconstruct_cost;
-    sort->detail = "order by result keys";
-    root = sort;
-  }
-  if (spec.limit > 0) {
-    auto limit = std::make_shared<Node>();
-    limit->type = OpType::kLimit;
-    limit->engine_op = "limit";
-    limit->children = {root};
-    limit->rows = std::min<double>(spec.limit, root->rows);
-    limit->width = root->width;
-    limit->cost = root->cost;
-    limit->detail = StrFormat("limit %d", spec.limit);
-    root = limit;
-  }
-  auto result_node = std::make_shared<Node>();
-  result_node->type = OpType::kResult;
-  result_node->children = {root};
-  result_node->rows = root->rows;
-  result_node->width = root->width;
-  result_node->cost = root->cost;
-  root = result_node;
-
-  // Flatten the node tree into a Plan (children added before parents).
-  PlanBuilder builder(spec.name);
-  std::function<int(const NodePtr&)> emit = [&](const NodePtr& node) -> int {
-    std::vector<int> children;
-    children.reserve(node->children.size());
-    for (const NodePtr& child : node->children) children.push_back(emit(child));
-    int index;
-    if (node->type == OpType::kSeqScan || node->type == OpType::kIndexScan) {
-      assert(children.empty());
-      index = builder.AddScan(node->type, node->alias, node->table,
-                              node->index_name);
-      builder.SetDetail(index, node->detail);
-    } else {
-      index = builder.AddOp(node->type, children, node->detail);
-    }
-    builder.SetEstimates(index, node->rows, node->cost, node->pages);
-    builder.SetEngineOp(index, node->engine_op);
-    return index;
-  };
-  const int root_index = emit(root);
-  return builder.Build(root_index);
+void ColumnarCostModel::CostSort(const PlanNode& input, PlanNode* sort) const {
+  sort->engine_op = "vectorized merge sort";
+  const double n = std::max(2.0, input.rows);
+  sort->cost =
+      input.cost + n * std::log2(n) * 0.5 * params_.tuple_reconstruct_cost;
 }
 
 }  // namespace diads::db

@@ -1,4 +1,4 @@
-// Column-store-ish cost-based optimizer.
+// Column-store-ish cost model.
 //
 // The third synthetic engine's planner, deliberately different from both
 // row-store planners along the axes real column stores differ:
@@ -36,15 +36,17 @@
 // scans surface as kIndexScan with the zone map's IndexDef name (which is
 // what makes plan fingerprints sensitive to pruning changes), full vector
 // scans as kSeqScan — with each node's engine-native name in
-// PlanOp::engine_op.
+// PlanOp::engine_op. The left-deep join enumeration is shared by every
+// engine (db/join_planner.h).
 #ifndef DIADS_DB_COLUMNAR_OPTIMIZER_H_
 #define DIADS_DB_COLUMNAR_OPTIMIZER_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "db/catalog.h"
-#include "db/plan.h"
+#include "db/join_planner.h"
 #include "db/query.h"
 
 namespace diads::db {
@@ -75,25 +77,24 @@ Status SetColumnarParamByName(ColumnarParams* params, const std::string& name,
                               double value);
 Result<double> GetColumnarParamByName(const ColumnarParams& params,
                                       const std::string& name);
+/// Every name the two calls accept, in a stable order.
+std::vector<std::string> ColumnarParamNames();
 
-/// The column-store-ish planner. Stateless besides catalog/params
-/// references; Optimize() is deterministic.
-class ColumnarOptimizer {
+/// The column-store-ish cost model. Deterministic; plan with PlanQuery.
+class ColumnarCostModel : public CostModel {
  public:
-  /// `catalog` must outlive the optimizer.
-  ColumnarOptimizer(const Catalog* catalog, ColumnarParams params);
+  /// `catalog` must outlive the model.
+  ColumnarCostModel(const Catalog* catalog, const ColumnarParams& params);
 
-  Result<Plan> Optimize(const QuerySpec& spec) const;
-
-  const ColumnarParams& params() const { return params_; }
-  void set_params(ColumnarParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
+  Result<PlanNodePtr> ScanPath(const QuerySpec& block,
+                               const TableRef& ref) const override;
+  PlanNodePtr Join(const JoinStep& step) const override;
+  void CostAggregate(const PlanNode& input, PlanNode* agg) const override;
+  PlanNodePtr SubqueryJoin(const QuerySpec& spec, const PlanNodePtr& outer,
+                           const PlanNodePtr& sub, double rows) const override;
+  void CostSort(const PlanNode& input, PlanNode* sort) const override;
 
  private:
-  const Catalog* catalog_;
   ColumnarParams params_;
 };
 

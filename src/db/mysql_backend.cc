@@ -27,8 +27,7 @@ MysqlBackend::MysqlBackend(const BackendInit& init)
 }
 
 Result<Plan> MysqlBackend::OptimizeQuery(const QuerySpec& spec) const {
-  MysqlOptimizer optimizer(catalog_, params_);
-  return optimizer.Optimize(spec);
+  return PlanQuery(MysqlCostModel(catalog_, params_), spec);
 }
 
 Result<Plan> MysqlBackend::OptimizeQueryWithParam(const QuerySpec& spec,
@@ -36,8 +35,7 @@ Result<Plan> MysqlBackend::OptimizeQueryWithParam(const QuerySpec& spec,
                                                   double value) const {
   MysqlParams what_if = params_;
   DIADS_RETURN_IF_ERROR(SetMysqlParamByName(&what_if, param, value));
-  MysqlOptimizer optimizer(catalog_, what_if);
-  return optimizer.Optimize(spec);
+  return PlanQuery(MysqlCostModel(catalog_, what_if), spec);
 }
 
 Result<Plan> MysqlBackend::MakePaperPlan() const {
@@ -53,10 +51,7 @@ Result<double> MysqlBackend::GetParam(const std::string& name) const {
 }
 
 std::vector<std::string> MysqlBackend::ParamNames() const {
-  return {"io_block_read_cost", "memory_block_read_cost",
-          "row_evaluate_cost",  "key_compare_cost",
-          "join_buffer_mb",     "sort_buffer_mb",
-          "tmp_table_mb",       "buffer_pool_mb"};
+  return MysqlParamNames();
 }
 
 PlanMisconfigKnob MysqlBackend::MisconfigKnob() const {

@@ -1,4 +1,4 @@
-// The MySQL-ish backend: DbBackend over MysqlOptimizer, the MysqlParams
+// The MySQL-ish backend: DbBackend over MysqlCostModel, the MysqlParams
 // vocabulary, and the MakeMysqlQ2Plan fixture.
 //
 // Statistics semantics differ from PostgreSQL's: an InnoDB-style automatic

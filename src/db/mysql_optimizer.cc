@@ -1,95 +1,151 @@
 #include "db/mysql_optimizer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <functional>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "common/strings.h"
 
 namespace diads::db {
+namespace {
+
+constexpr ParamRow<MysqlParams> kParamTable[] = {
+    {"io_block_read_cost", &MysqlParams::io_block_read_cost},
+    {"memory_block_read_cost", &MysqlParams::memory_block_read_cost},
+    {"row_evaluate_cost", &MysqlParams::row_evaluate_cost},
+    {"key_compare_cost", &MysqlParams::key_compare_cost},
+    {"join_buffer_mb", &MysqlParams::join_buffer_mb},
+    {"sort_buffer_mb", &MysqlParams::sort_buffer_mb},
+    {"tmp_table_mb", &MysqlParams::tmp_table_mb},
+    {"buffer_pool_mb", &MysqlParams::buffer_pool_mb},
+};
+
+/// Index nested loop: the engine's preferred join. "eq_ref" when the inner
+/// index is unique (at most one row per probe), "ref" otherwise.
+Result<PlanNodePtr> IndexNestLoop(const CostModel& model,
+                                  const MysqlParams& p, const JoinStep& step) {
+  const TableRef& inner_ref = step.inner;
+  const std::string& inner_join_column = step.inner_column();
+  std::vector<const IndexDef*> indexes =
+      model.catalog().IndexesOn(inner_ref.table, inner_join_column);
+  if (indexes.empty()) {
+    return Status::NotFound("no index on " + inner_ref.table + "." +
+                            inner_join_column);
+  }
+  const IndexDef* index = indexes.front();
+  Result<const TableDef*> table_r = model.catalog().FindTable(inner_ref.table);
+  DIADS_RETURN_IF_ERROR(table_r.status());
+  const TableStats& stats = (*table_r)->optimizer_stats;
+
+  const double ndv =
+      model.ColumnNdv(step.block, inner_ref.alias, inner_join_column);
+  const double matches_per_probe =
+      index->unique
+          ? std::min(1.0, stats.row_count * inner_ref.filter_selectivity /
+                              std::max(1.0, ndv))
+          : std::max(0.1, stats.row_count * inner_ref.filter_selectivity /
+                              std::max(1.0, ndv));
+  const double probes = std::max(1.0, step.outer->rows);
+
+  // Per probe: a partially cached B-tree descent plus heap fetches, all at
+  // the flat io_block_read_cost.
+  const double pages_per_probe =
+      0.5 * index->height +
+      matches_per_probe * (index->clustering * 0.15 +
+                           (1.0 - index->clustering) * 1.0);
+  const double cost_per_probe =
+      pages_per_probe * p.io_block_read_cost +
+      index->height * p.key_compare_cost +
+      matches_per_probe * p.row_evaluate_cost;
+
+  auto inner = std::make_shared<PlanNode>();
+  inner->type = OpType::kIndexScan;
+  inner->engine_op = index->unique ? "eq_ref" : "ref";
+  inner->alias = inner_ref.alias;
+  inner->table = inner_ref.table;
+  inner->index_name = index->name;
+  // matches_per_probe already reflects the inner table's local filter.
+  inner->rows = probes * matches_per_probe;
+  inner->pages = probes * pages_per_probe;
+  inner->cost = probes * cost_per_probe;
+  inner->width = stats.row_width_bytes;
+  inner->detail = StrFormat("%s = outer, ~%.1f rows/probe",
+                            inner_join_column.c_str(), matches_per_probe);
+
+  auto join = MakeJoinNode(OpType::kNestLoopJoin, step.outer, inner,
+                           step.detail(), step.rows);
+  join->engine_op = "nested loop";
+  join->cost = step.outer->cost + inner->cost + step.rows * p.row_evaluate_cost;
+  return PlanNodePtr(join);
+}
+
+/// Block nested loop: the no-usable-index fallback. The inner side is
+/// rescanned once per join-buffer chunk of the outer, and every
+/// (outer, inner) pair pays a row comparison — the quadratic CPU term that
+/// makes BNL a last resort.
+PlanNodePtr BlockNestLoop(const MysqlParams& p, const JoinStep& step) {
+  const PlanNodePtr& outer = step.outer;
+  const PlanNodePtr& inner = step.inner_scan;
+  const double buffer_bytes = std::max(64.0 * 1024.0,
+                                       p.join_buffer_mb * 1024.0 * 1024.0);
+  const double chunks =
+      std::max(1.0, std::ceil(outer->rows * outer->width / buffer_bytes));
+
+  auto buffered = MakeUnaryNode(OpType::kMaterialize, inner,
+                                StrFormat("%.0f chunk(s)", chunks));
+  buffered->engine_op = "join buffer";
+  // The rescans: the inner subtree's own cost counts once (in inner->cost);
+  // every additional chunk re-reads the inner's pages.
+  buffered->pages = (chunks - 1.0) * inner->pages;
+  buffered->cost = inner->cost +
+                   (chunks - 1.0) * inner->pages * p.io_block_read_cost +
+                   inner->rows * p.row_evaluate_cost;
+
+  auto join = MakeJoinNode(OpType::kNestLoopJoin, outer, buffered,
+                           step.detail(), step.rows);
+  join->engine_op = "BNL";
+  join->cost = outer->cost + buffered->cost +
+               outer->rows * inner->rows * p.row_evaluate_cost * 0.1 +
+               step.rows * p.row_evaluate_cost;
+  return join;
+}
+
+}  // namespace
 
 Status SetMysqlParamByName(MysqlParams* params, const std::string& name,
                            double value) {
-  if (name == "io_block_read_cost") params->io_block_read_cost = value;
-  else if (name == "memory_block_read_cost")
-    params->memory_block_read_cost = value;
-  else if (name == "row_evaluate_cost") params->row_evaluate_cost = value;
-  else if (name == "key_compare_cost") params->key_compare_cost = value;
-  else if (name == "join_buffer_mb") params->join_buffer_mb = value;
-  else if (name == "sort_buffer_mb") params->sort_buffer_mb = value;
-  else if (name == "tmp_table_mb") params->tmp_table_mb = value;
-  else if (name == "buffer_pool_mb") params->buffer_pool_mb = value;
-  else return Status::InvalidArgument("unknown parameter: " + name);
-  return Status::Ok();
+  return SetParamInTable(kParamTable, params, name, value);
 }
 
 Result<double> GetMysqlParamByName(const MysqlParams& params,
                                    const std::string& name) {
-  if (name == "io_block_read_cost") return params.io_block_read_cost;
-  if (name == "memory_block_read_cost") return params.memory_block_read_cost;
-  if (name == "row_evaluate_cost") return params.row_evaluate_cost;
-  if (name == "key_compare_cost") return params.key_compare_cost;
-  if (name == "join_buffer_mb") return params.join_buffer_mb;
-  if (name == "sort_buffer_mb") return params.sort_buffer_mb;
-  if (name == "tmp_table_mb") return params.tmp_table_mb;
-  if (name == "buffer_pool_mb") return params.buffer_pool_mb;
-  return Status::InvalidArgument("unknown parameter: " + name);
+  return GetParamInTable(kParamTable, params, name);
 }
 
-/// Internal plan node built during enumeration; flattened into a Plan at
-/// the end. Shared pointers let DP states share subtrees cheaply.
-struct MysqlOptimizer::Node {
-  OpType type = OpType::kSeqScan;
-  std::vector<std::shared_ptr<const Node>> children;
-  std::string alias;
-  std::string table;
-  std::string index_name;
-  std::string detail;
-  std::string engine_op;   ///< "ALL", "range", "ref", "eq_ref", "BNL", ...
-  double rows = 0;
-  double cost = 0;         ///< Cumulative.
-  double pages = 0;        ///< Page fetches attributable to this op itself.
-  double width = 64;       ///< Bytes per output row.
-};
-
-namespace {
-
-using NodePtr = std::shared_ptr<const MysqlOptimizer::Node>;
-
-struct PlannerCtx {
-  const Catalog* catalog;
-  const MysqlParams* params;
-};
-
-double ColumnNdv(const PlannerCtx& ctx, const QuerySpec& spec,
-                 const std::string& alias, const std::string& column) {
-  const TableRef* ref = spec.FindAlias(alias);
-  if (ref == nullptr) return 1000;
-  Result<const TableDef*> table = ctx.catalog->FindTable(ref->table);
-  if (!table.ok()) return 1000;
-  const ColumnStats* col = (*table)->FindColumn(column);
-  return col != nullptr ? std::max(1.0, col->ndv) : 1000;
+std::vector<std::string> MysqlParamNames() {
+  return ParamTableNames(kParamTable);
 }
+
+MysqlCostModel::MysqlCostModel(const Catalog* catalog,
+                               const MysqlParams& params)
+    : CostModel(catalog, "limit"), params_(params) {}
 
 /// Best access path for one table reference: full table scan ("ALL") vs an
 /// index range scan on the filter column. Both pay the same per-page
 /// io_block_read_cost — the absence of a random-access penalty is the
 /// engine's defining cost-model property.
-Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(ref.table);
+Result<PlanNodePtr> MysqlCostModel::ScanPath(const QuerySpec& /*block*/,
+                                             const TableRef& ref) const {
+  Result<const TableDef*> table_r = catalog().FindTable(ref.table);
   DIADS_RETURN_IF_ERROR(table_r.status());
   const TableDef& table = **table_r;
   const TableStats& stats = table.optimizer_stats;
-  const MysqlParams& p = *ctx.params;
+  const MysqlParams& p = params_;
 
   const double out_rows =
       std::max(1.0, stats.row_count * ref.filter_selectivity);
 
-  auto all = std::make_shared<MysqlOptimizer::Node>();
+  auto all = std::make_shared<PlanNode>();
   all->type = OpType::kSeqScan;
   all->engine_op = "ALL";
   all->alias = ref.alias;
@@ -107,17 +163,17 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
                             ref.filter_selectivity);
   }
 
-  NodePtr best = all;
+  PlanNodePtr best = all;
   if (!ref.filter_column.empty()) {
-    for (const IndexDef* index : ctx.catalog->IndexesOn(ref.table,
-                                                        ref.filter_column)) {
+    for (const IndexDef* index : catalog().IndexesOn(ref.table,
+                                                     ref.filter_column)) {
       const double sel = ref.filter_selectivity;
       const double index_pages = index->height + sel * index->leaf_pages;
       const double heap_pages =
           std::min(stats.pages(),
                    sel * stats.row_count *
                        (index->clustering * 0.1 + (1.0 - index->clustering)));
-      auto range = std::make_shared<MysqlOptimizer::Node>();
+      auto range = std::make_shared<PlanNode>();
       range->type = OpType::kIndexScan;
       range->engine_op = "range";
       range->alias = ref.alias;
@@ -137,392 +193,71 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
   return best;
 }
 
-/// The join predicate (if any) connecting `alias` to any alias in `joined`.
-const JoinPredicate* FindConnection(const QuerySpec& spec,
-                                    const std::vector<std::string>& joined,
-                                    const std::string& alias,
-                                    bool* alias_is_left) {
-  for (const JoinPredicate& j : spec.joins) {
-    for (const std::string& a : joined) {
-      if (j.left_alias == a && j.right_alias == alias) {
-        *alias_is_left = false;
-        return &j;
-      }
-      if (j.right_alias == a && j.left_alias == alias) {
-        *alias_is_left = true;
-        return &j;
-      }
-    }
+PlanNodePtr MysqlCostModel::Join(const JoinStep& step) const {
+  // Block nested loop is always available...
+  PlanNodePtr best = BlockNestLoop(params_, step);
+  if (step.pred == nullptr) return best;
+  // ...but an index on the inner join column beats it essentially always
+  // (the index-nested-loop bias).
+  Result<PlanNodePtr> inl = IndexNestLoop(*this, params_, step);
+  if (inl.ok() && (*inl)->cost < best->cost) best = *inl;
+  return best;
+}
+
+void MysqlCostModel::CostAggregate(const PlanNode& input,
+                                   PlanNode* agg) const {
+  const MysqlParams& p = params_;
+  agg->engine_op = "tmp table";
+  double cost = input.rows * p.row_evaluate_cost +
+                agg->rows * p.row_evaluate_cost;
+  const double bytes = agg->rows * agg->width;
+  if (bytes > p.tmp_table_mb * 1024 * 1024) {
+    agg->pages = 2.0 * bytes / kPageSizeBytes;
+    cost += agg->pages * p.io_block_read_cost;
   }
-  return nullptr;
+  agg->cost = input.cost + cost;
 }
 
-double JoinOutputRows(const PlannerCtx& ctx, const QuerySpec& spec,
-                      double outer_rows, double inner_rows,
-                      const JoinPredicate& pred) {
-  const double ndv_l =
-      ColumnNdv(ctx, spec, pred.left_alias, pred.left_column);
-  const double ndv_r =
-      ColumnNdv(ctx, spec, pred.right_alias, pred.right_column);
-  return std::max(1.0, outer_rows * inner_rows / std::max(ndv_l, ndv_r));
-}
-
-/// Index nested loop: the engine's preferred join. "eq_ref" when the inner
-/// index is unique (at most one row per probe), "ref" otherwise.
-Result<NodePtr> MakeIndexNestLoop(const PlannerCtx& ctx,
-                                  const QuerySpec& spec, const NodePtr& outer,
-                                  const TableRef& inner_ref,
-                                  const JoinPredicate& pred,
-                                  const std::string& inner_join_column,
-                                  double out_rows) {
-  const MysqlParams& p = *ctx.params;
-  std::vector<const IndexDef*> indexes =
-      ctx.catalog->IndexesOn(inner_ref.table, inner_join_column);
-  if (indexes.empty()) {
-    return Status::NotFound("no index on " + inner_ref.table + "." +
-                            inner_join_column);
+PlanNodePtr MysqlCostModel::SubqueryJoin(const QuerySpec& spec,
+                                         const PlanNodePtr& outer,
+                                         const PlanNodePtr& sub,
+                                         double rows) const {
+  // Derived-table materialisation with an auto-generated lookup key: the
+  // subquery block is evaluated once into a temp table, and the main
+  // block probes it per row through auto_key0.
+  const MysqlParams& p = params_;
+  auto mat =
+      MakeUnaryNode(OpType::kMaterialize, sub, "temp table with auto_key0");
+  mat->engine_op = "materialize derived";
+  double mat_cost = sub->rows * p.row_evaluate_cost;
+  const double bytes = mat->rows * mat->width;
+  if (bytes > p.tmp_table_mb * 1024 * 1024) {
+    mat->pages = 2.0 * bytes / kPageSizeBytes;
+    mat_cost += mat->pages * p.io_block_read_cost;
   }
-  const IndexDef* index = indexes.front();
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(inner_ref.table);
-  DIADS_RETURN_IF_ERROR(table_r.status());
-  const TableStats& stats = (*table_r)->optimizer_stats;
+  mat->cost = sub->cost + mat_cost;
 
-  const double ndv = ColumnNdv(
-      ctx, spec, pred.left_alias == inner_ref.alias ? pred.left_alias
-                                                    : pred.right_alias,
-      inner_join_column);
-  const double matches_per_probe =
-      index->unique
-          ? std::min(1.0, stats.row_count * inner_ref.filter_selectivity /
-                              std::max(1.0, ndv))
-          : std::max(0.1, stats.row_count * inner_ref.filter_selectivity /
-                              std::max(1.0, ndv));
-  const double probes = std::max(1.0, outer->rows);
-
-  // Per probe: a partially cached B-tree descent plus heap fetches, all at
-  // the flat io_block_read_cost.
-  const double pages_per_probe =
-      0.5 * index->height +
-      matches_per_probe * (index->clustering * 0.15 +
-                           (1.0 - index->clustering) * 1.0);
-  const double cost_per_probe =
-      pages_per_probe * p.io_block_read_cost +
-      index->height * p.key_compare_cost +
-      matches_per_probe * p.row_evaluate_cost;
-
-  auto inner = std::make_shared<MysqlOptimizer::Node>();
-  inner->type = OpType::kIndexScan;
-  inner->engine_op = index->unique ? "eq_ref" : "ref";
-  inner->alias = inner_ref.alias;
-  inner->table = inner_ref.table;
-  inner->index_name = index->name;
-  // matches_per_probe already reflects the inner table's local filter.
-  inner->rows = probes * matches_per_probe;
-  inner->pages = probes * pages_per_probe;
-  inner->cost = probes * cost_per_probe;
-  inner->width = stats.row_width_bytes;
-  inner->detail = StrFormat("%s = outer, ~%.1f rows/probe",
-                            inner_join_column.c_str(), matches_per_probe);
-
-  auto join = std::make_shared<MysqlOptimizer::Node>();
-  join->type = OpType::kNestLoopJoin;
-  join->engine_op = "nested loop";
-  join->children = {outer, inner};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + inner->cost + out_rows * p.row_evaluate_cost;
-  join->detail = StrFormat("%s.%s = %s.%s", pred.left_alias.c_str(),
-                           pred.left_column.c_str(), pred.right_alias.c_str(),
-                           pred.right_column.c_str());
-  return NodePtr(join);
-}
-
-/// Block nested loop: the no-usable-index fallback. The inner side is
-/// rescanned once per join-buffer chunk of the outer, and every
-/// (outer, inner) pair pays a row comparison — the quadratic CPU term that
-/// makes BNL a last resort.
-NodePtr MakeBlockNestLoop(const PlannerCtx& ctx, const NodePtr& outer,
-                          const NodePtr& inner, const std::string& detail,
-                          double out_rows) {
-  const MysqlParams& p = *ctx.params;
-  const double buffer_bytes = std::max(64.0 * 1024.0,
-                                       p.join_buffer_mb * 1024.0 * 1024.0);
-  const double chunks =
-      std::max(1.0, std::ceil(outer->rows * outer->width / buffer_bytes));
-
-  auto buffered = std::make_shared<MysqlOptimizer::Node>();
-  buffered->type = OpType::kMaterialize;
-  buffered->engine_op = "join buffer";
-  buffered->children = {inner};
-  buffered->rows = inner->rows;
-  buffered->width = inner->width;
-  // The rescans: the inner subtree's own cost counts once (in inner->cost);
-  // every additional chunk re-reads the inner's pages.
-  buffered->pages = (chunks - 1.0) * inner->pages;
-  buffered->cost = inner->cost +
-                   (chunks - 1.0) * inner->pages * p.io_block_read_cost +
-                   inner->rows * p.row_evaluate_cost;
-  buffered->detail = StrFormat("%.0f chunk(s)", chunks);
-
-  auto join = std::make_shared<MysqlOptimizer::Node>();
-  join->type = OpType::kNestLoopJoin;
-  join->engine_op = "BNL";
-  join->children = {outer, buffered};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + buffered->cost +
-               outer->rows * inner->rows * p.row_evaluate_cost * 0.1 +
-               out_rows * p.row_evaluate_cost;
-  join->detail = detail;
+  auto join = MakeJoinNode(OpType::kNestLoopJoin, outer, mat,
+                           PredicateText(spec.subplan_join), rows);
+  join->engine_op = "ref<auto_key0>";
+  join->cost = outer->cost + mat->cost +
+               outer->rows * (p.key_compare_cost * 2 + p.row_evaluate_cost) +
+               rows * p.row_evaluate_cost;
   return join;
 }
 
-NodePtr MakeFilesort(const PlannerCtx& ctx, const NodePtr& input,
-                     const std::string& detail) {
-  const MysqlParams& p = *ctx.params;
-  auto sort = std::make_shared<MysqlOptimizer::Node>();
-  sort->type = OpType::kSort;
+void MysqlCostModel::CostSort(const PlanNode& input, PlanNode* sort) const {
+  const MysqlParams& p = params_;
   sort->engine_op = "filesort";
-  sort->children = {input};
-  sort->rows = input->rows;
-  sort->width = input->width;
-  const double n = std::max(2.0, input->rows);
+  const double n = std::max(2.0, input.rows);
   double cost = n * std::log2(n) * p.key_compare_cost;
-  const double bytes = input->rows * input->width;
+  const double bytes = input.rows * input.width;
   if (bytes > p.sort_buffer_mb * 1024 * 1024) {
     // Merge passes over tmp files, charged at the flat I/O cost.
     sort->pages = 2.0 * bytes / kPageSizeBytes;
     cost += sort->pages * p.io_block_read_cost;
   }
-  sort->cost = input->cost + cost;
-  sort->detail = detail;
-  return sort;
-}
-
-/// Plans one query block (no subquery handling) with left-deep DP over
-/// INL/BNL candidates.
-Result<NodePtr> PlanBlock(const PlannerCtx& ctx, const QuerySpec& spec) {
-  if (spec.tables.empty()) {
-    return Status::InvalidArgument("query block has no tables");
-  }
-  if (spec.tables.size() > 16) {
-    return Status::InvalidArgument("too many tables in block (max 16)");
-  }
-  const size_t n = spec.tables.size();
-
-  struct DpState {
-    NodePtr node;
-    std::vector<std::string> aliases;
-  };
-  std::map<uint32_t, DpState> dp;
-
-  for (size_t i = 0; i < n; ++i) {
-    Result<NodePtr> scan = ScanPath(ctx, spec.tables[i]);
-    DIADS_RETURN_IF_ERROR(scan.status());
-    dp[1u << i] = DpState{*scan, {spec.tables[i].alias}};
-  }
-
-  for (size_t size = 1; size < n; ++size) {
-    std::vector<uint32_t> masks;
-    for (const auto& [mask, state] : dp) {
-      if (static_cast<size_t>(__builtin_popcount(mask)) == size) {
-        masks.push_back(mask);
-      }
-    }
-    for (uint32_t mask : masks) {
-      const DpState& outer_state = dp[mask];
-      // A cartesian extension is allowed only when nothing better exists:
-      // no remaining table joins this subset (disconnected join graph, or
-      // no predicates at all).
-      bool any_connected = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        bool unused = false;
-        if (FindConnection(spec, outer_state.aliases, spec.tables[i].alias,
-                           &unused) != nullptr) {
-          any_connected = true;
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        const TableRef& inner_ref = spec.tables[i];
-        // The singleton states already hold each table's best access path.
-        const NodePtr& inner_scan = dp[1u << i].node;
-        bool inner_is_left = false;
-        const JoinPredicate* pred = FindConnection(
-            spec, outer_state.aliases, inner_ref.alias, &inner_is_left);
-        NodePtr candidate;
-        if (pred != nullptr) {
-          const double out_rows =
-              JoinOutputRows(ctx, spec, outer_state.node->rows,
-                             inner_scan->rows, *pred);
-          const std::string join_detail =
-              StrFormat("%s.%s = %s.%s", pred->left_alias.c_str(),
-                        pred->left_column.c_str(), pred->right_alias.c_str(),
-                        pred->right_column.c_str());
-          // Block nested loop is always available...
-          candidate = MakeBlockNestLoop(ctx, outer_state.node, inner_scan,
-                                        join_detail, out_rows);
-          // ...but an index on the inner join column beats it essentially
-          // always (the index-nested-loop bias).
-          const std::string inner_col =
-              inner_is_left ? pred->left_column : pred->right_column;
-          Result<NodePtr> inl = MakeIndexNestLoop(
-              ctx, spec, outer_state.node, inner_ref, *pred, inner_col,
-              out_rows);
-          if (inl.ok() && (*inl)->cost < candidate->cost) candidate = *inl;
-        } else if (!any_connected) {
-          candidate = MakeBlockNestLoop(
-              ctx, outer_state.node, inner_scan, "cartesian",
-              outer_state.node->rows * inner_scan->rows);
-        } else {
-          continue;
-        }
-        const uint32_t new_mask = mask | (1u << i);
-        auto it = dp.find(new_mask);
-        if (it == dp.end() || candidate->cost < it->second.node->cost) {
-          DpState state;
-          state.node = candidate;
-          state.aliases = outer_state.aliases;
-          state.aliases.push_back(inner_ref.alias);
-          dp[new_mask] = std::move(state);
-        }
-      }
-    }
-  }
-
-  const uint32_t full = n == 32 ? 0xFFFFFFFFu : ((1u << n) - 1);
-  auto it = dp.find(full);
-  if (it == dp.end()) {
-    return Status::Internal("join enumeration failed to cover all tables");
-  }
-  NodePtr result = it->second.node;
-
-  if (spec.aggregate) {
-    const MysqlParams& p = *ctx.params;
-    auto agg = std::make_shared<MysqlOptimizer::Node>();
-    agg->type = OpType::kAggregate;
-    agg->engine_op = "tmp table";
-    agg->children = {result};
-    const double groups = std::min(
-        result->rows,
-        ColumnNdv(ctx, spec, spec.agg_group_alias, spec.agg_group_column));
-    agg->rows = std::max(1.0, groups);
-    agg->width = result->width;
-    double cost = result->rows * p.row_evaluate_cost +
-                  agg->rows * p.row_evaluate_cost;
-    const double bytes = agg->rows * agg->width;
-    if (bytes > p.tmp_table_mb * 1024 * 1024) {
-      agg->pages = 2.0 * bytes / kPageSizeBytes;
-      cost += agg->pages * p.io_block_read_cost;
-    }
-    agg->cost = result->cost + cost;
-    agg->detail = StrFormat("group by %s.%s", spec.agg_group_alias.c_str(),
-                            spec.agg_group_column.c_str());
-    result = agg;
-  }
-  return result;
-}
-
-}  // namespace
-
-MysqlOptimizer::MysqlOptimizer(const Catalog* catalog, MysqlParams params)
-    : catalog_(catalog), params_(params) {
-  assert(catalog != nullptr);
-}
-
-Result<Plan> MysqlOptimizer::Optimize(const QuerySpec& spec) const {
-  PlannerCtx ctx{catalog_, &params_};
-
-  Result<NodePtr> main_r = PlanBlock(ctx, spec);
-  DIADS_RETURN_IF_ERROR(main_r.status());
-  NodePtr root = *main_r;
-
-  if (spec.subplan != nullptr) {
-    // Derived-table materialisation with an auto-generated lookup key: the
-    // subquery block is evaluated once into a temp table, and the main
-    // block probes it per row through auto_key0.
-    Result<NodePtr> sub_r = PlanBlock(ctx, *spec.subplan);
-    DIADS_RETURN_IF_ERROR(sub_r.status());
-    const MysqlParams& p = params_;
-
-    auto mat = std::make_shared<Node>();
-    mat->type = OpType::kMaterialize;
-    mat->engine_op = "materialize derived";
-    mat->children = {*sub_r};
-    mat->rows = (*sub_r)->rows;
-    mat->width = (*sub_r)->width;
-    double mat_cost = (*sub_r)->rows * p.row_evaluate_cost;
-    const double bytes = mat->rows * mat->width;
-    if (bytes > p.tmp_table_mb * 1024 * 1024) {
-      mat->pages = 2.0 * bytes / kPageSizeBytes;
-      mat_cost += mat->pages * p.io_block_read_cost;
-    }
-    mat->cost = (*sub_r)->cost + mat_cost;
-    mat->detail = "temp table with auto_key0";
-
-    const double out_rows =
-        std::max(1.0, root->rows * spec.subplan_join_selectivity);
-    auto join = std::make_shared<Node>();
-    join->type = OpType::kNestLoopJoin;
-    join->engine_op = "ref<auto_key0>";
-    join->children = {root, mat};
-    join->rows = out_rows;
-    join->width = root->width + mat->width;
-    join->cost = root->cost + mat->cost +
-                 root->rows * (p.key_compare_cost * 2 + p.row_evaluate_cost) +
-                 out_rows * p.row_evaluate_cost;
-    join->detail = StrFormat(
-        "%s.%s = %s.%s", spec.subplan_join.left_alias.c_str(),
-        spec.subplan_join.left_column.c_str(),
-        spec.subplan_join.right_alias.c_str(),
-        spec.subplan_join.right_column.c_str());
-    root = join;
-  }
-
-  if (spec.sort) {
-    root = MakeFilesort(ctx, root, "order by result keys");
-  }
-  if (spec.limit > 0) {
-    auto limit = std::make_shared<Node>();
-    limit->type = OpType::kLimit;
-    limit->engine_op = "limit";
-    limit->children = {root};
-    limit->rows = std::min<double>(spec.limit, root->rows);
-    limit->width = root->width;
-    limit->cost = root->cost;
-    limit->detail = StrFormat("limit %d", spec.limit);
-    root = limit;
-  }
-  auto result_node = std::make_shared<Node>();
-  result_node->type = OpType::kResult;
-  result_node->children = {root};
-  result_node->rows = root->rows;
-  result_node->width = root->width;
-  result_node->cost = root->cost;
-  root = result_node;
-
-  // Flatten the node tree into a Plan (children added before parents).
-  PlanBuilder builder(spec.name);
-  std::function<int(const NodePtr&)> emit = [&](const NodePtr& node) -> int {
-    std::vector<int> children;
-    children.reserve(node->children.size());
-    for (const NodePtr& child : node->children) children.push_back(emit(child));
-    int index;
-    if (node->type == OpType::kSeqScan || node->type == OpType::kIndexScan) {
-      assert(children.empty());
-      index = builder.AddScan(node->type, node->alias, node->table,
-                              node->index_name);
-      builder.SetDetail(index, node->detail);
-    } else {
-      index = builder.AddOp(node->type, children, node->detail);
-    }
-    builder.SetEstimates(index, node->rows, node->cost, node->pages);
-    builder.SetEngineOp(index, node->engine_op);
-    return index;
-  };
-  const int root_index = emit(root);
-  return builder.Build(root_index);
+  sort->cost = input.cost + cost;
 }
 
 }  // namespace diads::db

@@ -1,7 +1,7 @@
-// MySQL-ish cost-based optimizer.
+// MySQL-ish cost model.
 //
 // The second synthetic engine's planner, deliberately different from the
-// PostgreSQL-ish Optimizer along the axes real MySQL differs:
+// PostgreSQL-ish one along the axes real MySQL differs:
 //
 //   * One I/O cost. MySQL's cost model charges io_block_read_cost for any
 //     page fetch — there is no random_page_cost / seq_page_cost split, so
@@ -23,15 +23,18 @@
 //
 // Plans come out in the shared db::Plan operator taxonomy (that is the
 // point — the APG layers never see engine vocabulary), with each node's
-// engine-native access-type name recorded in PlanOp::engine_op.
+// engine-native access-type name recorded in PlanOp::engine_op. The
+// left-deep join enumeration is shared by every engine
+// (db/join_planner.h).
 #ifndef DIADS_DB_MYSQL_OPTIMIZER_H_
 #define DIADS_DB_MYSQL_OPTIMIZER_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "db/catalog.h"
-#include "db/plan.h"
+#include "db/join_planner.h"
 #include "db/query.h"
 
 namespace diads::db {
@@ -62,25 +65,24 @@ Status SetMysqlParamByName(MysqlParams* params, const std::string& name,
                            double value);
 Result<double> GetMysqlParamByName(const MysqlParams& params,
                                    const std::string& name);
+/// Every name the two calls accept, in a stable order.
+std::vector<std::string> MysqlParamNames();
 
-/// The MySQL-ish planner. Stateless besides catalog/params references;
-/// Optimize() is deterministic.
-class MysqlOptimizer {
+/// The MySQL-ish cost model. Deterministic; plan with PlanQuery.
+class MysqlCostModel : public CostModel {
  public:
-  /// `catalog` must outlive the optimizer.
-  MysqlOptimizer(const Catalog* catalog, MysqlParams params);
+  /// `catalog` must outlive the model.
+  MysqlCostModel(const Catalog* catalog, const MysqlParams& params);
 
-  Result<Plan> Optimize(const QuerySpec& spec) const;
-
-  const MysqlParams& params() const { return params_; }
-  void set_params(MysqlParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
+  Result<PlanNodePtr> ScanPath(const QuerySpec& block,
+                               const TableRef& ref) const override;
+  PlanNodePtr Join(const JoinStep& step) const override;
+  void CostAggregate(const PlanNode& input, PlanNode* agg) const override;
+  PlanNodePtr SubqueryJoin(const QuerySpec& spec, const PlanNodePtr& outer,
+                           const PlanNodePtr& sub, double rows) const override;
+  void CostSort(const PlanNode& input, PlanNode* sort) const override;
 
  private:
-  const Catalog* catalog_;
   MysqlParams params_;
 };
 

@@ -1,87 +1,146 @@
 #include "db/optimizer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <functional>
-#include <map>
+#include <memory>
 
 #include "common/strings.h"
 
 namespace diads::db {
+namespace {
+
+constexpr ParamRow<DbParams> kParamTable[] = {
+    {"seq_page_cost", &DbParams::seq_page_cost},
+    {"random_page_cost", &DbParams::random_page_cost},
+    {"cpu_tuple_cost", &DbParams::cpu_tuple_cost},
+    {"cpu_index_tuple_cost", &DbParams::cpu_index_tuple_cost},
+    {"cpu_operator_cost", &DbParams::cpu_operator_cost},
+    {"work_mem_mb", &DbParams::work_mem_mb},
+    {"buffer_pool_mb", &DbParams::buffer_pool_mb},
+    {"effective_cache_mb", &DbParams::effective_cache_mb},
+};
+
+/// Hash join: HashJoin(outer, Hash(inner)).
+PlanNodePtr HashJoin(const DbParams& p, const PlanNodePtr& outer,
+                     const PlanNodePtr& inner, std::string detail,
+                     double out_rows) {
+  auto hash = MakeUnaryNode(OpType::kHash, inner,
+                            StrFormat("build %s", inner->alias.c_str()));
+  double build_cost = inner->rows * p.cpu_operator_cost * 1.5;
+  // Multi-batch penalty when the build side exceeds work_mem.
+  const double build_mb = inner->rows * inner->width / (1024.0 * 1024.0);
+  double spill_pages = 0;
+  if (build_mb > p.work_mem_mb) {
+    spill_pages = 2.0 * build_mb * 1024.0 * 1024.0 / kPageSizeBytes;
+    build_cost += spill_pages * p.seq_page_cost;
+  }
+  hash->cost = inner->cost + build_cost;
+  hash->pages = spill_pages;
+
+  auto join = MakeJoinNode(OpType::kHashJoin, outer, hash, std::move(detail),
+                           out_rows);
+  join->cost = outer->cost + hash->cost +
+               outer->rows * p.cpu_operator_cost +
+               out_rows * p.cpu_tuple_cost;
+  return join;
+}
+
+/// Nested loop with an index probe on the inner table's join column.
+Result<PlanNodePtr> IndexNestLoop(const CostModel& model, const DbParams& p,
+                                  const JoinStep& step) {
+  const TableRef& inner_ref = step.inner;
+  const std::string& inner_join_column = step.inner_column();
+  std::vector<const IndexDef*> indexes =
+      model.catalog().IndexesOn(inner_ref.table, inner_join_column);
+  if (indexes.empty()) {
+    return Status::NotFound("no index on " + inner_ref.table + "." +
+                            inner_join_column);
+  }
+  const IndexDef* index = indexes.front();
+  Result<const TableDef*> table_r = model.catalog().FindTable(inner_ref.table);
+  DIADS_RETURN_IF_ERROR(table_r.status());
+  const TableStats& stats = (*table_r)->optimizer_stats;
+
+  const double ndv =
+      model.ColumnNdv(step.block, inner_ref.alias, inner_join_column);
+  const double matches_per_probe =
+      std::max(0.1, stats.row_count * inner_ref.filter_selectivity / ndv);
+  const double probes = std::max(1.0, step.outer->rows);
+
+  // Per-probe: descend the B-tree, then fetch matching heap rows. Repeated
+  // probes hit cached upper levels; charge a fraction of the root-to-leaf
+  // descent plus clustered heap fetches.
+  const double pages_per_probe =
+      0.5 * index->height +
+      matches_per_probe * (index->clustering * 0.15 +
+                           (1.0 - index->clustering) * 1.0);
+  const double cost_per_probe =
+      pages_per_probe * p.random_page_cost +
+      matches_per_probe * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
+
+  auto inner = std::make_shared<PlanNode>();
+  inner->type = OpType::kIndexScan;
+  inner->alias = inner_ref.alias;
+  inner->table = inner_ref.table;
+  inner->index_name = index->name;
+  inner->rows = probes * matches_per_probe * inner_ref.filter_selectivity;
+  inner->pages = probes * pages_per_probe;
+  inner->cost = probes * cost_per_probe;
+  inner->width = stats.row_width_bytes;
+  inner->detail = StrFormat("%s = outer, ~%.1f rows/probe",
+                            inner_join_column.c_str(), matches_per_probe);
+
+  auto join = MakeJoinNode(OpType::kNestLoopJoin, step.outer, inner,
+                           step.detail(), step.rows);
+  join->cost = step.outer->cost + inner->cost + step.rows * p.cpu_tuple_cost;
+  return PlanNodePtr(join);
+}
+
+/// Naive nested loop over a materialized inner (fallback when nothing
+/// better exists; rarely wins on cost).
+PlanNodePtr MaterializedNestLoop(const DbParams& p, const JoinStep& step) {
+  const PlanNodePtr& outer = step.outer;
+  const PlanNodePtr& inner = step.inner_scan;
+  auto mat = MakeUnaryNode(OpType::kMaterialize, inner);
+  mat->cost = inner->cost + inner->rows * p.cpu_operator_cost;
+
+  auto join = MakeJoinNode(OpType::kNestLoopJoin, outer, mat, step.detail(),
+                           step.rows);
+  join->cost = outer->cost + mat->cost +
+               outer->rows * inner->rows * p.cpu_operator_cost +
+               step.rows * p.cpu_tuple_cost;
+  return join;
+}
+
+}  // namespace
 
 Status SetParamByName(DbParams* params, const std::string& name,
                       double value) {
-  if (name == "seq_page_cost") params->seq_page_cost = value;
-  else if (name == "random_page_cost") params->random_page_cost = value;
-  else if (name == "cpu_tuple_cost") params->cpu_tuple_cost = value;
-  else if (name == "cpu_index_tuple_cost") params->cpu_index_tuple_cost = value;
-  else if (name == "cpu_operator_cost") params->cpu_operator_cost = value;
-  else if (name == "work_mem_mb") params->work_mem_mb = value;
-  else if (name == "buffer_pool_mb") params->buffer_pool_mb = value;
-  else if (name == "effective_cache_mb") params->effective_cache_mb = value;
-  else return Status::InvalidArgument("unknown parameter: " + name);
-  return Status::Ok();
+  return SetParamInTable(kParamTable, params, name, value);
 }
 
 Result<double> GetParamByName(const DbParams& params, const std::string& name) {
-  if (name == "seq_page_cost") return params.seq_page_cost;
-  if (name == "random_page_cost") return params.random_page_cost;
-  if (name == "cpu_tuple_cost") return params.cpu_tuple_cost;
-  if (name == "cpu_index_tuple_cost") return params.cpu_index_tuple_cost;
-  if (name == "cpu_operator_cost") return params.cpu_operator_cost;
-  if (name == "work_mem_mb") return params.work_mem_mb;
-  if (name == "buffer_pool_mb") return params.buffer_pool_mb;
-  if (name == "effective_cache_mb") return params.effective_cache_mb;
-  return Status::InvalidArgument("unknown parameter: " + name);
+  return GetParamInTable(kParamTable, params, name);
 }
 
-/// Internal plan node built during enumeration; flattened into a Plan at the
-/// end. Shared pointers let DP states share subtrees cheaply.
-struct Optimizer::Node {
-  OpType type = OpType::kSeqScan;
-  std::vector<std::shared_ptr<const Node>> children;
-  std::string alias;
-  std::string table;
-  std::string index_name;
-  std::string detail;
-  double rows = 0;
-  double cost = 0;      ///< Cumulative.
-  double pages = 0;     ///< Page fetches attributable to this op itself.
-  double width = 64;    ///< Bytes per output row (for memory estimates).
-};
+std::vector<std::string> DbParamNames() { return ParamTableNames(kParamTable); }
 
-namespace {
+PostgresCostModel::PostgresCostModel(const Catalog* catalog,
+                                     const DbParams& params)
+    : CostModel(catalog, ""), params_(params) {}
 
-using NodePtr = std::shared_ptr<const Optimizer::Node>;
-
-struct PlannerCtx {
-  const Catalog* catalog;
-  const DbParams* params;
-};
-
-double ColumnNdv(const PlannerCtx& ctx, const QuerySpec& spec,
-                 const std::string& alias, const std::string& column) {
-  const TableRef* ref = spec.FindAlias(alias);
-  if (ref == nullptr) return 1000;
-  Result<const TableDef*> table = ctx.catalog->FindTable(ref->table);
-  if (!table.ok()) return 1000;
-  const ColumnStats* col = (*table)->FindColumn(column);
-  return col != nullptr ? std::max(1.0, col->ndv) : 1000;
-}
-
-/// Best access path for one table reference.
-Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(ref.table);
+Result<PlanNodePtr> PostgresCostModel::ScanPath(const QuerySpec& /*block*/,
+                                                const TableRef& ref) const {
+  Result<const TableDef*> table_r = catalog().FindTable(ref.table);
   DIADS_RETURN_IF_ERROR(table_r.status());
   const TableDef& table = **table_r;
   const TableStats& stats = table.optimizer_stats;
-  const DbParams& p = *ctx.params;
+  const DbParams& p = params_;
 
   const double out_rows =
       std::max(1.0, stats.row_count * ref.filter_selectivity);
 
-  auto seq = std::make_shared<Optimizer::Node>();
+  auto seq = std::make_shared<PlanNode>();
   seq->type = OpType::kSeqScan;
   seq->alias = ref.alias;
   seq->table = ref.table;
@@ -98,10 +157,10 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
                             ref.filter_selectivity);
   }
 
-  NodePtr best = seq;
+  PlanNodePtr best = seq;
   if (!ref.filter_column.empty()) {
-    for (const IndexDef* index : ctx.catalog->IndexesOn(ref.table,
-                                                        ref.filter_column)) {
+    for (const IndexDef* index : catalog().IndexesOn(ref.table,
+                                                     ref.filter_column)) {
       const double sel = ref.filter_selectivity;
       const double index_pages = index->height + sel * index->leaf_pages;
       // Heap fetches: clustered index ranges touch few pages; unclustered
@@ -110,7 +169,7 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
           std::min(stats.pages(),
                    sel * stats.row_count *
                        (index->clustering * 0.1 + (1.0 - index->clustering)));
-      auto idx = std::make_shared<Optimizer::Node>();
+      auto idx = std::make_shared<PlanNode>();
       idx->type = OpType::kIndexScan;
       idx->alias = ref.alias;
       idx->table = ref.table;
@@ -129,368 +188,42 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const TableRef& ref) {
   return best;
 }
 
-/// The join predicate (if any) connecting `alias` to any alias in `joined`.
-const JoinPredicate* FindConnection(const QuerySpec& spec,
-                                    const std::vector<std::string>& joined,
-                                    const std::string& alias,
-                                    bool* alias_is_left) {
-  for (const JoinPredicate& j : spec.joins) {
-    for (const std::string& a : joined) {
-      if (j.left_alias == a && j.right_alias == alias) {
-        *alias_is_left = false;
-        return &j;
-      }
-      if (j.right_alias == a && j.left_alias == alias) {
-        *alias_is_left = true;
-        return &j;
-      }
-    }
-  }
-  return nullptr;
+PlanNodePtr PostgresCostModel::Join(const JoinStep& step) const {
+  if (step.pred == nullptr) return MaterializedNestLoop(params_, step);
+  PlanNodePtr best = HashJoin(params_, step.outer, step.inner_scan,
+                              step.detail(), step.rows);
+  Result<PlanNodePtr> inl = IndexNestLoop(*this, params_, step);
+  if (inl.ok() && (*inl)->cost < best->cost) best = *inl;
+  PlanNodePtr mnl = MaterializedNestLoop(params_, step);
+  if (mnl->cost < best->cost) best = mnl;
+  return best;
 }
 
-double JoinOutputRows(const PlannerCtx& ctx, const QuerySpec& spec,
-                      double outer_rows, double inner_rows,
-                      const JoinPredicate& pred) {
-  const double ndv_l =
-      ColumnNdv(ctx, spec, pred.left_alias, pred.left_column);
-  const double ndv_r =
-      ColumnNdv(ctx, spec, pred.right_alias, pred.right_column);
-  return std::max(1.0, outer_rows * inner_rows / std::max(ndv_l, ndv_r));
+void PostgresCostModel::CostAggregate(const PlanNode& input,
+                                      PlanNode* agg) const {
+  agg->cost = input.cost + input.rows * params_.cpu_operator_cost +
+              agg->rows * params_.cpu_tuple_cost;
 }
 
-/// Hash join: HashJoin(outer, Hash(inner)).
-NodePtr MakeHashJoin(const PlannerCtx& ctx, const NodePtr& outer,
-                     const NodePtr& inner, const JoinPredicate& pred,
-                     double out_rows) {
-  const DbParams& p = *ctx.params;
-  auto hash = std::make_shared<Optimizer::Node>();
-  hash->type = OpType::kHash;
-  hash->children = {inner};
-  hash->rows = inner->rows;
-  hash->width = inner->width;
-  double build_cost = inner->rows * p.cpu_operator_cost * 1.5;
-  // Multi-batch penalty when the build side exceeds work_mem.
-  const double build_mb = inner->rows * inner->width / (1024.0 * 1024.0);
-  double spill_pages = 0;
-  if (build_mb > p.work_mem_mb) {
-    spill_pages = 2.0 * build_mb * 1024.0 * 1024.0 / kPageSizeBytes;
-    build_cost += spill_pages * p.seq_page_cost;
-  }
-  hash->cost = inner->cost + build_cost;
-  hash->pages = spill_pages;
-  hash->detail = StrFormat("build %s", inner->alias.c_str());
-
-  auto join = std::make_shared<Optimizer::Node>();
-  join->type = OpType::kHashJoin;
-  join->children = {outer, hash};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + hash->cost +
-               outer->rows * p.cpu_operator_cost +
-               out_rows * p.cpu_tuple_cost;
-  join->detail = StrFormat("%s.%s = %s.%s", pred.left_alias.c_str(),
-                           pred.left_column.c_str(), pred.right_alias.c_str(),
-                           pred.right_column.c_str());
-  return join;
+PlanNodePtr PostgresCostModel::SubqueryJoin(const QuerySpec& spec,
+                                            const PlanNodePtr& outer,
+                                            const PlanNodePtr& sub,
+                                            double rows) const {
+  return HashJoin(params_, outer, sub, PredicateText(spec.subplan_join),
+                  rows);
 }
 
-/// Nested loop with an index probe on the inner table's join column.
-Result<NodePtr> MakeIndexNestLoop(const PlannerCtx& ctx, const QuerySpec& spec,
-                                  const NodePtr& outer, const TableRef& inner_ref,
-                                  const JoinPredicate& pred,
-                                  const std::string& inner_join_column,
-                                  double out_rows) {
-  const DbParams& p = *ctx.params;
-  std::vector<const IndexDef*> indexes =
-      ctx.catalog->IndexesOn(inner_ref.table, inner_join_column);
-  if (indexes.empty()) {
-    return Status::NotFound("no index on " + inner_ref.table + "." +
-                            inner_join_column);
-  }
-  const IndexDef* index = indexes.front();
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(inner_ref.table);
-  DIADS_RETURN_IF_ERROR(table_r.status());
-  const TableStats& stats = (*table_r)->optimizer_stats;
-
-  const double ndv = ColumnNdv(
-      ctx, spec, pred.left_alias == inner_ref.alias ? pred.left_alias
-                                                    : pred.right_alias,
-      inner_join_column);
-  const double matches_per_probe =
-      std::max(0.1, stats.row_count * inner_ref.filter_selectivity / ndv);
-  const double probes = std::max(1.0, outer->rows);
-
-  // Per-probe: descend the B-tree, then fetch matching heap rows. Repeated
-  // probes hit cached upper levels; charge a fraction of the root-to-leaf
-  // descent plus clustered heap fetches.
-  const double pages_per_probe =
-      0.5 * index->height +
-      matches_per_probe * (index->clustering * 0.15 +
-                           (1.0 - index->clustering) * 1.0);
-  const double cost_per_probe =
-      pages_per_probe * p.random_page_cost +
-      matches_per_probe * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
-
-  auto inner = std::make_shared<Optimizer::Node>();
-  inner->type = OpType::kIndexScan;
-  inner->alias = inner_ref.alias;
-  inner->table = inner_ref.table;
-  inner->index_name = index->name;
-  inner->rows = probes * matches_per_probe * inner_ref.filter_selectivity;
-  inner->pages = probes * pages_per_probe;
-  inner->cost = probes * cost_per_probe;
-  inner->width = stats.row_width_bytes;
-  inner->detail = StrFormat("%s = outer, ~%.1f rows/probe",
-                            inner_join_column.c_str(), matches_per_probe);
-
-  auto join = std::make_shared<Optimizer::Node>();
-  join->type = OpType::kNestLoopJoin;
-  join->children = {outer, inner};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + inner->cost + out_rows * p.cpu_tuple_cost;
-  join->detail = StrFormat("%s.%s = %s.%s", pred.left_alias.c_str(),
-                           pred.left_column.c_str(), pred.right_alias.c_str(),
-                           pred.right_column.c_str());
-  return NodePtr(join);
-}
-
-/// Naive nested loop over a materialized inner (fallback when nothing
-/// better exists; rarely wins on cost).
-NodePtr MakeMaterializedNestLoop(const PlannerCtx& ctx, const NodePtr& outer,
-                                 const NodePtr& inner,
-                                 const std::string& detail, double out_rows) {
-  const DbParams& p = *ctx.params;
-  auto mat = std::make_shared<Optimizer::Node>();
-  mat->type = OpType::kMaterialize;
-  mat->children = {inner};
-  mat->rows = inner->rows;
-  mat->width = inner->width;
-  mat->cost = inner->cost + inner->rows * p.cpu_operator_cost;
-
-  auto join = std::make_shared<Optimizer::Node>();
-  join->type = OpType::kNestLoopJoin;
-  join->children = {outer, mat};
-  join->rows = out_rows;
-  join->width = outer->width + inner->width;
-  join->cost = outer->cost + mat->cost +
-               outer->rows * inner->rows * p.cpu_operator_cost +
-               out_rows * p.cpu_tuple_cost;
-  join->detail = detail;
-  return join;
-}
-
-NodePtr MakeSort(const PlannerCtx& ctx, const NodePtr& input,
-                 const std::string& detail) {
-  const DbParams& p = *ctx.params;
-  auto sort = std::make_shared<Optimizer::Node>();
-  sort->type = OpType::kSort;
-  sort->children = {input};
-  sort->rows = input->rows;
-  sort->width = input->width;
-  const double n = std::max(2.0, input->rows);
+void PostgresCostModel::CostSort(const PlanNode& input, PlanNode* sort) const {
+  const DbParams& p = params_;
+  const double n = std::max(2.0, input.rows);
   double cost = 2.0 * n * std::log2(n) * p.cpu_operator_cost;
-  const double bytes = input->rows * input->width;
+  const double bytes = input.rows * input.width;
   if (bytes > p.work_mem_mb * 1024 * 1024) {
     // External merge sort: write + read one full pass.
     sort->pages = 2.0 * bytes / kPageSizeBytes;
     cost += sort->pages * p.seq_page_cost;
   }
-  sort->cost = input->cost + cost;
-  sort->detail = detail;
-  return sort;
-}
-
-/// Plans one query block (no subplan handling) via left-deep DP.
-Result<NodePtr> PlanBlock(const PlannerCtx& ctx, const QuerySpec& spec) {
-  if (spec.tables.empty()) {
-    return Status::InvalidArgument("query block has no tables");
-  }
-  if (spec.tables.size() > 16) {
-    return Status::InvalidArgument("too many tables in block (max 16)");
-  }
-  const size_t n = spec.tables.size();
-
-  struct DpState {
-    NodePtr node;
-    std::vector<std::string> aliases;
-  };
-  std::map<uint32_t, DpState> dp;
-
-  // Singletons.
-  for (size_t i = 0; i < n; ++i) {
-    Result<NodePtr> scan = ScanPath(ctx, spec.tables[i]);
-    DIADS_RETURN_IF_ERROR(scan.status());
-    dp[1u << i] = DpState{*scan, {spec.tables[i].alias}};
-  }
-
-  // Left-deep extension in increasing subset-population order.
-  for (size_t size = 1; size < n; ++size) {
-    // Snapshot keys of states with `size` members.
-    std::vector<uint32_t> masks;
-    for (const auto& [mask, state] : dp) {
-      if (static_cast<size_t>(__builtin_popcount(mask)) == size) {
-        masks.push_back(mask);
-      }
-    }
-    for (uint32_t mask : masks) {
-      const DpState& outer_state = dp[mask];
-      // A cartesian extension is allowed only when nothing better exists:
-      // no remaining table joins this subset (disconnected join graph, or
-      // no predicates at all).
-      bool any_connected = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        bool unused = false;
-        if (FindConnection(spec, outer_state.aliases, spec.tables[i].alias,
-                           &unused) != nullptr) {
-          any_connected = true;
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        const TableRef& inner_ref = spec.tables[i];
-        bool inner_is_left = false;
-        const JoinPredicate* pred = FindConnection(
-            spec, outer_state.aliases, inner_ref.alias, &inner_is_left);
-        NodePtr candidate;
-        if (pred != nullptr) {
-          Result<NodePtr> inner_scan = ScanPath(ctx, inner_ref);
-          DIADS_RETURN_IF_ERROR(inner_scan.status());
-          const double out_rows =
-              JoinOutputRows(ctx, spec, outer_state.node->rows,
-                             (*inner_scan)->rows, *pred);
-          // Hash join candidate.
-          candidate = MakeHashJoin(ctx, outer_state.node, *inner_scan, *pred,
-                                   out_rows);
-          // Index nested-loop candidate.
-          const std::string inner_col =
-              inner_is_left ? pred->left_column : pred->right_column;
-          Result<NodePtr> inl = MakeIndexNestLoop(
-              ctx, spec, outer_state.node, inner_ref, *pred, inner_col,
-              out_rows);
-          if (inl.ok() && (*inl)->cost < candidate->cost) candidate = *inl;
-          // Materialized nested loop candidate.
-          NodePtr mnl = MakeMaterializedNestLoop(
-              ctx, outer_state.node, *inner_scan,
-              StrFormat("%s.%s = %s.%s", pred->left_alias.c_str(),
-                        pred->left_column.c_str(), pred->right_alias.c_str(),
-                        pred->right_column.c_str()),
-              out_rows);
-          if (mnl->cost < candidate->cost) candidate = mnl;
-        } else if (!any_connected) {
-          // Cartesian fallback only when unavoidable.
-          Result<NodePtr> inner_scan = ScanPath(ctx, inner_ref);
-          DIADS_RETURN_IF_ERROR(inner_scan.status());
-          candidate = MakeMaterializedNestLoop(
-              ctx, outer_state.node, *inner_scan, "cartesian",
-              outer_state.node->rows * (*inner_scan)->rows);
-        } else {
-          continue;
-        }
-        const uint32_t new_mask = mask | (1u << i);
-        auto it = dp.find(new_mask);
-        if (it == dp.end() || candidate->cost < it->second.node->cost) {
-          DpState state;
-          state.node = candidate;
-          state.aliases = outer_state.aliases;
-          state.aliases.push_back(inner_ref.alias);
-          dp[new_mask] = std::move(state);
-        }
-      }
-    }
-  }
-
-  const uint32_t full = n == 32 ? 0xFFFFFFFFu : ((1u << n) - 1);
-  auto it = dp.find(full);
-  if (it == dp.end()) {
-    return Status::Internal("join enumeration failed to cover all tables");
-  }
-  NodePtr result = it->second.node;
-
-  if (spec.aggregate) {
-    const DbParams& p = *ctx.params;
-    auto agg = std::make_shared<Optimizer::Node>();
-    agg->type = OpType::kAggregate;
-    agg->children = {result};
-    const double groups = std::min(
-        result->rows,
-        ColumnNdv(ctx, spec, spec.agg_group_alias, spec.agg_group_column));
-    agg->rows = std::max(1.0, groups);
-    agg->width = result->width;
-    agg->cost = result->cost + result->rows * p.cpu_operator_cost +
-                agg->rows * p.cpu_tuple_cost;
-    agg->detail = StrFormat("group by %s.%s", spec.agg_group_alias.c_str(),
-                            spec.agg_group_column.c_str());
-    result = agg;
-  }
-  return result;
-}
-
-}  // namespace
-
-Optimizer::Optimizer(const Catalog* catalog, DbParams params)
-    : catalog_(catalog), params_(params) {
-  assert(catalog != nullptr);
-}
-
-Result<Plan> Optimizer::Optimize(const QuerySpec& spec) const {
-  PlannerCtx ctx{catalog_, &params_};
-
-  Result<NodePtr> main_r = PlanBlock(ctx, spec);
-  DIADS_RETURN_IF_ERROR(main_r.status());
-  NodePtr root = *main_r;
-
-  if (spec.subplan != nullptr) {
-    Result<NodePtr> sub_r = PlanBlock(ctx, *spec.subplan);
-    DIADS_RETURN_IF_ERROR(sub_r.status());
-    const double out_rows =
-        std::max(1.0, root->rows * spec.subplan_join_selectivity);
-    root = MakeHashJoin(ctx, root, *sub_r, spec.subplan_join, out_rows);
-  }
-
-  if (spec.sort) {
-    root = MakeSort(ctx, root, "order by result keys");
-  }
-  if (spec.limit > 0) {
-    auto limit = std::make_shared<Node>();
-    limit->type = OpType::kLimit;
-    limit->children = {root};
-    limit->rows = std::min<double>(spec.limit, root->rows);
-    limit->width = root->width;
-    limit->cost = root->cost;
-    limit->detail = StrFormat("limit %d", spec.limit);
-    root = limit;
-  }
-  auto result_node = std::make_shared<Node>();
-  result_node->type = OpType::kResult;
-  result_node->children = {root};
-  result_node->rows = root->rows;
-  result_node->width = root->width;
-  result_node->cost = root->cost;
-  root = result_node;
-
-  // Flatten the node tree into a Plan (children added before parents).
-  PlanBuilder builder(spec.name);
-  std::function<int(const NodePtr&)> emit = [&](const NodePtr& node) -> int {
-    std::vector<int> children;
-    children.reserve(node->children.size());
-    for (const NodePtr& child : node->children) children.push_back(emit(child));
-    int index;
-    if (node->type == OpType::kSeqScan || node->type == OpType::kIndexScan) {
-      assert(children.empty());
-      index = builder.AddScan(node->type, node->alias, node->table,
-                              node->index_name);
-      builder.SetDetail(index, node->detail);
-    } else {
-      index = builder.AddOp(node->type, children, node->detail);
-    }
-    builder.SetEstimates(index, node->rows, node->cost, node->pages);
-    return index;
-  };
-  const int root_index = emit(root);
-  return builder.Build(root_index);
+  sort->cost = input.cost + cost;
 }
 
 }  // namespace diads::db

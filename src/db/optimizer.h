@@ -1,10 +1,11 @@
-// Cost-based query optimizer.
+// PostgreSQL-ish cost model.
 //
-// A System-R-style optimizer in the PostgreSQL tradition: per-table access
-// path selection (sequential vs. index scan), left-deep dynamic-programming
-// join enumeration with nested-loop/hash/merge join methods, and blocks
-// (the decorrelated subquery is planned independently, aggregated, and
-// joined into the main block).
+// The original engine's planner, in the PostgreSQL tradition: per-table
+// access-path selection (sequential vs. index scan), and hash,
+// index-nested-loop and materialized-nested-loop join methods. The
+// decorrelated subquery block is hash-joined into the main block. The
+// left-deep join enumeration it plans through is shared by every engine
+// (db/join_planner.h).
 //
 // Why the reproduction needs a real optimizer: Module PD diagnoses *plan
 // changes* by checking, for every schema/configuration event between a good
@@ -17,13 +18,12 @@
 #ifndef DIADS_DB_OPTIMIZER_H_
 #define DIADS_DB_OPTIMIZER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "db/catalog.h"
-#include "db/plan.h"
+#include "db/join_planner.h"
 #include "db/query.h"
 
 namespace diads::db {
@@ -48,26 +48,24 @@ struct DbParams {
 /// Applies `value` to the named parameter; InvalidArgument for unknown names.
 Status SetParamByName(DbParams* params, const std::string& name, double value);
 Result<double> GetParamByName(const DbParams& params, const std::string& name);
+/// Every name the two calls accept, in a stable order.
+std::vector<std::string> DbParamNames();
 
-/// The optimizer. Stateless besides catalog/params references; Optimize()
-/// is deterministic.
-class Optimizer {
+/// The PostgreSQL-ish cost model. Deterministic; plan with PlanQuery.
+class PostgresCostModel : public CostModel {
  public:
-  /// `catalog` must outlive the optimizer.
-  Optimizer(const Catalog* catalog, DbParams params);
+  /// `catalog` must outlive the model.
+  PostgresCostModel(const Catalog* catalog, const DbParams& params);
 
-  /// Plans a query using the catalog's *optimizer* statistics.
-  Result<Plan> Optimize(const QuerySpec& spec) const;
-
-  const DbParams& params() const { return params_; }
-  void set_params(DbParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
+  Result<PlanNodePtr> ScanPath(const QuerySpec& block,
+                               const TableRef& ref) const override;
+  PlanNodePtr Join(const JoinStep& step) const override;
+  void CostAggregate(const PlanNode& input, PlanNode* agg) const override;
+  PlanNodePtr SubqueryJoin(const QuerySpec& spec, const PlanNodePtr& outer,
+                           const PlanNodePtr& sub, double rows) const override;
+  void CostSort(const PlanNode& input, PlanNode* sort) const override;
 
  private:
-  const Catalog* catalog_;
   DbParams params_;
 };
 

@@ -16,16 +16,14 @@ PostgresBackend::PostgresBackend(const BackendInit& init)
 }
 
 Result<Plan> PostgresBackend::OptimizeQuery(const QuerySpec& spec) const {
-  Optimizer optimizer(catalog_, params_);
-  return optimizer.Optimize(spec);
+  return PlanQuery(PostgresCostModel(catalog_, params_), spec);
 }
 
 Result<Plan> PostgresBackend::OptimizeQueryWithParam(
     const QuerySpec& spec, const std::string& param, double value) const {
   DbParams what_if = params_;
   DIADS_RETURN_IF_ERROR(SetParamByName(&what_if, param, value));
-  Optimizer optimizer(catalog_, what_if);
-  return optimizer.Optimize(spec);
+  return PlanQuery(PostgresCostModel(catalog_, what_if), spec);
 }
 
 Result<Plan> PostgresBackend::MakePaperPlan() const {
@@ -41,9 +39,7 @@ Result<double> PostgresBackend::GetParam(const std::string& name) const {
 }
 
 std::vector<std::string> PostgresBackend::ParamNames() const {
-  return {"seq_page_cost",     "random_page_cost",  "cpu_tuple_cost",
-          "cpu_index_tuple_cost", "cpu_operator_cost", "work_mem_mb",
-          "buffer_pool_mb",    "effective_cache_mb"};
+  return DbParamNames();
 }
 
 PlanMisconfigKnob PostgresBackend::MisconfigKnob() const {

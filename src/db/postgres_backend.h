@@ -1,5 +1,5 @@
-// The PostgreSQL-ish backend: DbBackend over the original Optimizer,
-// DbParams vocabulary, and Figure-1 paper plan. Statistics semantics are
+// The PostgreSQL-ish backend: DbBackend over PostgresCostModel, the
+// DbParams vocabulary, and the Figure-1 paper plan. Statistics semantics are
 // the classic ones — DML leaves optimizer statistics stale until an
 // explicit ANALYZE refreshes them.
 #ifndef DIADS_DB_POSTGRES_BACKEND_H_

@@ -21,6 +21,10 @@
 //     whole monitoring store match tests/golden_store_digests.txt, so the
 //     SAN/DB sample generators cannot drift even in series no diagnosis
 //     reads;
+//   * PlanDigestsMatchGoldenTable — per-(catalog state, backend) hashes of
+//     every plan the optimizer produces over a sweep of 45 catalog states
+//     and every parameter's value match tests/golden_plan_digests.txt, so
+//     a planner refactor cannot move a single estimate bit;
 //   * CollectedDiagnosisMatchesGoldenDigest — the serving path (gather
 //     into a collected snapshot, then diagnose over it) reproduces the
 //     same golden digest per configuration, model cache cold and warm;
@@ -35,6 +39,8 @@
 #include <tuple>
 
 #include "apg/schema.h"
+#include "common/strings.h"
+#include "db/query.h"
 #include "diads/model_cache.h"
 #include "diads/symptom_index.h"
 #include "monitor/async_collector.h"
@@ -375,6 +381,46 @@ TEST(GoldenDigestTest, StoreDigestsMatchGoldenTable) {
   ASSERT_FALSE(HasFailure());
   CheckGoldenTable(computed, testsupport::GoldenStoreDigestPath(),
                    "StoreDigest", "_store");
+}
+
+// Every plan of Q2 and the supplier roll-up, per catalog state and backend:
+// once with the live parameters, then once per parameter at each sweep
+// multiple of its value. The scenarios reach only a handful of plans; this
+// table pins 17,550 of them, estimates included, so a planner change that
+// moves any plan of any engine fails here. The table's first column holds
+// the catalog state.
+TEST(GoldenDigestTest, PlanDigestsMatchGoldenTable) {
+  testsupport::GoldenDigestTable computed;
+  const db::QuerySpec specs[] = {db::MakeTpchQ2Spec(),
+                                 db::MakeSupplierRollupSpec()};
+  for (const testsupport::PlanSweepState& state :
+       testsupport::PlanSweepStates()) {
+    for (BackendKind kind : db::AllBackendKinds()) {
+      Result<std::unique_ptr<testsupport::PlanSweepCatalog>> sweep =
+          testsupport::MakePlanSweepCatalog(state, kind);
+      ASSERT_TRUE(sweep.ok()) << state.name << ": "
+                              << sweep.status().ToString();
+      const db::DbBackend& backend = *(*sweep)->backend;
+      uint64_t h = kFnv1a64OffsetBasis;
+      for (const db::QuerySpec& spec : specs) {
+        Result<db::Plan> plan = backend.OptimizeQuery(spec);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        h = testsupport::FoldPlan(h, *plan);
+        for (const std::string& param : backend.ParamNames()) {
+          const double value = *backend.GetParam(param);
+          for (double factor : testsupport::PlanSweepParamFactors()) {
+            plan = backend.OptimizeQueryWithParam(spec, param, value * factor);
+            ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+            h = testsupport::FoldPlan(h, *plan);
+          }
+        }
+      }
+      computed[{state.name, backend.name()}] =
+          StrFormat("%016llx", static_cast<unsigned long long>(h));
+    }
+  }
+  CheckGoldenTable(computed, testsupport::GoldenPlanDigestPath(), "Plan",
+                   "_plan");
 }
 
 }  // namespace

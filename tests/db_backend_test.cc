@@ -1,12 +1,19 @@
 // Unit tests for the DbBackend abstraction and the non-default engines:
-// parameter vocabularies (pairwise disjoint except buffer_pool_mb),
-// cost-model character (MySQL's flat I/O cost, index-nested-loop bias and
-// BNL fallback; the column store's vectorized scans and zone-map pruning),
-// plan fixtures, what-if re-optimisation, and the engines' diverging
-// DML/ANALYZE statistics semantics.
+// parameter vocabularies (pairwise disjoint except buffer_pool_mb, each
+// name bound to its own member), cost-model character (MySQL's flat I/O
+// cost, index-nested-loop bias and BNL fallback; the column store's
+// vectorized scans and zone-map pruning), plan fixtures, what-if
+// re-optimisation, and the engines' diverging DML/ANALYZE statistics
+// semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "db/backend.h"
 #include "db/columnar_backend.h"
@@ -103,6 +110,48 @@ TEST_F(BackendTest, ParamVocabulariesAreDisjointWhereTheEnginesDiffer) {
     }
     const PlanMisconfigKnob knob = backend->MisconfigKnob();
     EXPECT_TRUE(backend->GetParam(knob.param).ok()) << knob.param;
+  }
+}
+
+// Each engine's parameter table, row by row: a sentinel set through one
+// name reads back through that name and moves no other, so a row that
+// points at another row's member fails here. Every other engine's name
+// except the shared buffer_pool_mb is rejected by both calls.
+TEST_F(BackendTest, EachParamNameReadsAndWritesOnlyItsOwnMember) {
+  constexpr double kSentinel = 7777.25;
+  std::vector<std::unique_ptr<DbBackend>> backends;
+  for (BackendKind kind : AllBackendKinds()) backends.push_back(Make(kind));
+  for (const auto& backend : backends) {
+    const std::vector<std::string> names = backend->ParamNames();
+    for (const std::string& name : names) {
+      std::map<std::string, double> before;
+      for (const std::string& other : names) {
+        before[other] = *backend->GetParam(other);
+      }
+      ASSERT_NE(before[name], kSentinel);
+      ASSERT_TRUE(backend->SetParam(name, kSentinel).ok())
+          << backend->name() << " " << name;
+      EXPECT_EQ(*backend->GetParam(name), kSentinel)
+          << backend->name() << " " << name;
+      for (const std::string& other : names) {
+        if (other == name) continue;
+        EXPECT_EQ(*backend->GetParam(other), before[other])
+            << backend->name() << ": setting " << name << " moved " << other;
+      }
+      ASSERT_TRUE(backend->SetParam(name, before[name]).ok());
+    }
+    for (const auto& other : backends) {
+      if (other == backend) continue;
+      for (const std::string& name : other->ParamNames()) {
+        if (name == "buffer_pool_mb") continue;
+        EXPECT_FALSE(backend->GetParam(name).ok())
+            << backend->name() << " accepts " << other->name() << "'s "
+            << name;
+        EXPECT_FALSE(backend->SetParam(name, kSentinel).ok())
+            << backend->name() << " accepts " << other->name() << "'s "
+            << name;
+      }
+    }
   }
 }
 
@@ -292,6 +341,30 @@ TEST_F(BackendTest, MysqlDmlAutoRecalcRefreshesStatsPastThreshold) {
     if (event.type == EventType::kTableStatsChanged) recalc_logged = true;
   }
   EXPECT_TRUE(recalc_logged);
+}
+
+// Module PD's what-if probe reverts a kTableStatsChanged event to its
+// logged old_row_count. MySQL's sampled dives and the columnar segment
+// metadata leave non-integer counts, so the log must round-trip the exact
+// value: a rounded one would re-plan a state the optimizer never saw.
+TEST_F(BackendTest, StatsRefreshLogsTheExactPreviousRowCount) {
+  const std::pair<BackendKind, const char*> cases[] = {
+      {BackendKind::kMysql, "nation"}, {BackendKind::kColumnar, "supplier"}};
+  for (const auto& [kind, table] : cases) {
+    auto backend = Make(kind);
+    // Past both engines' refresh thresholds: the first refresh leaves a
+    // sampled, non-integer count; the second logs it as the old one.
+    ASSERT_TRUE(backend->ApplyDml(Hours(1), table, 1.5, "").ok());
+    const double refreshed =
+        (*catalog_->FindTable(table))->optimizer_stats.row_count;
+    ASSERT_NE(refreshed, std::round(refreshed)) << backend->name();
+    ASSERT_TRUE(backend->ApplyDml(Hours(2), table, 1.5, "").ok());
+    const SystemEvent& last = event_log_.all().back();
+    ASSERT_EQ(last.type, EventType::kTableStatsChanged) << backend->name();
+    EXPECT_EQ(last.attrs.at("table"), table);
+    EXPECT_EQ(std::stod(last.attrs.at("old_row_count")), refreshed)
+        << backend->name() << " logged " << last.attrs.at("old_row_count");
+  }
 }
 
 TEST_F(BackendTest, MysqlAnalyzeResetsTheAutoRecalcDriftCounter) {

@@ -1,13 +1,26 @@
 // Unit tests for the optimizer: access-path selection, join enumeration,
 // subquery blocks, and — critically for Module PD — plan sensitivity to
-// index drops, statistics refreshes, and cost parameters.
+// index drops, statistics refreshes, and cost parameters. The shared
+// left-deep DP is checked against a brute-force walk of every join order
+// on all three engines' cost models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <memory>
+#include <numeric>
+
 #include "common/event_log.h"
+#include "db/backend.h"
 #include "db/catalog.h"
+#include "db/columnar_optimizer.h"
+#include "db/join_planner.h"
+#include "db/mysql_optimizer.h"
 #include "db/optimizer.h"
 #include "db/query.h"
 #include "db/tpch.h"
+#include "support/conformance_util.h"
 
 namespace diads::db {
 namespace {
@@ -28,8 +41,7 @@ struct OptimizerFixture {
   }
 
   Plan Optimize(const QuerySpec& spec, DbParams params = {}) {
-    Optimizer optimizer(&catalog, params);
-    Result<Plan> plan = optimizer.Optimize(spec);
+    Result<Plan> plan = PlanQuery(PostgresCostModel(&catalog, params), spec);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     return std::move(*plan);
   }
@@ -199,8 +211,10 @@ TEST(OptimizerTest, WorkMemAffectsSortSpill) {
 TEST(OptimizerTest, ParamByNameRoundTrip) {
   DbParams params;
   ASSERT_TRUE(SetParamByName(&params, "random_page_cost", 11.5).ok());
+  EXPECT_DOUBLE_EQ(params.random_page_cost, 11.5);
   EXPECT_DOUBLE_EQ(GetParamByName(params, "random_page_cost").value(), 11.5);
   ASSERT_TRUE(SetParamByName(&params, "work_mem_mb", 64).ok());
+  EXPECT_DOUBLE_EQ(params.work_mem_mb, 64);
   EXPECT_DOUBLE_EQ(GetParamByName(params, "work_mem_mb").value(), 64);
   EXPECT_FALSE(SetParamByName(&params, "no_such_param", 1).ok());
   EXPECT_FALSE(GetParamByName(params, "no_such_param").ok());
@@ -210,8 +224,8 @@ TEST(OptimizerTest, RejectsEmptyBlock) {
   OptimizerFixture f;
   QuerySpec empty;
   empty.name = "empty";
-  Optimizer optimizer(&f.catalog, DbParams{});
-  EXPECT_FALSE(optimizer.Optimize(empty).ok());
+  EXPECT_FALSE(
+      PlanQuery(PostgresCostModel(&f.catalog, DbParams{}), empty).ok());
 }
 
 // Property sweep: whatever the random_page_cost, the optimizer must return
@@ -230,6 +244,182 @@ TEST_P(OptimizerParamSweepTest, Q2AlwaysPlansCompletely) {
 INSTANTIATE_TEST_SUITE_P(RandomPageCosts, OptimizerParamSweepTest,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
                                            40.0, 100.0));
+
+// --- The DP against brute force ---------------------------------------------
+
+/// `kind`'s cost model at default parameters, or with `param` set to
+/// `value` when `param` is non-empty.
+std::unique_ptr<CostModel> MakeCostModel(BackendKind kind,
+                                         const Catalog* catalog,
+                                         const std::string& param,
+                                         double value) {
+  switch (kind) {
+    case BackendKind::kPostgres: {
+      DbParams params;
+      if (!param.empty()) {
+        EXPECT_TRUE(SetParamByName(&params, param, value).ok());
+      }
+      return std::make_unique<PostgresCostModel>(catalog, params);
+    }
+    case BackendKind::kMysql: {
+      MysqlParams params;
+      if (!param.empty()) {
+        EXPECT_TRUE(SetMysqlParamByName(&params, param, value).ok());
+      }
+      return std::make_unique<MysqlCostModel>(catalog, params);
+    }
+    case BackendKind::kColumnar: {
+      ColumnarParams params;
+      if (!param.empty()) {
+        EXPECT_TRUE(SetColumnarParamByName(&params, param, value).ok());
+      }
+      return std::make_unique<ColumnarCostModel>(catalog, params);
+    }
+  }
+  return nullptr;
+}
+
+/// A block's tables and joins, with nothing planned above them.
+QuerySpec JoinsOnly(const QuerySpec& block) {
+  QuerySpec out;
+  out.name = block.name;
+  out.tables = block.tables;
+  out.joins = block.joins;
+  return out;
+}
+
+struct BruteForceResult {
+  double min_cost = std::numeric_limits<double>::infinity();
+  /// Every order that reaches a subset of tables gives it the same row
+  /// estimate — the condition under which one DP state per subset is exact.
+  bool subset_rows_agree = true;
+};
+
+/// Joins `block`'s tables in every left-deep order through `model`'s own
+/// hooks, under the DP's predicate lookup and its connected-prefix rule: a
+/// table no predicate joins to the prefix may follow only when no remaining
+/// table joins it. For a fixed order, taking the best join method at each
+/// step is exact, because every method of one step yields the same rows
+/// and width.
+BruteForceResult WalkEveryOrder(const CostModel& model,
+                                const QuerySpec& block) {
+  const size_t n = block.tables.size();
+  std::vector<PlanNodePtr> scans;
+  for (const TableRef& ref : block.tables) {
+    Result<PlanNodePtr> scan = model.ScanPath(block, ref);
+    EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+    scans.push_back(*scan);
+  }
+  auto any_joins = [&](uint32_t joined) {
+    for (size_t i = 0; i < n; ++i) {
+      bool unused = false;
+      if (!(joined & (1u << i)) &&
+          FindJoinPredicate(block, joined, i, &unused) != nullptr) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  BruteForceResult out;
+  std::map<uint32_t, double> subset_rows;
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  do {
+    PlanNodePtr plan = scans[order[0]];
+    uint32_t joined = 1u << order[0];
+    bool allowed = true;
+    for (size_t k = 1; k < n; ++k) {
+      const size_t inner = order[k];
+      bool inner_is_left = false;
+      const JoinPredicate* pred =
+          FindJoinPredicate(block, joined, inner, &inner_is_left);
+      if (pred == nullptr && any_joins(joined)) {
+        allowed = false;
+        break;
+      }
+      const double rows =
+          pred != nullptr ? JoinOutputRows(model, block, plan->rows,
+                                           scans[inner]->rows, *pred)
+                          : plan->rows * scans[inner]->rows;
+      plan = model.Join(JoinStep{block, plan, block.tables[inner],
+                                 scans[inner], pred, inner_is_left, rows});
+      joined |= 1u << inner;
+      auto [it, first] = subset_rows.emplace(joined, plan->rows);
+      if (!first && it->second != plan->rows) out.subset_rows_agree = false;
+    }
+    if (allowed) out.min_cost = std::min(out.min_cost, plan->cost);
+  } while (std::next_permutation(order.begin(), order.end()));
+  return out;
+}
+
+class DpVersusBruteForceTest : public ::testing::TestWithParam<BackendKind> {
+};
+
+// Q2's main and subquery blocks, the supplier roll-up, and the roll-up
+// without its nation-region predicate (so region joins by cartesian
+// product), over a trimmed copy of the golden plan sweep: the base
+// catalog, each index dropped, and each table scaled x0.05, x8 and x1000,
+// under every parameter at x0.1 and x10. Wherever every join order agrees
+// on each subset's row estimate, the DP must find the brute-force minimum
+// bit for bit. Nation x0.05 (1.25 rows against 25 join-key values) is the
+// state where the max(1, ...) floor of the join estimate makes orders
+// disagree; there the DP may only be costlier, never cheaper (see
+// db/join_planner.h).
+TEST_P(DpVersusBruteForceTest, DpFindsTheCheapestLeftDeepOrder) {
+  const BackendKind kind = GetParam();
+  const QuerySpec q2 = MakeTpchQ2Spec();
+  QuerySpec blocks[] = {JoinsOnly(q2), JoinsOnly(*q2.subplan),
+                        JoinsOnly(MakeSupplierRollupSpec()),
+                        JoinsOnly(MakeSupplierRollupSpec())};
+  blocks[3].name += ".cartesian";
+  blocks[3].joins.pop_back();
+  int disagreeing_blocks = 0;
+  for (const testsupport::PlanSweepState& state :
+       testsupport::PlanSweepStates()) {
+    if (!state.scale_table.empty() && state.scale != 0.05 &&
+        state.scale != 8.0 && state.scale != 1000.0) {
+      continue;
+    }
+    Result<std::unique_ptr<testsupport::PlanSweepCatalog>> sweep =
+        testsupport::MakePlanSweepCatalog(state, kind);
+    ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+    const Catalog* catalog = &(*sweep)->catalog;
+    const DbBackend& backend = *(*sweep)->backend;
+    std::vector<std::unique_ptr<CostModel>> models;
+    models.push_back(MakeCostModel(kind, catalog, "", 0));
+    for (const std::string& param : backend.ParamNames()) {
+      for (double factor : {0.1, 10.0}) {
+        models.push_back(MakeCostModel(kind, catalog, param,
+                                       *backend.GetParam(param) * factor));
+      }
+    }
+    for (const std::unique_ptr<CostModel>& model : models) {
+      for (const QuerySpec& block : blocks) {
+        const BruteForceResult brute = WalkEveryOrder(*model, block);
+        Result<Plan> plan = PlanQuery(*model, block);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        const double dp_cost = plan->op(plan->root_index()).est_cost;
+        if (brute.subset_rows_agree) {
+          EXPECT_EQ(dp_cost, brute.min_cost)
+              << state.name << " " << block.name;
+        } else {
+          ++disagreeing_blocks;
+          EXPECT_GE(dp_cost, brute.min_cost)
+              << state.name << " " << block.name;
+        }
+      }
+    }
+  }
+  // The sweep must keep reaching the floor's disagreeing orders.
+  EXPECT_GT(disagreeing_blocks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, DpVersusBruteForceTest, ::testing::ValuesIn(AllBackendKinds()),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return std::string(BackendKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace diads::db

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "common/strings.h"
+#include "db/tpch.h"
 
 namespace diads::testsupport {
 
@@ -239,6 +240,88 @@ void MaybeDumpComputedDigests(const GoldenDigestTable& computed,
       dot != std::string::npos && (slash == std::string::npos || dot > slash);
   path.insert(has_extension ? dot : path.size(), suffix);
   (void)WriteGoldenDigests(computed, path, subject);
+}
+
+std::string GoldenPlanDigestPath() {
+  return std::string(DIADS_SOURCE_DIR) + "/tests/golden_plan_digests.txt";
+}
+
+std::vector<PlanSweepState> PlanSweepStates() {
+  std::vector<PlanSweepState> states = {{"base", "", "", 1.0}};
+  for (const char* index :
+       {"region_pkey", "nation_pkey", "nation_regionkey_idx", "supplier_pkey",
+        "supplier_nationkey_idx", "part_pkey", "part_size_idx",
+        "partsupp_partkey_idx", "partsupp_suppkey_idx"}) {
+    states.push_back({std::string("drop-") + index, index, "", 1.0});
+  }
+  for (const char* table :
+       {"region", "nation", "supplier", "part", "partsupp"}) {
+    for (double scale : {0.05, 0.5, 2.0, 8.0, 48.0, 90.0, 1000.0}) {
+      states.push_back(
+          {StrFormat("%s-x%g", table, scale), "", table, scale});
+    }
+  }
+  return states;
+}
+
+const std::vector<double>& PlanSweepParamFactors() {
+  static const std::vector<double> factors = {0.01, 0.1, 0.5, 1.0,
+                                              2.0,  10.0, 40.0, 1000.0};
+  return factors;
+}
+
+Result<std::unique_ptr<PlanSweepCatalog>> MakePlanSweepCatalog(
+    const PlanSweepState& state, db::BackendKind kind) {
+  auto out = std::make_unique<PlanSweepCatalog>();
+  db::TpchOptions tpch;
+  tpch.volume_v1 = out->registry.MustRegister(ComponentKind::kVolume, "V1");
+  tpch.volume_v2 = out->registry.MustRegister(ComponentKind::kVolume, "V2");
+  DIADS_RETURN_IF_ERROR(db::BuildTpchCatalog(tpch, &out->catalog));
+  db::BackendInit init;
+  init.catalog = &out->catalog;
+  out->backend = db::MakeDbBackend(kind, init);
+  if (!state.drop_index.empty()) {
+    DIADS_RETURN_IF_ERROR(out->catalog.DropIndex(1, state.drop_index));
+  }
+  if (!state.scale_table.empty()) {
+    DIADS_RETURN_IF_ERROR(out->backend->ApplyDmlSilently(
+        1, state.scale_table, state.scale, ""));
+    DIADS_RETURN_IF_ERROR(out->backend->Analyze(2, state.scale_table));
+  }
+  return out;
+}
+
+uint64_t FoldPlan(uint64_t h, const db::Plan& plan) {
+  auto fold_string = [&h](const std::string& s) {
+    h = Fnv1a64FoldWord(h, s.size());
+    h = Fnv1a64Fold(h, s);
+  };
+  auto fold_double = [&h](double v) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    h = Fnv1a64FoldWord(h, bits);
+  };
+  fold_string(plan.query_name());
+  h = Fnv1a64FoldWord(h, static_cast<uint64_t>(plan.root_index()));
+  h = Fnv1a64FoldWord(h, plan.size());
+  for (const db::PlanOp& op : plan.ops()) {
+    h = Fnv1a64FoldWord(h, static_cast<uint64_t>(op.op_number));
+    h = Fnv1a64FoldWord(h, static_cast<uint64_t>(op.type));
+    h = Fnv1a64FoldWord(h, op.children.size());
+    for (int child : op.children) {
+      h = Fnv1a64FoldWord(h, static_cast<uint64_t>(child));
+    }
+    fold_string(op.table_alias);
+    fold_string(op.table);
+    fold_string(op.index_name);
+    fold_string(op.engine_op);
+    fold_string(op.detail);
+    fold_double(op.est_rows);
+    fold_double(op.est_cost);
+    fold_double(op.est_pages);
+  }
+  return h;
 }
 
 }  // namespace diads::testsupport

@@ -14,18 +14,26 @@
 //     tests/golden_report_digests.txt (one ReportDigest hash per
 //     configuration) and tests/golden_store_digests.txt (one hash of the
 //     configuration's whole monitoring store), formatting a computed table,
-//     and the regeneration / CI-artifact environment hooks.
+//     and the regeneration / CI-artifact environment hooks;
+//   * the optimizer sweep behind tests/golden_plan_digests.txt: 45 TPC-H
+//     catalog states, the parameter multipliers, and a field-by-field plan
+//     hash.
 #ifndef DIADS_TESTS_SUPPORT_CONFORMANCE_UTIL_H_
 #define DIADS_TESTS_SUPPORT_CONFORMANCE_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/event_log.h"
+#include "common/ids.h"
 #include "db/backend.h"
+#include "db/catalog.h"
 #include "diads/report.h"
 #include "diads/workflow.h"
 #include "monitor/timeseries.h"
@@ -127,6 +135,47 @@ bool UpdateGoldenDigestsRequested();
 void MaybeDumpComputedDigests(const GoldenDigestTable& computed,
                               const std::string& suffix = "",
                               const std::string& subject = "ReportDigest");
+
+// --- Optimizer sweep ----------------------------------------------------------
+
+/// The checked-in golden plan-digest file (under the source tree).
+std::string GoldenPlanDigestPath();
+
+/// One catalog state of the optimizer sweep: the base TPC-H catalog, or it
+/// with one index dropped, or with one table's rows scaled and ANALYZEd.
+struct PlanSweepState {
+  std::string name;         ///< "base", "drop-<index>", "<table>-x<scale>".
+  std::string drop_index;   ///< Empty unless an index is dropped.
+  std::string scale_table;  ///< Empty unless a table is scaled.
+  double scale = 1.0;
+};
+
+/// The 45 states: the base catalog, each of the 9 TPC-H indexes dropped,
+/// and each of the 5 tables scaled x{0.05, 0.5, 2, 8, 48, 90, 1000}.
+std::vector<PlanSweepState> PlanSweepStates();
+
+/// What every parameter is multiplied by, in turn, relative to its current
+/// value: x{0.01, 0.1, 0.5, 1, 2, 10, 40, 1000}.
+const std::vector<double>& PlanSweepParamFactors();
+
+/// A scale-factor-1 TPC-H catalog in one sweep state, behind a fresh
+/// backend that owns the parameters.
+struct PlanSweepCatalog {
+  ComponentRegistry registry;
+  EventLog events;
+  db::Catalog catalog{&registry, &events};
+  std::unique_ptr<db::DbBackend> backend;
+};
+
+/// Builds the catalog and reaches `state` through the public catalog and
+/// DbBackend calls (DropIndex; ApplyDmlSilently + Analyze).
+Result<std::unique_ptr<PlanSweepCatalog>> MakePlanSweepCatalog(
+    const PlanSweepState& state, db::BackendKind kind);
+
+/// Folds every field of `plan` into `h`: its name, root and size, then per
+/// op its number, type, children, alias, table, index, engine_op, detail,
+/// and the bits of est_rows, est_cost and est_pages.
+uint64_t FoldPlan(uint64_t h, const db::Plan& plan);
 
 }  // namespace diads::testsupport
 
