@@ -39,6 +39,8 @@ int KindRank(ComponentKind kind) {
   }
 }
 
+}  // namespace
+
 std::vector<ComponentId> SortPath(const std::set<ComponentId>& parts,
                                   const ComponentRegistry& registry) {
   std::vector<ComponentId> out(parts.begin(), parts.end());
@@ -50,8 +52,6 @@ std::vector<ComponentId> SortPath(const std::set<ComponentId>& parts,
   });
   return out;
 }
-
-}  // namespace
 
 Result<ComponentId> Apg::OperatorComponent(int op_index) const {
   if (op_index < 0 || op_index >= static_cast<int>(op_components_.size())) {
@@ -111,13 +111,6 @@ std::vector<ComponentId> Apg::PlanVolumes() const {
     if (v.valid()) vols.insert(v);
   }
   return std::vector<ComponentId>(vols.begin(), vols.end());
-}
-
-std::vector<ComponentId> Apg::AllComponents() const {
-  std::set<ComponentId> parts;
-  for (const auto& path : inner_) parts.insert(path.begin(), path.end());
-  for (const auto& path : outer_) parts.insert(path.begin(), path.end());
-  return SortPath(parts, topology_->registry());
 }
 
 ApgBuilder::ApgBuilder(const db::Catalog* catalog,
@@ -222,6 +215,10 @@ Result<Apg> ApgBuilder::Build(std::shared_ptr<const db::Plan> plan,
   };
   fill(plan->root_index());
 
+  std::set<ComponentId> parts;
+  for (const auto& path : apg.inner_) parts.insert(path.begin(), path.end());
+  for (const auto& path : apg.outer_) parts.insert(path.begin(), path.end());
+  apg.all_components_ = SortPath(parts, topology_->registry());
   return apg;
 }
 

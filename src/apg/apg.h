@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,8 +76,11 @@ class Apg {
   /// All volumes any leaf of the plan reads.
   std::vector<ComponentId> PlanVolumes() const;
 
-  /// Every distinct component appearing in any inner or outer path.
-  std::vector<ComponentId> AllComponents() const;
+  /// Every distinct component appearing in any inner or outer path, in
+  /// SortPath order. Computed once by ApgBuilder::Build.
+  const std::vector<ComponentId>& AllComponents() const {
+    return all_components_;
+  }
 
   const san::SanTopology& topology() const { return *topology_; }
   const db::Catalog& catalog() const { return *catalog_; }
@@ -95,8 +99,15 @@ class Apg {
   std::vector<ComponentId> op_volume_;              ///< Invalid if non-scan.
   std::vector<std::vector<ComponentId>> inner_;     ///< By op index.
   std::vector<std::vector<ComponentId>> outer_;     ///< By op index.
+  std::vector<ComponentId> all_components_;         ///< See AllComponents.
   std::vector<WorkloadBinding> workloads_;
 };
+
+/// The order of every dependency path and of AllComponents: by kind
+/// (database, server, fabric, subsystem, pools, volumes, disks,
+/// workloads), then registration order.
+std::vector<ComponentId> SortPath(const std::set<ComponentId>& parts,
+                                  const ComponentRegistry& registry);
 
 /// Builds APGs from the catalog, topology, and a plan — the construction
 /// procedure of Section 3.1 (tablespace mapping + SAN configuration

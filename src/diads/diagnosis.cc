@@ -165,23 +165,21 @@ std::vector<double> OperatorRecordCounts(
   return out;
 }
 
-std::vector<double> MetricPerRun(
-    const monitor::TimeSeriesStore& store, ComponentId component,
-    monitor::MetricId metric,
-    const std::vector<const db::QueryRunRecord*>& runs, int* missing) {
-  const std::vector<monitor::Sample>& series = store.Series(component, metric);
-  std::vector<double> out;
+int MetricPerRun(const std::vector<monitor::Sample>& series,
+                 const std::vector<const db::QueryRunRecord*>& runs,
+                 std::vector<double>* out) {
+  out->clear();
+  monitor::MeanCursor cursor(series);
   int missed = 0;
   for (const db::QueryRunRecord* run : runs) {
-    Result<double> mean = monitor::MeanIn(series, run->interval);
-    if (mean.ok()) {
-      out.push_back(*mean);
+    double mean = 0;
+    if (cursor.MeanIn(run->interval, &mean)) {
+      out->push_back(mean);
     } else {
       ++missed;
     }
   }
-  if (missing != nullptr) *missing = missed;
-  return out;
+  return missed;
 }
 
 }  // namespace diads::diag

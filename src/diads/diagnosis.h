@@ -242,12 +242,14 @@ std::vector<double> OperatorSpans(
 /// Actual record counts per run for one operator.
 std::vector<double> OperatorRecordCounts(
     const std::vector<const db::QueryRunRecord*>& runs, int op_index);
-/// Per-run mean of a component metric over each run's interval; entries
-/// with no samples are skipped in `out` and counted in `missing`.
-std::vector<double> MetricPerRun(
-    const monitor::TimeSeriesStore& store, ComponentId component,
-    monitor::MetricId metric,
-    const std::vector<const db::QueryRunRecord*>& runs, int* missing);
+/// Per-run mean (monitor::MeanIn) of one metric series over each run's
+/// interval, written to `out` in run order after clearing it (so a reused
+/// buffer allocates nothing once it has grown). Runs with no sample are
+/// skipped in `out`; returns how many. Runs in time order sweep the
+/// series forward once (monitor::MeanCursor).
+int MetricPerRun(const std::vector<monitor::Sample>& series,
+                 const std::vector<const db::QueryRunRecord*>& runs,
+                 std::vector<double>* out);
 
 }  // namespace diads::diag
 

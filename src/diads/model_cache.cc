@@ -192,7 +192,7 @@ void BaselineModelCache::Clear() {
 Result<CachedBaseline> GetOrFitBaseline(
     BaselineModelCache* cache, const BaselineModelKey& key,
     uint64_t generation, stats::BandwidthRule rule,
-    const std::function<ExtractedBaseline()>& extract,
+    FunctionRef<ExtractedBaseline()> extract,
     obs::ModelLookupCounters* lookups) {
   if (cache != nullptr) {
     if (std::optional<CachedBaseline> cached = cache->Get(key, generation)) {

@@ -66,13 +66,13 @@
 #define DIADS_DIADS_MODEL_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
@@ -240,7 +240,8 @@ class BaselineModelCache {
 /// `key` (validated against `generation`) or runs `extract`, fits, caches
 /// (when >= 2 samples), and returns the fresh result. `cache` may be null
 /// — then this is exactly extract + SortedKde::Fit. The result is
-/// byte-identical either way.
+/// byte-identical either way. `extract` is only referenced, never copied,
+/// so passing a lambda allocates nothing whatever it captures.
 ///
 /// When `lookups` is non-null the hit/miss outcome is also attributed
 /// there (per-diagnosis accounting for the cost profile; the cache's own
@@ -249,7 +250,7 @@ class BaselineModelCache {
 Result<CachedBaseline> GetOrFitBaseline(
     BaselineModelCache* cache, const BaselineModelKey& key,
     uint64_t generation, stats::BandwidthRule rule,
-    const std::function<ExtractedBaseline()>& extract,
+    FunctionRef<ExtractedBaseline()> extract,
     obs::ModelLookupCounters* lookups = nullptr);
 
 }  // namespace diads::diag

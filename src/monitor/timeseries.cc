@@ -1,6 +1,7 @@
 #include "monitor/timeseries.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace diads::monitor {
@@ -20,12 +21,39 @@ SampleIt LowerBoundTime(SampleIt first, SampleIt last, SimTimeMs t) {
       [](const Sample& a, SimTimeMs tt) { return a.time < tt; });
 }
 
+/// LowerBoundTime searched forward from `first`: steps of 1, 2, 4, ...
+/// until one lands at or past t, then a binary search inside the last
+/// step. O(log d) for an answer d samples ahead, so a cursor moving
+/// forward by short hops pays for the hops, not for the series.
+SampleIt SeekTime(SampleIt first, SampleIt last, SimTimeMs t) {
+  size_t step = 1;
+  while (first != last && first->time < t) {
+    if (step >= static_cast<size_t>(last - first)) {
+      return LowerBoundTime(first + 1, last, t);
+    }
+    if ((first + step)->time >= t) {
+      return LowerBoundTime(first + 1, first + step, t);
+    }
+    first += step;
+    step *= 2;
+  }
+  return first;
+}
+
 bool EarlierThan(const Sample& a, const Sample& b) { return a.time < b.time; }
+
+/// A NaN would make every sort over the samples (the KDE fit, midranks)
+/// use an inconsistent comparator, which is undefined behaviour, and an
+/// infinity poisons every mean it enters; neither is a measurement.
+Status NonFiniteSample() {
+  return Status::InvalidArgument("sample values must be finite");
+}
 
 }  // namespace
 
 Status TimeSeriesStore::Append(ComponentId component, MetricId metric,
                                SimTimeMs time, double value) {
+  if (!std::isfinite(value)) return NonFiniteSample();
   SeriesData& s = series_[SeriesKey{component, metric}];
   if (!s.samples.empty() && time < s.samples.back().time) {
     return Status::InvalidArgument(
@@ -57,6 +85,11 @@ Status TimeSeriesStore::AppendSamples(ComponentId component, MetricId metric,
       !std::is_sorted(samples.begin(), samples.end(), EarlierThan)) {
     return Status::InvalidArgument(
         "samples must be appended in non-decreasing time order");
+  }
+  if (!std::all_of(samples.begin(), samples.end(), [](const Sample& sample) {
+        return std::isfinite(sample.value);
+      })) {
+    return NonFiniteSample();
   }
   if (samples.empty()) return Status::Ok();
   if (listener_ != nullptr) {
@@ -178,36 +211,47 @@ const std::vector<MetricId>& TimeSeriesStore::MetricsFor(
 
 Result<double> MeanIn(const std::vector<Sample>& series,
                       const TimeInterval& interval) {
+  double mean = 0;
+  if (!MeanCursor(series).MeanIn(interval, &mean)) {
+    return Status::NotFound("no sample at or before requested time");
+  }
+  return mean;
+}
+
+bool MeanCursor::MeanIn(const TimeInterval& interval, double* mean) {
+  if (series_.empty()) return false;
   // Samples are stamped at the *end* of the collection interval they
   // aggregate, so the sample covering this window's tail lands at the first
   // grid point at or after interval.end. Include it: for a run shorter than
   // the monitoring interval it is often the only reading that reflects the
   // run at all (Section 1.1's coarse-interval reality).
-  const SampleIt lo = LowerBoundTime(series.begin(), series.end(),
-                                     interval.begin);
-  // The tail lies at or after the window's start unless the interval is
-  // inverted (end < begin), where it may precede it; the window [lo, tail)
-  // is then empty.
-  const SampleIt tail =
-      LowerBoundTime(interval.end < interval.begin ? series.begin() : lo,
-                     series.end(), interval.end);
+  if (!started_ || interval.begin < last_begin_) {
+    window_begin_ = series_.begin();
+  }
+  started_ = true;
+  last_begin_ = interval.begin;
+  window_begin_ = SeekTime(window_begin_, series_.end(), interval.begin);
   size_t count = 0;
   double sum = 0;
-  for (SampleIt it = lo; it < tail; ++it) {
-    sum += it->value;
-    ++count;
+  SampleIt tail = window_begin_;
+  if (interval.end < interval.begin) {
+    // An inverted interval's window is empty, and its tail may precede
+    // the window's start.
+    tail = LowerBoundTime(series_.begin(), series_.end(), interval.end);
+  } else {
+    for (; tail != series_.end() && tail->time < interval.end; ++tail) {
+      sum += tail->value;
+      ++count;
+    }
   }
-  if (tail != series.end()) {
+  if (tail != series_.end()) {
     sum += tail->value;
     ++count;
   }
-  if (count > 0) return sum / static_cast<double>(count);
-  // No samples at all in or after the window, so every sample precedes
+  // With no samples at all in or after the window, every sample precedes
   // interval.begin: report the newest stale one.
-  if (series.empty()) {
-    return Status::NotFound("no sample at or before requested time");
-  }
-  return series.back().value;
+  *mean = count > 0 ? sum / static_cast<double>(count) : series_.back().value;
+  return true;
 }
 
 void TimeSeriesStore::ForEachSeries(

@@ -111,8 +111,10 @@ class AppendListener {
 /// Append-only store of monitoring samples.
 class TimeSeriesStore {
  public:
-  /// Appends a sample; time must be non-decreasing within a series.
-  /// Bumps the series' generation counter (model-cache invalidation).
+  /// Appends a sample; time must be non-decreasing within a series and
+  /// the value finite (NaN and +-inf are InvalidArgument, with the store
+  /// unchanged). Bumps the series' generation counter (model-cache
+  /// invalidation).
   Status Append(ComponentId component, MetricId metric, SimTimeMs time,
                 double value);
 
@@ -120,9 +122,10 @@ class TimeSeriesStore {
   /// state `samples.size()` single Append calls would: every generation
   /// counter and total_samples() advance by the run length, and an
   /// installed listener sees every sample in order. All or nothing: a run
-  /// that is out of order internally, or starts before the series' last
-  /// sample, is rejected (InvalidArgument) with the store unchanged. A new
-  /// series adopts the vector without copying it.
+  /// that is out of order internally, starts before the series' last
+  /// sample, or holds a non-finite value is rejected (InvalidArgument)
+  /// with the store unchanged. A new series adopts the vector without
+  /// copying it.
   Status AppendSamples(ComponentId component, MetricId metric,
                        std::vector<Sample> samples);
 
@@ -237,6 +240,29 @@ class TimeSeriesStore {
 /// series is.
 Result<double> MeanIn(const std::vector<Sample>& series,
                       const TimeInterval& interval);
+
+/// MeanIn over many intervals of one series. Each answer is MeanIn's, bit
+/// for bit (the same samples summed in the same order), but an interval
+/// that begins no earlier than the previous one resumes the search where
+/// the previous window began: per-run means over runs in time order sweep
+/// the series forward once instead of binary-searching all of it per run.
+/// Holds a reference to `series`; valid until the series is appended to.
+class MeanCursor {
+ public:
+  explicit MeanCursor(const std::vector<Sample>& series)
+      : series_(series), window_begin_(series.begin()) {}
+
+  /// Sets `*mean` and returns true, or returns false iff the series is
+  /// empty (MeanIn's NotFound).
+  bool MeanIn(const TimeInterval& interval, double* mean);
+
+ private:
+  const std::vector<Sample>& series_;
+  /// First sample at or after last_begin_: where the next search starts.
+  std::vector<Sample>::const_iterator window_begin_;
+  SimTimeMs last_begin_ = 0;
+  bool started_ = false;
+};
 
 }  // namespace diads::monitor
 

@@ -8,15 +8,16 @@
 namespace diads::stats {
 namespace {
 
-// Takes the scores by value so the caller's vector moves straight
-// through: kMean/kMax read it in place and kMedian hands it to Median's
-// in-place sort — no aggregation mode copies the per-observation scores.
-double Aggregate(std::vector<double> scores, AnomalyAggregation how) {
+// Aggregates in place: kMean/kMax read the scores as they are and kMedian
+// sorts them where they lie (Median's own sort-a-copy, without the copy).
+double Aggregate(std::vector<double>& scores, AnomalyAggregation how) {
   switch (how) {
     case AnomalyAggregation::kMean:
       return Mean(scores);
     case AnomalyAggregation::kMedian:
-      return Median(std::move(scores));
+      if (scores.empty()) return 0.0;
+      std::sort(scores.begin(), scores.end());
+      return PercentileOfSorted(scores, 50);
     case AnomalyAggregation::kMax:
       return Max(scores);
   }
@@ -26,20 +27,29 @@ double Aggregate(std::vector<double> scores, AnomalyAggregation how) {
 Result<AnomalyScore> ScoreModelImpl(const SortedKde& model,
                                     const std::vector<double>& observations,
                                     const AnomalyConfig& config,
-                                    bool two_sided) {
+                                    bool two_sided, ScoreScratch* scratch) {
   if (observations.empty()) {
     return Status::InvalidArgument("anomaly scoring requires observations");
   }
-  std::vector<double> per_obs = model.CdfBatch(observations);
+  std::vector<double>& per_obs = scratch->cdf;
+  model.CdfBatch(observations, &scratch->order, &per_obs);
   if (two_sided) {
     for (double& p : per_obs) p = 2.0 * std::fabs(p - 0.5);
   }
   AnomalyScore out;
   out.observation_count = per_obs.size();
-  out.score = Aggregate(std::move(per_obs), config.aggregation);
+  out.score = Aggregate(per_obs, config.aggregation);
   out.anomalous = out.score >= config.threshold;
   out.baseline_count = model.sample_count();
   return out;
+}
+
+Result<AnomalyScore> ScoreModelImpl(const SortedKde& model,
+                                    const std::vector<double>& observations,
+                                    const AnomalyConfig& config,
+                                    bool two_sided) {
+  ScoreScratch scratch;
+  return ScoreModelImpl(model, observations, config, two_sided, &scratch);
 }
 
 Result<AnomalyScore> ScoreImpl(const std::vector<double>& baseline,
@@ -77,6 +87,14 @@ Result<AnomalyScore> ScoreDeviationWithModel(
     const SortedKde& model, const std::vector<double>& observations,
     const AnomalyConfig& config) {
   return ScoreModelImpl(model, observations, config, /*two_sided=*/true);
+}
+
+Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
+                                    const std::vector<double>& observations,
+                                    const AnomalyConfig& config,
+                                    ScoreScratch* scratch) {
+  return ScoreModelImpl(model, observations, config, /*two_sided=*/false,
+                        scratch);
 }
 
 }  // namespace diads::stats

@@ -7,6 +7,7 @@
 #ifndef DIADS_STATS_ANOMALY_H_
 #define DIADS_STATS_ANOMALY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -69,6 +70,24 @@ Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
 Result<AnomalyScore> ScoreDeviationWithModel(
     const SortedKde& model, const std::vector<double>& observations,
     const AnomalyConfig& config = {});
+
+/// Buffers for scoring many series in a loop without allocating: once
+/// they have grown to the largest observation count, ScoreWithModel
+/// through them allocates nothing.
+struct ScoreScratch {
+  /// After scoring: the observations' indices in ascending order of value
+  /// (SortedKde::CdfBatch's order).
+  std::vector<uint32_t> order;
+  /// Per-observation prob(S <= u); aggregation may reorder it.
+  std::vector<double> cdf;
+};
+
+/// ScoreWithModel through reused buffers; the same AnomalyScore, bit for
+/// bit.
+Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
+                                    const std::vector<double>& observations,
+                                    const AnomalyConfig& config,
+                                    ScoreScratch* scratch);
 
 }  // namespace diads::stats
 

@@ -48,6 +48,25 @@ std::vector<double> MidRanks(const std::vector<double>& xs) {
   return ranks;
 }
 
+std::vector<int32_t> CentredRanks(const std::vector<double>& xs) {
+  const std::vector<double> mid = MidRanks(xs);
+  const double shift = static_cast<double>(xs.size()) + 1.0;
+  std::vector<int32_t> ranks(mid.size(), 0);
+  for (size_t i = 0; i < mid.size(); ++i) {
+    ranks[i] = static_cast<int32_t>(2.0 * mid[i] - shift);  // Exact.
+  }
+  return ranks;
+}
+
+double CentredRankCorrelation(int64_t dot, int64_t sum_sq_a,
+                              int64_t sum_sq_b) {
+  const double sxy = static_cast<double>(dot) * 0.25;
+  const double sxx = static_cast<double>(sum_sq_a) * 0.25;
+  const double syy = static_cast<double>(sum_sq_b) * 0.25;
+  if (sxx <= 0 || syy <= 0) return 0.0;
+  return sxy / std::sqrt(sxx * syy);
+}
+
 double SpearmanCorrelation(const std::vector<double>& xs,
                            const std::vector<double>& ys) {
   if (xs.size() != ys.size() || xs.size() < 2) return 0.0;

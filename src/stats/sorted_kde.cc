@@ -38,44 +38,73 @@ double SelectBandwidthSorted(const std::vector<double>& sorted,
   return std::max(h, std::max(1e-9, scale * 1e-6));
 }
 
+/// The argsort of `samples` and the samples in that order: one sort of an
+/// index permutation gives both.
+void SortWithOrder(const std::vector<double>& samples,
+                   std::vector<uint32_t>* order, std::vector<double>* sorted) {
+  order->resize(samples.size());
+  std::iota(order->begin(), order->end(), 0u);
+  std::sort(order->begin(), order->end(), [&samples](uint32_t a, uint32_t b) {
+    return samples[a] < samples[b];
+  });
+  sorted->resize(samples.size());
+  for (size_t k = 0; k < order->size(); ++k) {
+    (*sorted)[k] = samples[(*order)[k]];
+  }
+}
+
 }  // namespace
 
-SortedKde::SortedKde(std::vector<double> sorted_samples, double bandwidth)
-    : samples_(std::move(sorted_samples)),
+SortedKde::SortedKde(std::vector<uint32_t> order,
+                     std::vector<double> sorted_samples, double bandwidth)
+    : order_(std::move(order)),
+      samples_(std::move(sorted_samples)),
       bandwidth_(bandwidth),
       tail_(kTailSigmas * bandwidth) {}
 
-Result<SortedKde> SortedKde::Fit(std::vector<double> samples,
+Result<SortedKde> SortedKde::Fit(const std::vector<double>& samples,
                                  BandwidthRule rule) {
   if (samples.empty()) {
     return Status::InvalidArgument("KDE requires at least one sample");
   }
-  std::sort(samples.begin(), samples.end());
-  const double h = SelectBandwidthSorted(samples, rule);
-  return SortedKde(std::move(samples), h);
+  std::vector<uint32_t> order;
+  std::vector<double> sorted;
+  SortWithOrder(samples, &order, &sorted);
+  const double h = SelectBandwidthSorted(sorted, rule);
+  return SortedKde(std::move(order), std::move(sorted), h);
 }
 
-Result<SortedKde> SortedKde::FitWithBandwidth(std::vector<double> samples,
-                                              double bandwidth) {
+Result<SortedKde> SortedKde::FitWithBandwidth(
+    const std::vector<double>& samples, double bandwidth) {
   if (samples.empty()) {
     return Status::InvalidArgument("KDE requires at least one sample");
   }
   if (bandwidth <= 0) {
     return Status::InvalidArgument("KDE bandwidth must be positive");
   }
-  std::sort(samples.begin(), samples.end());
-  return SortedKde(std::move(samples), bandwidth);
+  std::vector<uint32_t> order;
+  std::vector<double> sorted;
+  SortWithOrder(samples, &order, &sorted);
+  return SortedKde(std::move(order), std::move(sorted), bandwidth);
 }
 
 double SortedKde::WindowSum(double x, size_t lo, size_t hi) const {
   // Samples below the window sit more than kTailSigmas bandwidths under x;
   // each contributes exactly 1.0 (the erf term rounds to 1 at double
   // precision), so the prefix collapses to its count. Samples above the
-  // window contribute ~0 and are skipped.
+  // window contribute ~0 and are skipped. A sample equal to its
+  // predecessor has the predecessor's term (+0.0 and -0.0 included: x - 0
+  // and x + 0 differ at most in the sign of a zero, which erf keeps and
+  // 1.0 + z drops), so a run of equal samples evaluates erf once and
+  // still adds the term once per sample.
   double sum = static_cast<double>(lo);
+  double term = 0;
   for (size_t i = lo; i < hi; ++i) {
-    const double z = (x - samples_[i]) / bandwidth_;
-    sum += 0.5 * (1.0 + std::erf(z * kInvSqrt2));
+    if (i == lo || samples_[i] != samples_[i - 1]) {
+      const double z = (x - samples_[i]) / bandwidth_;
+      term = 0.5 * (1.0 + std::erf(z * kInvSqrt2));
+    }
+    sum += term;
   }
   return sum;
 }
@@ -89,26 +118,41 @@ double SortedKde::Cdf(double x) const {
 }
 
 std::vector<double> SortedKde::CdfBatch(const std::vector<double>& xs) const {
-  std::vector<double> out(xs.size(), 0.0);
-  if (xs.empty()) return out;
+  std::vector<uint32_t> order;
+  std::vector<double> out;
+  CdfBatch(xs, &order, &out);
+  return out;
+}
+
+void SortedKde::CdfBatch(const std::vector<double>& xs,
+                         std::vector<uint32_t>* order,
+                         std::vector<double>* cdf) const {
+  std::vector<uint32_t>& by_value = *order;
+  std::vector<double>& out = *cdf;
+  by_value.resize(xs.size());
+  out.resize(xs.size());
   // Visit observations in ascending order so the truncation window only
   // ever moves forward: one two-pointer sweep across the samples instead
   // of a binary search per observation.
-  std::vector<size_t> order(xs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&xs](size_t a, size_t b) { return xs[a] < xs[b]; });
+  std::iota(by_value.begin(), by_value.end(), 0u);
+  std::sort(by_value.begin(), by_value.end(),
+            [&xs](uint32_t a, uint32_t b) { return xs[a] < xs[b]; });
   const double n = static_cast<double>(samples_.size());
   size_t lo = 0;
   size_t hi = 0;
-  for (size_t idx : order) {
-    const double x = xs[idx];
+  for (size_t k = 0; k < by_value.size(); ++k) {
+    const double x = xs[by_value[k]];
+    if (k > 0 && x == xs[by_value[k - 1]]) {
+      // Same point, same window, same sum: Cdf(+0.0) == Cdf(-0.0) too,
+      // for the reason WindowSum gives.
+      out[by_value[k]] = out[by_value[k - 1]];
+      continue;
+    }
     while (lo < samples_.size() && samples_[lo] < x - tail_) ++lo;
     if (hi < lo) hi = lo;
     while (hi < samples_.size() && samples_[hi] < x + tail_) ++hi;
-    out[idx] = WindowSum(x, lo, hi) / n;
+    out[by_value[k]] = WindowSum(x, lo, hi) / n;
   }
-  return out;
 }
 
 double SortedKde::Pdf(double x) const {

@@ -4,8 +4,8 @@
 // so scoring m observations against an n-sample baseline costs O(n * m) erf
 // evaluations. At fleet scale (many tenants, repeated diagnoses, baselines
 // of thousands of monitoring samples) that sum is the dominant CPU cost of
-// a diagnosis. SortedKde fits once into *sorted* samples and exploits two
-// facts about the Gaussian kernel tail:
+// a diagnosis. SortedKde fits once into *sorted* samples and saves work
+// three ways:
 //
 //   * a sample more than kTailSigmas bandwidths below u contributes a CDF
 //     term indistinguishable from 1.0 at double precision, and one more
@@ -16,7 +16,14 @@
 //   * for a batch of observations evaluated together, sorting the
 //     observations makes those windows advance monotonically, so CdfBatch
 //     sweeps two pointers across the sample array once instead of binary
-//     searching per observation.
+//     searching per observation;
+//
+//   * monitoring baselines repeat themselves: an idle counter reads 0 run
+//     after run, and consecutive runs often average the same samples. A
+//     run of equal samples has one kernel term, computed once and still
+//     added once per sample in ascending order; an observation equal to
+//     the previous one in sorted order reuses its CDF. Both skip only
+//     arithmetic whose result is already known, so no sum changes.
 //
 // Equivalence contract: |SortedKde::Cdf(x) - Kde::Cdf(x)| <= 1e-9 for any
 // fit over the same samples and bandwidth (property-tested in
@@ -29,6 +36,7 @@
 #ifndef DIADS_STATS_SORTED_KDE_H_
 #define DIADS_STATS_SORTED_KDE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -46,14 +54,14 @@ class SortedKde {
   /// per sample is ~6e-16 — at most a few ULPs of the final CDF.
   static constexpr double kTailSigmas = 8.0;
 
-  /// Fits to `samples` (at least one required); sorts them once and
-  /// selects the bandwidth with `rule` (identical rule semantics to
+  /// Fits to `samples` (at least one required, none NaN); sorts them once
+  /// and selects the bandwidth with `rule` (identical rule semantics to
   /// Kde::Fit, computed without the redundant per-percentile sort copies).
-  static Result<SortedKde> Fit(std::vector<double> samples,
+  static Result<SortedKde> Fit(const std::vector<double>& samples,
                                BandwidthRule rule = BandwidthRule::kSilverman);
 
   /// Fits with an explicit bandwidth (> 0).
-  static Result<SortedKde> FitWithBandwidth(std::vector<double> samples,
+  static Result<SortedKde> FitWithBandwidth(const std::vector<double>& samples,
                                             double bandwidth);
 
   /// Estimated P(S <= x): two binary searches plus the in-window kernel
@@ -65,6 +73,14 @@ class SortedKde {
   /// sweep; each result is bit-identical to the corresponding Cdf(x).
   std::vector<double> CdfBatch(const std::vector<double>& xs) const;
 
+  /// CdfBatch into caller-owned buffers, which allocate nothing once they
+  /// have grown to xs.size(): `cdf[i]` = Cdf(xs[i]), and `order` holds the
+  /// indices of `xs` in ascending order of value (equal values in an
+  /// unspecified order) — the sort the sweep needed anyway, left for a
+  /// caller that ranks the observations too.
+  void CdfBatch(const std::vector<double>& xs, std::vector<uint32_t>* order,
+                std::vector<double>* cdf) const;
+
   /// Estimated density at x (tail-truncated like Cdf; terms beyond the
   /// window are < 1e-14 of the peak).
   double Pdf(double x) const;
@@ -73,15 +89,23 @@ class SortedKde {
   size_t sample_count() const { return samples_.size(); }
   /// The fitted samples in ascending order.
   const std::vector<double>& sorted_samples() const { return samples_; }
+  /// Where each sorted sample came from: sorted_samples()[k] is element
+  /// sample_order()[k] of the vector the model was fitted to (the fit's
+  /// argsort, kept so a caller can rank the fitted values without
+  /// sorting them again).
+  const std::vector<uint32_t>& sample_order() const { return order_; }
 
  private:
-  SortedKde(std::vector<double> sorted_samples, double bandwidth);
+  SortedKde(std::vector<uint32_t> order, std::vector<double> sorted_samples,
+            double bandwidth);
 
   /// Kernel sum over [lo, hi) for evaluation point x, where lo/hi are the
   /// window bounds found for x; samples before lo each contribute an exact
-  /// 1.0. Shared by Cdf and CdfBatch so both are bit-identical.
+  /// 1.0. Equal neighbours share one kernel term. Shared by Cdf and
+  /// CdfBatch so both are bit-identical.
   double WindowSum(double x, size_t lo, size_t hi) const;
 
+  std::vector<uint32_t> order_;  ///< Argsort of the fitted vector.
   std::vector<double> samples_;  ///< Ascending.
   double bandwidth_ = 0;
   double tail_ = 0;  ///< kTailSigmas * bandwidth_.

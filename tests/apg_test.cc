@@ -8,6 +8,8 @@
 #include "apg/apg.h"
 #include "apg/browser.h"
 #include "apg/render.h"
+#include "support/conformance_util.h"
+#include "workload/scenario.h"
 #include "workload/testbed.h"
 
 namespace diads::apg {
@@ -234,6 +236,31 @@ TEST_F(ApgTest, BuildRejectsNullPlan) {
       tb_->apg_builder.Build(nullptr, tb_->query_q2, tb_->database,
                              tb_->db_server)
           .ok());
+}
+
+// AllComponents is computed once when the APG is built; it must equal the
+// per-call derivation it replaced (the union of every operator's inner and
+// outer paths in SortPath order) on every scenario's APG.
+TEST(ApgAllComponentsTest, EqualsUnionOfPathsForEveryScenario) {
+  for (const auto& [id, backend] : testsupport::AllConformanceCases()) {
+    workload::ScenarioOptions options;
+    options.testbed.backend = backend;
+    Result<workload::ScenarioOutput> scenario =
+        workload::RunScenario(id, options);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    const Apg& apg = *scenario->apg;
+    std::set<ComponentId> parts;
+    for (const db::PlanOp& op : apg.plan().ops()) {
+      Result<std::vector<ComponentId>> inner = apg.InnerPath(op.index);
+      Result<std::vector<ComponentId>> outer = apg.OuterPath(op.index);
+      ASSERT_TRUE(inner.ok() && outer.ok());
+      parts.insert(inner->begin(), inner->end());
+      parts.insert(outer->begin(), outer->end());
+    }
+    EXPECT_EQ(apg.AllComponents(),
+              SortPath(parts, apg.topology().registry()))
+        << testsupport::CaseName(id, backend);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -436,7 +437,17 @@ TEST(TimeSeriesStoreTest, MeanInMatchesNaiveReference) {
         intervals.push_back(TimeInterval{series[i].time, series[j].time});
       }
     }
-    for (const TimeInterval& interval : intervals) {
+    // One cursor over the intervals as drawn (moving back and forth) and
+    // one over them sorted by start (the forward sweep per-run means use).
+    std::vector<TimeInterval> ascending = intervals;
+    std::stable_sort(ascending.begin(), ascending.end(),
+                     [](const TimeInterval& a, const TimeInterval& b) {
+                       return a.begin < b.begin;
+                     });
+    MeanCursor any_order(series);
+    MeanCursor forward(series);
+    for (size_t q = 0; q < intervals.size(); ++q) {
+      const TimeInterval& interval = intervals[q];
       SCOPED_TRACE(StrFormat("[%lld, %lld)",
                              static_cast<long long>(interval.begin),
                              static_cast<long long>(interval.end)));
@@ -444,12 +455,66 @@ TEST(TimeSeriesStoreTest, MeanInMatchesNaiveReference) {
       const Result<double> resolved = MeanIn(series, interval);
       const Result<double> by_key =
           store.MeanIn(c, MetricId::kVolTotalIos, interval);
+      double cursor_mean = 0;
       ASSERT_EQ(resolved.ok(), expected.ok());
       ASSERT_EQ(by_key.ok(), expected.ok());
-      if (!expected.ok()) continue;
-      EXPECT_EQ(*resolved, *expected);
-      EXPECT_EQ(*by_key, *expected);
+      ASSERT_EQ(any_order.MeanIn(interval, &cursor_mean), expected.ok());
+      if (expected.ok()) {
+        EXPECT_EQ(*resolved, *expected);
+        EXPECT_EQ(*by_key, *expected);
+        EXPECT_EQ(cursor_mean, *expected);
+      }
+      const Result<double> sorted_expected =
+          NaiveMeanIn(series, ascending[q]);
+      ASSERT_EQ(forward.MeanIn(ascending[q], &cursor_mean),
+                sorted_expected.ok());
+      if (sorted_expected.ok()) EXPECT_EQ(cursor_mean, *sorted_expected);
     }
+  }
+}
+
+// A NaN sample would break every sort over the data (KDE fits, midranks),
+// an infinity every mean. Both entry points refuse them and leave the
+// store, its counters and a listener untouched.
+TEST(TimeSeriesStoreTest, RejectsNonFiniteSamples) {
+  const ComponentId c{1};
+  const MetricId m = MetricId::kVolTotalIos;
+  const double kBad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (const bool listen : {false, true}) {
+    SCOPED_TRACE(listen ? "with listener" : "without listener");
+    TimeSeriesStore store;
+    RecordingListener listener(&store);
+    if (listen) store.SetAppendListener(&listener);
+    // A fresh store: nothing may be created.
+    for (double bad : kBad) {
+      EXPECT_EQ(store.Append(c, m, 100, bad).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(store.AppendSamples(c, m, {{100, 1.0}, {200, bad}}).code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(store.series_count(), 0u);
+    EXPECT_EQ(store.StoreGeneration(), 0u);
+    EXPECT_TRUE(store.MetricsFor(c).empty());
+    EXPECT_TRUE(listener.calls.empty());
+
+    // An existing series: the whole run is refused, its finite prefix too.
+    ASSERT_TRUE(store.Append(c, m, 50, 2.0).ok());
+    const std::string before = DumpStore(store);
+    const uint64_t generation = store.Generation(c, m);
+    const size_t calls = listener.calls.size();
+    for (double bad : kBad) {
+      EXPECT_EQ(store.Append(c, m, 100, bad).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(store
+                    .AppendSamples(c, m, {{100, 1.0}, {200, bad}, {300, 3.0}})
+                    .code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(DumpStore(store), before);
+    EXPECT_EQ(store.Generation(c, m), generation);
+    EXPECT_EQ(listener.calls.size(), calls);
+    // Large finite values are still measurements.
+    EXPECT_TRUE(store.Append(c, m, 400, 1e308).ok());
   }
 }
 

@@ -3,7 +3,10 @@
 // and the naive-Bayes foil.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/rng.h"
 #include "stats/anomaly.h"
@@ -238,6 +241,113 @@ TEST(SortedKdeTest, CdfBatchBitIdenticalToCdfInInputOrder) {
   }
 }
 
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// The kernel sum with no reuse at all: every observation's window by
+/// binary search, every in-window sample's erf term evaluated.
+double ReferenceCdf(const SortedKde& kde, double x) {
+  const std::vector<double>& s = kde.sorted_samples();
+  const double tail = SortedKde::kTailSigmas * kde.bandwidth();
+  const auto lo = std::lower_bound(s.begin(), s.end(), x - tail);
+  const auto hi = std::lower_bound(lo, s.end(), x + tail);
+  double sum = static_cast<double>(lo - s.begin());
+  for (auto it = lo; it != hi; ++it) {
+    const double z = (x - *it) / kde.bandwidth();
+    sum += 0.5 * (1.0 + std::erf(z * 0.7071067811865476));
+  }
+  return sum / static_cast<double>(s.size());
+}
+
+// CdfBatch computes one erf term per run of equal samples and one CDF per
+// run of equal observations. On inputs made of such runs it must still
+// equal the reference that reuses nothing, and per-element Cdf, bit for
+// bit, and the naive Kde within 1e-9.
+TEST(SortedKdeTest, RepeatedValuesMatchReferenceBitForBit) {
+  struct Case {
+    const char* name;
+    std::vector<double> samples;
+    std::vector<double> xs;
+    double bandwidth;  ///< 0: the Silverman rule.
+  };
+  std::vector<Case> cases = {
+      {"constant", std::vector<double>(40, 7.5), {7.5, 7.5, 7.4, 7.6, 7.5, 0},
+       0},
+      {"zeros", {0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 5}, {0, 0, 0, 1, 0, -1, 0},
+       0},
+      {"signed zeros", {0.0, -0.0, 0.0, -0.0, -0.0, 2, 2, -2},
+       {-0.0, 0.0, -0.0, 0.0, 2, -0.0, -2}, 0},
+      // Bandwidth 1: the window is x +- 8, so these samples sit exactly on
+      // the window edges of these observations.
+      {"window edges", {0, 0, 0, 8, 8, 16, 16, 16, 16, 24},
+       {0, 8, 16, -8, 24, 8, 8, 32, 16}, 1.0},
+      {"all observations equal", {1, 2, 2, 3, 3, 3, 4},
+       std::vector<double>(9, 3.0), 0},
+  };
+  SeededRng rng(59);
+  // Hundreds of observations on a few dozen levels: long runs of equal
+  // observations, more than std::sort orders by insertion alone.
+  Case many{"many tied observations", {}, {}, 0};
+  for (int i = 0; i < 25; ++i) many.samples.push_back(i % 4);
+  for (int i = 0; i < 400; ++i) {
+    many.xs.push_back(static_cast<double>(rng.UniformInt(0, 40)) * 0.1);
+  }
+  cases.push_back(many);
+  for (int c = 0; c < 20; ++c) {
+    // Monitoring-like data: few distinct levels, many repeats.
+    Case random{"rounded random", {}, {}, 0};
+    const int levels = 1 + c % 5;
+    for (int i = 0; i < 30; ++i) {
+      random.samples.push_back(
+          std::round(rng.Normal(50, 2.0 * levels)) * 0.5);
+    }
+    for (int i = 0; i < 12; ++i) {
+      random.xs.push_back(std::round(rng.Normal(52, 3.0 * levels)) * 0.5);
+    }
+    cases.push_back(random);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Result<SortedKde> kde =
+        c.bandwidth > 0 ? SortedKde::FitWithBandwidth(c.samples, c.bandwidth)
+                        : SortedKde::Fit(c.samples);
+    ASSERT_TRUE(kde.ok());
+    Result<Kde> naive = Kde::FitWithBandwidth(c.samples, kde->bandwidth());
+    ASSERT_TRUE(naive.ok());
+    const std::vector<double> batch = kde->CdfBatch(c.xs);
+    ASSERT_EQ(batch.size(), c.xs.size());
+    for (size_t i = 0; i < c.xs.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "x=" << c.xs[i] << " i=" << i);
+      EXPECT_EQ(Bits(batch[i]), Bits(ReferenceCdf(*kde, c.xs[i])));
+      EXPECT_EQ(Bits(batch[i]), Bits(kde->Cdf(c.xs[i])));
+      EXPECT_NEAR(batch[i], naive->Cdf(c.xs[i]), 1e-9);
+    }
+  }
+}
+
+TEST(SortedKdeTest, SampleOrderIsTheFitsArgsort) {
+  SeededRng rng(61);
+  std::vector<double> samples;
+  for (int i = 0; i < 200; ++i) samples.push_back(std::round(rng.Normal(0, 3)));
+  Result<SortedKde> kde = SortedKde::Fit(samples);
+  ASSERT_TRUE(kde.ok());
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(kde->sorted_samples(), sorted);
+  const std::vector<uint32_t>& order = kde->sample_order();
+  ASSERT_EQ(order.size(), samples.size());
+  std::vector<bool> seen(samples.size(), false);
+  for (size_t k = 0; k < order.size(); ++k) {
+    ASSERT_LT(order[k], samples.size());
+    EXPECT_FALSE(seen[order[k]]);
+    seen[order[k]] = true;
+    EXPECT_EQ(kde->sorted_samples()[k], samples[order[k]]);
+  }
+}
+
 TEST(SortedKdeTest, TailsAreExact) {
   Result<SortedKde> kde = SortedKde::Fit({10, 20, 30});
   ASSERT_TRUE(kde.ok());
@@ -324,6 +434,55 @@ TEST(CorrelationTest, MidRanksHandleTies) {
   EXPECT_DOUBLE_EQ(ranks[1], 2.5);
   EXPECT_DOUBLE_EQ(ranks[2], 2.5);
   EXPECT_DOUBLE_EQ(ranks[3], 4.0);
+}
+
+TEST(CorrelationTest, CentredRanksAreDoubledCentredMidRanks) {
+  // Midranks 2, 4, 4, 6, 4, 1; doubled and less n + 1 = 7.
+  EXPECT_EQ(CentredRanks({10, 20, 20, 30, 20, -1}),
+            (std::vector<int32_t>{-3, 1, 1, 5, 1, -5}));
+  EXPECT_EQ(CentredRanks({7, 7, 7}), (std::vector<int32_t>{0, 0, 0}));
+}
+
+/// Spearman from CentredRanks in exact integer arithmetic.
+double IntegerRankCorrelation(const std::vector<double>& xs,
+                              const std::vector<double>& ys) {
+  const std::vector<int32_t> a = CentredRanks(xs);
+  const std::vector<int32_t> b = CentredRanks(ys);
+  int64_t dot = 0, sum_sq_a = 0, sum_sq_b = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    dot += int64_t{a[i]} * b[i];
+    sum_sq_a += int64_t{a[i]} * a[i];
+    sum_sq_b += int64_t{b[i]} * b[i];
+  }
+  return CentredRankCorrelation(dot, sum_sq_a, sum_sq_b);
+}
+
+// Spearman by exact integer arithmetic must be the double Pearson over
+// midranks, bit for bit, on short series with many ties; all tied gives 0.
+TEST(CorrelationTest, IntegerRankCorrelationMatchesPearsonOverMidRanks) {
+  SeededRng rng(67);
+  for (int n = 2; n <= 64; ++n) {
+    for (int trial = 0; trial < 25; ++trial) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      // 1-6 distinct levels: ties in most draws.
+      const int64_t levels = rng.UniformInt(1, 6);
+      std::vector<double> xs, ys;
+      for (int i = 0; i < n; ++i) {
+        xs.push_back(static_cast<double>(rng.UniformInt(0, levels)));
+        ys.push_back(trial % 3 == 0 ? rng.Normal(0, 1)
+                                    : static_cast<double>(
+                                          rng.UniformInt(0, levels + 2)));
+      }
+      const double reference =
+          PearsonCorrelation(MidRanks(xs), MidRanks(ys));
+      EXPECT_EQ(Bits(IntegerRankCorrelation(xs, ys)), Bits(reference));
+    }
+    const std::vector<double> tied(static_cast<size_t>(n), 4.0);
+    std::vector<double> other;
+    for (int i = 0; i < n; ++i) other.push_back(rng.Normal(0, 1));
+    EXPECT_EQ(Bits(IntegerRankCorrelation(tied, other)), Bits(0.0)) << n;
+    EXPECT_EQ(Bits(IntegerRankCorrelation(other, tied)), Bits(0.0)) << n;
+  }
 }
 
 TEST(CorrelationTest, IndependentSeriesNearZero) {
