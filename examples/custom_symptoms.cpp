@@ -102,7 +102,6 @@ int main() {
               "symptoms...\n\n");
   Status added = incomplete.AddEntry(
       "rebuild-interference", diag::RootCauseType::kRaidRebuild,
-      /*bind_volumes=*/true,
       {
           {"event_near(type=RaidRebuildStarted, volume=$V)", 35},
           {"volume_metric_anomaly(volume=$V)", 25},

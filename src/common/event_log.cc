@@ -2,87 +2,67 @@
 
 #include <algorithm>
 
+#include "common/enum_table.h"
+
 namespace diads {
 
-const char* EventTypeName(EventType type) {
-  switch (type) {
-    case EventType::kVolumeCreated:
-      return "VolumeCreated";
-    case EventType::kVolumeDeleted:
-      return "VolumeDeleted";
-    case EventType::kZoningChanged:
-      return "ZoningChanged";
-    case EventType::kLunMappingChanged:
-      return "LunMappingChanged";
-    case EventType::kDiskFailed:
-      return "DiskFailed";
-    case EventType::kDiskRecovered:
-      return "DiskRecovered";
-    case EventType::kRaidRebuildStarted:
-      return "RaidRebuildStarted";
-    case EventType::kRaidRebuildCompleted:
-      return "RaidRebuildCompleted";
-    case EventType::kExternalWorkloadStarted:
-      return "ExternalWorkloadStarted";
-    case EventType::kExternalWorkloadStopped:
-      return "ExternalWorkloadStopped";
-    case EventType::kVolumePerfDegraded:
-      return "VolumePerfDegraded";
-    case EventType::kSubsystemHighLoad:
-      return "SubsystemHighLoad";
-    case EventType::kIndexCreated:
-      return "IndexCreated";
-    case EventType::kIndexDropped:
-      return "IndexDropped";
-    case EventType::kDbParamChanged:
-      return "DbParamChanged";
-    case EventType::kTableStatsChanged:
-      return "TableStatsChanged";
-    case EventType::kDmlBatch:
-      return "DmlBatch";
-    case EventType::kTableLockContention:
-      return "TableLockContention";
-    case EventType::kHbaFailed:
-      return "HbaFailed";
-    case EventType::kHbaRecovered:
-      return "HbaRecovered";
-    case EventType::kPortFailed:
-      return "PortFailed";
-    case EventType::kPortRecovered:
-      return "PortRecovered";
-    case EventType::kSwitchFailed:
-      return "SwitchFailed";
-    case EventType::kSwitchRecovered:
-      return "SwitchRecovered";
-    case EventType::kLinkFailed:
-      return "LinkFailed";
-    case EventType::kLinkRecovered:
-      return "LinkRecovered";
-    case EventType::kPortDegraded:
-      return "PortDegraded";
-    case EventType::kPathFailover:
-      return "PathFailover";
-    case EventType::kRetryStormDetected:
-      return "RetryStormDetected";
-    case EventType::kCompressionRatioDrifted:
-      return "CompressionRatioDrifted";
-    case EventType::kZoneMapStale:
-      return "ZoneMapStale";
-  }
-  return "Unknown";
+namespace {
+
+/// One row per EventType, in enum order.
+struct EventTypeRow {
+  EventType type;
+  const char* name;
+  /// Can change which plan the optimizer picks (IsPlanAffectingEvent).
+  bool plan_affecting;
+};
+
+constexpr EventTypeRow kEventTypes[] = {
+    {EventType::kVolumeCreated, "VolumeCreated", false},
+    {EventType::kVolumeDeleted, "VolumeDeleted", false},
+    {EventType::kZoningChanged, "ZoningChanged", false},
+    {EventType::kLunMappingChanged, "LunMappingChanged", false},
+    {EventType::kDiskFailed, "DiskFailed", false},
+    {EventType::kDiskRecovered, "DiskRecovered", false},
+    {EventType::kRaidRebuildStarted, "RaidRebuildStarted", false},
+    {EventType::kRaidRebuildCompleted, "RaidRebuildCompleted", false},
+    {EventType::kExternalWorkloadStarted, "ExternalWorkloadStarted", false},
+    {EventType::kExternalWorkloadStopped, "ExternalWorkloadStopped", false},
+    {EventType::kVolumePerfDegraded, "VolumePerfDegraded", false},
+    {EventType::kSubsystemHighLoad, "SubsystemHighLoad", false},
+    {EventType::kIndexCreated, "IndexCreated", true},
+    {EventType::kIndexDropped, "IndexDropped", true},
+    {EventType::kDbParamChanged, "DbParamChanged", true},
+    {EventType::kTableStatsChanged, "TableStatsChanged", true},
+    {EventType::kDmlBatch, "DmlBatch", false},
+    {EventType::kTableLockContention, "TableLockContention", false},
+    {EventType::kHbaFailed, "HbaFailed", false},
+    {EventType::kHbaRecovered, "HbaRecovered", false},
+    {EventType::kPortFailed, "PortFailed", false},
+    {EventType::kPortRecovered, "PortRecovered", false},
+    {EventType::kSwitchFailed, "SwitchFailed", false},
+    {EventType::kSwitchRecovered, "SwitchRecovered", false},
+    {EventType::kLinkFailed, "LinkFailed", false},
+    {EventType::kLinkRecovered, "LinkRecovered", false},
+    {EventType::kPortDegraded, "PortDegraded", false},
+    {EventType::kPathFailover, "PathFailover", false},
+    {EventType::kRetryStormDetected, "RetryStormDetected", false},
+    {EventType::kCompressionRatioDrifted, "CompressionRatioDrifted", false},
+    {EventType::kZoneMapStale, "ZoneMapStale", false},
+};
+static_assert(IsEnumIndexed(kEventTypes, &EventTypeRow::type),
+              "kEventTypes needs one row per EventType, in enum order");
+
+constexpr EventTypeRow kUnknownEventType{EventType::kCount, "Unknown", false};
+
+const EventTypeRow& Row(EventType type) {
+  return EnumRow(kEventTypes, type, kUnknownEventType);
 }
 
-bool IsPlanAffectingEvent(EventType type) {
-  switch (type) {
-    case EventType::kIndexCreated:
-    case EventType::kIndexDropped:
-    case EventType::kDbParamChanged:
-    case EventType::kTableStatsChanged:
-      return true;
-    default:
-      return false;
-  }
-}
+}  // namespace
+
+const char* EventTypeName(EventType type) { return Row(type).name; }
+
+bool IsPlanAffectingEvent(EventType type) { return Row(type).plan_affecting; }
 
 Status EventLog::Append(SystemEvent event) {
   if (events_.empty() || events_.back().time <= event.time) {

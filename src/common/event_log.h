@@ -62,8 +62,11 @@ enum class EventType {
   // digests, so existing entries must keep their positions).
   kCompressionRatioDrifted,  ///< Segment compression ratio degraded under DML.
   kZoneMapStale,             ///< Zone maps stale; segment pruning ineffective.
+  // Not an event type: the number of them. Keep last.
+  kCount,
 };
 
+/// Stable display name, e.g. "VolumeCreated"; "Unknown" outside the enum.
 const char* EventTypeName(EventType type);
 
 /// True for event types that can change which plan the optimizer picks —

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/enum_table.h"
+
 namespace diads::diag {
 
 TimeInterval DiagnosisContext::AnalysisWindow() const {
@@ -95,38 +97,96 @@ bool CrResult::InCrs(int op_index) const {
                    op_index) != correlated_record_set.end();
 }
 
+namespace {
+
+using S = SubjectRule;
+using I = ImpactScope;
+using E = EventType;
+using T = RootCauseType;
+
+/// SubjectRule::kFirstEvent is the only rule that reads `subject_event`.
+constexpr EventType kNoEvent = EventType::kCount;
+
+constexpr RootCauseTraits kRootCauses[] = {
+    {T::kSanMisconfigurationContention,
+     "SAN misconfiguration causing volume contention",
+     "review the recent volume/zoning/mapping changes around '$subject' "
+     "with the SAN team; the new volume shares its physical disks.",
+     S::kBoundVolume, kNoEvent, I::kSubjectVolumeLeaves},
+    {T::kExternalWorkloadContention,
+     "External workload causing volume contention",
+     "relocate or throttle the competing workload, or move the affected "
+     "tablespace to an unshared pool.",
+     S::kBoundVolume, kNoEvent, I::kSubjectVolumeLeaves},
+    {T::kDataPropertyChange, "Change in data properties",
+     "run ANALYZE so the optimizer sees the new data profile, and "
+     "re-evaluate the plan.",
+     S::kCrsTable, kNoEvent, I::kCrsScanLeaves},
+    {T::kLockContention, "Table lock contention",
+     "identify the competing transaction holding table locks (pg_locks) and "
+     "reschedule or shorten it.",
+     S::kFirstEvent, E::kTableLockContention, I::kSubjectTableLeaves},
+    // A plan change explains the whole slowdown by construction (the whole
+    // plan is different); IA's per-operator attribution does not apply.
+    {T::kPlanChange, "Query plan change",
+     "review the configuration/schema event identified by Module PD; revert "
+     "it or tune the new plan.",
+     S::kDatabase, kNoEvent, I::kWholePlan},
+    {T::kRaidRebuild, "RAID rebuild interference",
+     "expect degraded performance until the rebuild completes; consider "
+     "rate-limiting the rebuild.",
+     S::kBoundVolume, kNoEvent, I::kSubjectVolumeLeaves},
+    {T::kDiskFailure, "Disk failure degradation",
+     "replace the failed disk; performance recovers after the array heals.",
+     S::kBoundVolume, kNoEvent, I::kSubjectVolumeLeaves},
+    {T::kBufferPoolPressure, "Buffer pool pressure",
+     "revisit the buffer pool sizing change.", S::kDatabase, kNoEvent,
+     I::kCos},
+    {T::kCpuSaturation, "Database server CPU saturation",
+     "move the competing job off the database server or cap its CPU share.",
+     S::kDatabase, kNoEvent, I::kCos},
+    // Fabric faults: the failed HBA / degraded port may be gone from the
+    // post-fault APG (I/O rerouted around it), so its leaves would carry
+    // zero impact; they are charged with the COS like CPU saturation.
+    {T::kHbaFailure, "HBA failure masked by path failover",
+     "replace the failed HBA; the surviving path is carrying the full load "
+     "and is congested.",
+     S::kFirstEvent, E::kHbaFailed, I::kCos},
+    {T::kMultipathImbalance, "Asymmetric multipath load imbalance",
+     "replace or re-seat the degraded port/SFP, or rebalance the multipath "
+     "weights away from it.",
+     S::kFirstEvent, E::kPortDegraded, I::kCos},
+    {T::kRetryStorm, "I/O retry storm cascade",
+     "raise the driver retry backoff and shed load on the volume until the "
+     "queue drains; retries are amplifying the original slowdown.",
+     S::kBoundVolume, kNoEvent, I::kSubjectVolumeLeaves},
+    // Storage-layout degradation is table-scoped exactly like lock
+    // contention: the drifted/stale table's leaves pay the extra reads.
+    {T::kCompressionRatioDrift, "Compression ratio drift inflating scan I/O",
+     "reorganize (recompress) the drifted table's segments; churn has "
+     "degraded the compression ratio, so every scan reads far more pages for "
+     "the same rows.",
+     S::kFirstEvent, E::kCompressionRatioDrifted, I::kSubjectTableLeaves},
+    {T::kZoneMapStaleness, "Stale zone maps defeating segment pruning",
+     "rebuild the table's zone maps (or lower zone_map_refresh_threshold); "
+     "stale min/max metadata is defeating segment pruning, so scans touch "
+     "segments they should skip.",
+     S::kFirstEvent, E::kZoneMapStale, I::kSubjectTableLeaves},
+};
+static_assert(IsEnumIndexed(kRootCauses, &RootCauseTraits::type),
+              "kRootCauses needs one row per RootCauseType, in enum order");
+
+constexpr RootCauseTraits kUnknownRootCause{T::kCount, "?", "", S::kDatabase,
+                                            kNoEvent, I::kCos};
+
+}  // namespace
+
+const RootCauseTraits& GetRootCauseTraits(RootCauseType type) {
+  return EnumRow(kRootCauses, type, kUnknownRootCause);
+}
+
 const char* RootCauseTypeName(RootCauseType type) {
-  switch (type) {
-    case RootCauseType::kSanMisconfigurationContention:
-      return "SAN misconfiguration causing volume contention";
-    case RootCauseType::kExternalWorkloadContention:
-      return "External workload causing volume contention";
-    case RootCauseType::kDataPropertyChange:
-      return "Change in data properties";
-    case RootCauseType::kLockContention:
-      return "Table lock contention";
-    case RootCauseType::kPlanChange:
-      return "Query plan change";
-    case RootCauseType::kRaidRebuild:
-      return "RAID rebuild interference";
-    case RootCauseType::kDiskFailure:
-      return "Disk failure degradation";
-    case RootCauseType::kBufferPoolPressure:
-      return "Buffer pool pressure";
-    case RootCauseType::kCpuSaturation:
-      return "Database server CPU saturation";
-    case RootCauseType::kHbaFailure:
-      return "HBA failure masked by path failover";
-    case RootCauseType::kMultipathImbalance:
-      return "Asymmetric multipath load imbalance";
-    case RootCauseType::kRetryStorm:
-      return "I/O retry storm cascade";
-    case RootCauseType::kCompressionRatioDrift:
-      return "Compression ratio drift inflating scan I/O";
-    case RootCauseType::kZoneMapStaleness:
-      return "Stale zone maps defeating segment pruning";
-  }
-  return "?";
+  return GetRootCauseTraits(type).name;
 }
 
 const char* ConfidenceBandName(ConfidenceBand band) {

@@ -201,7 +201,44 @@ enum class RootCauseType {
   // digests).
   kCompressionRatioDrift,
   kZoneMapStaleness,
+  // Not a cause: the number of them. Keep last.
+  kCount,
 };
+
+/// How Module SD picks a cause instance's subject.
+enum class SubjectRule {
+  kBoundVolume,  ///< The volume bound to `$V`: the entry runs per volume.
+  kCrsTable,     ///< The table behind the highest-deviation CRS scan leaf.
+  kFirstEvent,   ///< The subject of the first `subject_event` in the window.
+  kDatabase,     ///< The database.
+};
+
+/// Which operators op(R) Module IA charges with a cause's slowdown.
+enum class ImpactScope {
+  kSubjectVolumeLeaves,  ///< Leaves reading the subject volume.
+  kCrsScanLeaves,        ///< CRS scan leaves (their record counts moved).
+  kSubjectTableLeaves,   ///< Leaves scanning the subject table, else the
+                         ///< COS scan leaves.
+  kCos,                  ///< The correlated operator set.
+  kWholePlan,            ///< Every operator: the plan itself changed.
+};
+
+/// One row of the root-cause catalogue: everything the modules and the
+/// report know about a type.
+struct RootCauseTraits {
+  RootCauseType type;
+  const char* name;
+  /// The report's recommended action; "$subject" names the subject.
+  const char* action;
+  SubjectRule subject;
+  /// The event whose subject SubjectRule::kFirstEvent takes; when no such
+  /// event (or no CRS table) exists the subject falls back to the database.
+  EventType subject_event;
+  ImpactScope impact;
+};
+
+/// The row for `type`; a row named "?" for a value outside the enum.
+const RootCauseTraits& GetRootCauseTraits(RootCauseType type);
 
 const char* RootCauseTypeName(RootCauseType type);
 

@@ -36,12 +36,10 @@ std::vector<int> OperatorsAffectedBy(const DiagnosisContext& ctx,
                                      const RootCause& cause,
                                      const CoResult& co, const CrResult& cr) {
   const ComponentRegistry& registry = ctx.topology->registry();
+  const db::Plan& plan = ctx.apg->plan();
   std::set<int> ops;
-  switch (cause.type) {
-    case RootCauseType::kSanMisconfigurationContention:
-    case RootCauseType::kExternalWorkloadContention:
-    case RootCauseType::kRaidRebuild:
-    case RootCauseType::kDiskFailure: {
+  switch (GetRootCauseTraits(cause.type).impact) {
+    case ImpactScope::kSubjectVolumeLeaves:
       // comp(R) = the subject volume and its disks; op(R) = leaves reading it.
       if (registry.Contains(cause.subject)) {
         for (int leaf : ctx.apg->LeafOpsOnComponent(cause.subject)) {
@@ -49,66 +47,39 @@ std::vector<int> OperatorsAffectedBy(const DiagnosisContext& ctx,
         }
       }
       break;
-    }
-    case RootCauseType::kDataPropertyChange: {
-      // op(R) = the CRS leaves (operators whose record counts moved).
+    case ImpactScope::kCrsScanLeaves:
       for (int op_index : cr.correlated_record_set) {
-        if (ctx.apg->plan().op(op_index).is_scan()) ops.insert(op_index);
+        if (plan.op(op_index).is_scan()) ops.insert(op_index);
       }
       break;
-    }
-    case RootCauseType::kLockContention:
-    // Storage-layout degradation is table-scoped exactly like lock
-    // contention: the drifted/stale table's leaves pay the extra reads.
-    case RootCauseType::kCompressionRatioDrift:
-    case RootCauseType::kZoneMapStaleness: {
-      // op(R) = leaves scanning the affected table (subject), falling back
-      // to all COS leaves when the table is unknown.
-      bool found = false;
+    case ImpactScope::kSubjectTableLeaves:
       if (registry.Contains(cause.subject) &&
           registry.KindOf(cause.subject) == ComponentKind::kTable) {
-        for (int leaf : ctx.apg->plan().LeafIndexes()) {
+        for (int leaf : plan.LeafIndexes()) {
           Result<const db::TableDef*> table =
-              ctx.catalog->FindTable(ctx.apg->plan().op(leaf).table);
-          if (table.ok() && (*table)->id == cause.subject) {
-            ops.insert(leaf);
-            found = true;
-          }
+              ctx.catalog->FindTable(plan.op(leaf).table);
+          if (table.ok() && (*table)->id == cause.subject) ops.insert(leaf);
         }
       }
-      if (!found) {
+      if (ops.empty()) {
         for (int op_index : co.correlated_operator_set) {
-          if (ctx.apg->plan().op(op_index).is_scan()) ops.insert(op_index);
+          if (plan.op(op_index).is_scan()) ops.insert(op_index);
         }
       }
       break;
-    }
-    case RootCauseType::kRetryStorm: {
-      // op(R) = leaves reading the retrying volume.
-      if (registry.Contains(cause.subject)) {
-        for (int leaf : ctx.apg->LeafOpsOnComponent(cause.subject)) {
-          ops.insert(leaf);
-        }
-      }
+    case ImpactScope::kCos:
+      ops.insert(co.correlated_operator_set.begin(),
+                 co.correlated_operator_set.end());
       break;
-    }
-    case RootCauseType::kBufferPoolPressure:
-    case RootCauseType::kCpuSaturation:
-    case RootCauseType::kPlanChange:
-    // Fabric faults: the failed HBA / degraded port may be gone from the
-    // post-fault APG (I/O rerouted around it), so LeafOpsOnComponent would
-    // attribute zero impact; fall back to the COS like CPU saturation.
-    case RootCauseType::kHbaFailure:
-    case RootCauseType::kMultipathImbalance: {
-      for (int op_index : co.correlated_operator_set) ops.insert(op_index);
+    case ImpactScope::kWholePlan:
+      for (const db::PlanOp& op : plan.ops()) ops.insert(op.index);
       break;
-    }
   }
   return std::vector<int>(ops.begin(), ops.end());
 }
 
 Status RunImpactAnalysis(const DiagnosisContext& ctx,
-                         const WorkflowConfig& config, const CoResult& co,
+                         const WorkflowConfig& /*config*/, const CoResult& co,
                          const CrResult& cr, std::vector<RootCause>* causes,
                          ImpactMethod method) {
   const std::vector<const db::QueryRunRecord*> good = ctx.SatisfactoryRuns();
@@ -122,10 +93,7 @@ Status RunImpactAnalysis(const DiagnosisContext& ctx,
 
   for (RootCause& cause : *causes) {
     if (cause.band == ConfidenceBand::kLow) continue;
-    if (cause.type == RootCauseType::kPlanChange) {
-      // A plan change explains the whole slowdown by construction (the
-      // whole plan is different); IA's per-operator attribution does not
-      // apply.
+    if (GetRootCauseTraits(cause.type).impact == ImpactScope::kWholePlan) {
       cause.impact_pct = 100.0;
       continue;
     }

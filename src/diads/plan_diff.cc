@@ -65,7 +65,7 @@ Result<PdResult> RunPlanDiff(const DiagnosisContext& ctx) {
   return out;
 }
 
-std::string RenderPdResult(const DiagnosisContext& ctx, const PdResult& pd) {
+std::string RenderPdResult(const PdResult& pd) {
   std::string out = StrFormat(
       "=== Module PD: plan diffing ===\nplans differ: %s\n",
       pd.plans_differ ? "YES" : "no (same plan in good and bad runs)");

@@ -22,7 +22,7 @@ namespace diads::diag {
 Result<PdResult> RunPlanDiff(const DiagnosisContext& ctx);
 
 /// Console panel.
-std::string RenderPdResult(const DiagnosisContext& ctx, const PdResult& pd);
+std::string RenderPdResult(const PdResult& pd);
 
 }  // namespace diads::diag
 

@@ -39,76 +39,19 @@ std::string RenderFullReport(const DiagnosisContext& ctx,
 
   const RootCause* top = report.TopCause();
   if (top != nullptr) {
-    out += "Recommended action: ";
-    switch (top->type) {
-      case RootCauseType::kSanMisconfigurationContention:
-        out += StrFormat(
-            "review the recent volume/zoning/mapping changes around '%s' "
-            "with the SAN team; the new volume shares its physical disks.",
-            registry.Contains(top->subject)
-                ? registry.NameOf(top->subject).c_str()
-                : "?");
-        break;
-      case RootCauseType::kExternalWorkloadContention:
-        out += "relocate or throttle the competing workload, or move the "
-               "affected tablespace to an unshared pool.";
-        break;
-      case RootCauseType::kDataPropertyChange:
-        out += "run ANALYZE so the optimizer sees the new data profile, and "
-               "re-evaluate the plan.";
-        break;
-      case RootCauseType::kLockContention:
-        out += "identify the competing transaction holding table locks "
-               "(pg_locks) and reschedule or shorten it.";
-        break;
-      case RootCauseType::kPlanChange:
-        out += "review the configuration/schema event identified by Module "
-               "PD; revert it or tune the new plan.";
-        break;
-      case RootCauseType::kRaidRebuild:
-        out += "expect degraded performance until the rebuild completes; "
-               "consider rate-limiting the rebuild.";
-        break;
-      case RootCauseType::kDiskFailure:
-        out += "replace the failed disk; performance recovers after the "
-               "array heals.";
-        break;
-      case RootCauseType::kBufferPoolPressure:
-        out += "revisit the buffer pool sizing change.";
-        break;
-      case RootCauseType::kCpuSaturation:
-        out += "move the competing job off the database server or cap its "
-               "CPU share.";
-        break;
-      case RootCauseType::kHbaFailure:
-        out += "replace the failed HBA; the surviving path is carrying the "
-               "full load and is congested.";
-        break;
-      case RootCauseType::kMultipathImbalance:
-        out += "replace or re-seat the degraded port/SFP, or rebalance the "
-               "multipath weights away from it.";
-        break;
-      case RootCauseType::kRetryStorm:
-        out += "raise the driver retry backoff and shed load on the volume "
-               "until the queue drains; retries are amplifying the original "
-               "slowdown.";
-        break;
-      case RootCauseType::kCompressionRatioDrift:
-        out += "reorganize (recompress) the drifted table's segments; churn "
-               "has degraded the compression ratio, so every scan reads far "
-               "more pages for the same rows.";
-        break;
-      case RootCauseType::kZoneMapStaleness:
-        out += "rebuild the table's zone maps (or lower "
-               "zone_map_refresh_threshold); stale min/max metadata is "
-               "defeating segment pruning, so scans touch segments they "
-               "should skip.";
-        break;
+    std::string action = GetRootCauseTraits(top->type).action;
+    const std::string placeholder = "$subject";
+    const size_t at = action.find(placeholder);
+    if (at != std::string::npos) {
+      action.replace(at, placeholder.size(),
+                     registry.Contains(top->subject)
+                         ? registry.NameOf(top->subject)
+                         : "?");
     }
-    out += "\n\n";
+    out += "Recommended action: " + action + "\n\n";
   }
 
-  out += RenderPdResult(ctx, report.pd) + "\n";
+  out += RenderPdResult(report.pd) + "\n";
   out += RenderCoResult(ctx, report.co) + "\n";
   out += RenderDaResult(ctx, report.da) + "\n";
   out += RenderCrResult(ctx, report.cr) + "\n";

@@ -559,28 +559,12 @@ Result<monitor::MetricId> ParseMetricShortName(const std::string& name) {
 }
 
 Result<EventType> ParseEventTypeName(const std::string& name) {
-  static const EventType kAll[] = {
-      EventType::kVolumeCreated,       EventType::kVolumeDeleted,
-      EventType::kZoningChanged,       EventType::kLunMappingChanged,
-      EventType::kDiskFailed,          EventType::kDiskRecovered,
-      EventType::kRaidRebuildStarted,  EventType::kRaidRebuildCompleted,
-      EventType::kExternalWorkloadStarted,
-      EventType::kExternalWorkloadStopped,
-      EventType::kVolumePerfDegraded,  EventType::kSubsystemHighLoad,
-      EventType::kIndexCreated,        EventType::kIndexDropped,
-      EventType::kDbParamChanged,      EventType::kTableStatsChanged,
-      EventType::kDmlBatch,            EventType::kTableLockContention,
-      EventType::kHbaFailed,           EventType::kHbaRecovered,
-      EventType::kPortFailed,          EventType::kPortRecovered,
-      EventType::kSwitchFailed,        EventType::kSwitchRecovered,
-      EventType::kLinkFailed,          EventType::kLinkRecovered,
-      EventType::kPortDegraded,        EventType::kPathFailover,
-      EventType::kRetryStormDetected,  EventType::kCompressionRatioDrifted,
-      EventType::kZoneMapStale,
-  };
   static const std::unordered_map<std::string, EventType>* kByName = [] {
     auto* map = new std::unordered_map<std::string, EventType>();
-    for (EventType type : kAll) map->emplace(EventTypeName(type), type);
+    for (int i = 0; i < static_cast<int>(EventType::kCount); ++i) {
+      const EventType type = static_cast<EventType>(i);
+      map->emplace(EventTypeName(type), type);
+    }
     return map;
   }();
   auto it = kByName->find(name);

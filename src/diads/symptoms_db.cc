@@ -12,8 +12,14 @@
 namespace diads::diag {
 
 Status SymptomsDb::AddEntry(
-    const std::string& name, RootCauseType type, bool bind_volumes,
+    const std::string& name, RootCauseType type,
     std::vector<std::pair<std::string, double>> conditions) {
+  const RootCauseTraits& traits = GetRootCauseTraits(type);
+  if (traits.type == RootCauseType::kCount) {  // No row: not a cause.
+    return Status::InvalidArgument(
+        StrFormat("entry '%s' has an unknown root-cause type %d", name.c_str(),
+                  static_cast<int>(type)));
+  }
   for (const RootCauseEntry& e : entries_) {
     if (e.name == name) {
       return Status::AlreadyExists("symptoms entry exists: " + name);
@@ -22,7 +28,7 @@ Status SymptomsDb::AddEntry(
   RootCauseEntry entry;
   entry.name = name;
   entry.type = type;
-  entry.bind_volumes = bind_volumes;
+  entry.bind_volumes = traits.subject == SubjectRule::kBoundVolume;
   double total = 0;
   for (auto& [text, weight] : conditions) {
     if (weight <= 0) {
@@ -66,7 +72,7 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // onto $V's disks. The config events are the discriminating symptoms.
   must(db.AddEntry(
       "san-misconfiguration-contention",
-      RootCauseType::kSanMisconfigurationContention, /*bind_volumes=*/true,
+      RootCauseType::kSanMisconfigurationContention,
       {
           {"op_anomaly_majority(volume=$V)", 20},
           {"volume_metric_anomaly(volume=$V)", 20},
@@ -84,7 +90,7 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // a disk-sharing neighbour.
   must(db.AddEntry(
       "external-workload-contention",
-      RootCauseType::kExternalWorkloadContention, /*bind_volumes=*/true,
+      RootCauseType::kExternalWorkloadContention,
       {
           {"op_anomaly_majority(volume=$V)", 20},
           {"volume_metric_anomaly(volume=$V)", 20},
@@ -97,7 +103,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // Scenario 3's root cause: DML changed data properties; record counts
   // moved while the plan stayed put.
   must(db.AddEntry("data-property-change", RootCauseType::kDataPropertyChange,
-                   /*bind_volumes=*/false,
                    {
                        {"record_count_change()", 35},
                        {"event(type=DmlBatch)", 25},
@@ -110,7 +115,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
 
   // Scenario 5's root cause: lock contention in the database layer.
   must(db.AddEntry("table-lock-contention", RootCauseType::kLockContention,
-                   /*bind_volumes=*/false,
                    {
                        {"lock_wait_high()", 30},
                        {"locks_held_high()", 15},
@@ -121,14 +125,12 @@ SymptomsDb SymptomsDb::MakeDefault() {
                    }));
 
   must(db.AddEntry("plan-change", RootCauseType::kPlanChange,
-                   /*bind_volumes=*/false,
                    {
                        {"plan_changed()", 60},
                        {"plan_change_explained()", 40},
                    }));
 
   must(db.AddEntry("raid-rebuild", RootCauseType::kRaidRebuild,
-                   /*bind_volumes=*/true,
                    {
                        {"event_near(type=RaidRebuildStarted, volume=$V)", 30},
                        {"volume_metric_anomaly(volume=$V)", 25},
@@ -139,7 +141,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
                    }));
 
   must(db.AddEntry("disk-failure", RootCauseType::kDiskFailure,
-                   /*bind_volumes=*/true,
                    {
                        {"event_near(type=DiskFailed, volume=$V)", 40},
                        {"volume_metric_anomaly(volume=$V)", 25},
@@ -150,7 +151,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
 
   must(db.AddEntry("buffer-pool-pressure",
                    RootCauseType::kBufferPoolPressure,
-                   /*bind_volumes=*/false,
                    {
                        {"db_blocks_read_high()", 30},
                        {"event(type=DbParamChanged)", 30},
@@ -161,7 +161,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
                    }));
 
   must(db.AddEntry("cpu-saturation", RootCauseType::kCpuSaturation,
-                   /*bind_volumes=*/false,
                    {
                        {"cpu_high()", 45},
                        {"op_anomaly_exists()", 20},
@@ -174,7 +173,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // over to the surviving fabric, and the now-overloaded path congests. The
   // application never saw the failure — only the slowdown.
   must(db.AddEntry("hba-failure", RootCauseType::kHbaFailure,
-                   /*bind_volumes=*/false,
                    {
                        {"event(type=HbaFailed)", 40},
                        {"event(type=PathFailover)", 25},
@@ -190,7 +188,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // throttled port while the driver keeps round-robining onto it.
   must(db.AddEntry("multipath-imbalance",
                    RootCauseType::kMultipathImbalance,
-                   /*bind_volumes=*/false,
                    {
                        {"event(type=PortDegraded)", 62},
                        {"before(event(type=PortDegraded), "
@@ -204,7 +201,7 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // which spawns more timeouts — the snowball. The retry-storm trigger
   // always fires *after* the first latency degradation it amplifies.
   must(db.AddEntry(
-      "retry-storm", RootCauseType::kRetryStorm, /*bind_volumes=*/true,
+      "retry-storm", RootCauseType::kRetryStorm,
       {
           {"event_near(type=RetryStormDetected, volume=$V)", 45},
           {"before(event(type=VolumePerfDegraded), "
@@ -221,7 +218,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // the report floor on engines that have no segments at all.
   must(db.AddEntry(
       "compression-ratio-drift", RootCauseType::kCompressionRatioDrift,
-      /*bind_volumes=*/false,
       {
           {"event(type=CompressionRatioDrifted)", 40},
           {"event(type=CompressionRatioDrifted) and no_plan_change()", 15},
@@ -240,7 +236,6 @@ SymptomsDb SymptomsDb::MakeDefault() {
   // which engine event fired, exactly as a DBA would tell them apart.
   must(db.AddEntry(
       "zone-map-staleness", RootCauseType::kZoneMapStaleness,
-      /*bind_volumes=*/false,
       {
           {"event(type=ZoneMapStale)", 40},
           {"event(type=ZoneMapStale) and no_plan_change()", 15},
@@ -254,13 +249,14 @@ SymptomsDb SymptomsDb::MakeDefault() {
 
 namespace {
 
-/// Subject of a cause instance: the bound volume for templated entries,
-/// else a type-specific best subject.
+/// Subject of a cause instance, by its type's subject rule.
 ComponentId CauseSubject(const RootCauseEntry& entry, ComponentId bound_volume,
                          const DiagnosisContext& ctx, const CrResult& cr) {
-  if (entry.bind_volumes) return bound_volume;
-  switch (entry.type) {
-    case RootCauseType::kDataPropertyChange: {
+  const RootCauseTraits& traits = GetRootCauseTraits(entry.type);
+  switch (traits.subject) {
+    case SubjectRule::kBoundVolume:
+      return bound_volume;
+    case SubjectRule::kCrsTable: {
       // The table behind the highest-deviation CRS leaf.
       const RecordCountAnomaly* best = nullptr;
       for (const RecordCountAnomaly& a : cr.scores) {
@@ -277,40 +273,16 @@ ComponentId CauseSubject(const RootCauseEntry& entry, ComponentId bound_volume,
       }
       return ctx.database;
     }
-    case RootCauseType::kLockContention: {
-      const std::vector<SystemEvent> events =
-          ctx.events->EventsOfTypeIn(EventType::kTableLockContention,
-                                     ctx.AnalysisWindow());
-      if (!events.empty()) return events.front().subject;
-      return ctx.database;
-    }
-    case RootCauseType::kHbaFailure: {
+    case SubjectRule::kFirstEvent: {
       const std::vector<SystemEvent> events = ctx.events->EventsOfTypeIn(
-          EventType::kHbaFailed, ctx.AnalysisWindow());
+          traits.subject_event, ctx.AnalysisWindow());
       if (!events.empty()) return events.front().subject;
       return ctx.database;
     }
-    case RootCauseType::kMultipathImbalance: {
-      const std::vector<SystemEvent> events = ctx.events->EventsOfTypeIn(
-          EventType::kPortDegraded, ctx.AnalysisWindow());
-      if (!events.empty()) return events.front().subject;
-      return ctx.database;
-    }
-    case RootCauseType::kCompressionRatioDrift: {
-      const std::vector<SystemEvent> events = ctx.events->EventsOfTypeIn(
-          EventType::kCompressionRatioDrifted, ctx.AnalysisWindow());
-      if (!events.empty()) return events.front().subject;
-      return ctx.database;
-    }
-    case RootCauseType::kZoneMapStaleness: {
-      const std::vector<SystemEvent> events = ctx.events->EventsOfTypeIn(
-          EventType::kZoneMapStale, ctx.AnalysisWindow());
-      if (!events.empty()) return events.front().subject;
-      return ctx.database;
-    }
-    default:
-      return ctx.database;
+    case SubjectRule::kDatabase:
+      break;
   }
+  return ctx.database;
 }
 
 }  // namespace

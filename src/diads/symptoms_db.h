@@ -34,7 +34,8 @@ struct Condition {
 struct RootCauseEntry {
   std::string name;
   RootCauseType type = RootCauseType::kExternalWorkloadContention;
-  /// Instantiate the entry once per candidate volume, binding `$V`.
+  /// Instantiate the entry once per candidate volume, binding `$V`: set
+  /// when the type's subject rule is SubjectRule::kBoundVolume.
   bool bind_volumes = false;
   std::vector<Condition> conditions;
 };
@@ -42,10 +43,9 @@ struct RootCauseEntry {
 /// The symptoms database.
 class SymptomsDb {
  public:
-  /// Parses and validates an entry: expressions must parse and weights must
-  /// sum to 100 (+- 0.01).
+  /// Parses and validates an entry: the type must be a RootCauseType,
+  /// expressions must parse and weights must sum to 100 (+- 0.01).
   Status AddEntry(const std::string& name, RootCauseType type,
-                  bool bind_volumes,
                   std::vector<std::pair<std::string, double>> conditions);
 
   /// Removes an entry by name (used by the incomplete-database ablation).

@@ -96,8 +96,7 @@ Result<DiagnosisReport> Workflow::Diagnose(ImpactMethod impact_method,
       DIADS_RETURN_IF_ERROR(causes.status());
       report.causes = std::move(*causes);
     } else {
-      report.causes =
-          FallbackCauses(ctx_, config_, report.co, report.da, report.cr);
+      report.causes = FallbackCauses(ctx_, config_, report.da, report.cr);
     }
   }
 
@@ -159,8 +158,7 @@ Result<DiagnosisReport> Workflow::DiagnoseWithCollection(
 
 std::vector<RootCause> FallbackCauses(const DiagnosisContext& ctx,
                                       const WorkflowConfig& config,
-                                      const CoResult& co, const DaResult& da,
-                                      const CrResult& cr) {
+                                      const DaResult& da, const CrResult& cr) {
   std::vector<RootCause> causes;
   const ComponentRegistry& registry = ctx.topology->registry();
   for (ComponentId component : da.correlated_component_set) {
@@ -307,7 +305,7 @@ Result<std::string> InteractiveSession::Run(Module module) {
       DIADS_RETURN_IF_ERROR(pd.status());
       report_.pd = std::move(*pd);
       ran_pd_ = true;
-      return RenderPdResult(ctx_, report_.pd);
+      return RenderPdResult(report_.pd);
     }
     case Module::kCo: {
       Result<CoResult> co = RunCorrelatedOperators(ctx_, config_);
@@ -338,8 +336,7 @@ Result<std::string> InteractiveSession::Run(Module module) {
         DIADS_RETURN_IF_ERROR(causes.status());
         report_.causes = std::move(*causes);
       } else {
-        report_.causes =
-            FallbackCauses(ctx_, config_, report_.co, report_.da, report_.cr);
+        report_.causes = FallbackCauses(ctx_, config_, report_.da, report_.cr);
       }
       ran_sd_ = true;
       return RenderSdResult(ctx_, report_.causes);

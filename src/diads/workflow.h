@@ -111,8 +111,7 @@ class Workflow {
 /// capped at medium (the point of the symptoms DB is semantic certainty).
 std::vector<RootCause> FallbackCauses(const DiagnosisContext& ctx,
                                       const WorkflowConfig& config,
-                                      const CoResult& co, const DaResult& da,
-                                      const CrResult& cr);
+                                      const DaResult& da, const CrResult& cr);
 
 /// One-paragraph human summary of a report.
 std::string SummarizeReport(const DiagnosisContext& ctx,

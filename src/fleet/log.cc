@@ -107,6 +107,16 @@ class Reader {
     return true;
   }
 
+  /// An enum stored as a u32: false unless the value is below `count`, so
+  /// a value outside the enum never reaches a table indexed by it.
+  template <typename Enum>
+  bool GetEnum(uint32_t count, Enum* v) {
+    uint32_t raw = 0;
+    if (!GetU32(&raw) || raw >= count) return false;
+    *v = static_cast<Enum>(raw);
+    return true;
+  }
+
   bool GetStr(std::string* s) {
     uint32_t len = 0;
     if (!GetU32(&len)) return false;
@@ -127,6 +137,16 @@ Status DecodeError() {
   return Status::InvalidArgument(
       "fleet log record payload is truncated or malformed");
 }
+
+// How many values each enum a record stores has.
+constexpr uint32_t kCauseTypes =
+    static_cast<uint32_t>(diag::RootCauseType::kCount);
+constexpr uint32_t kBands =
+    static_cast<uint32_t>(diag::ConfidenceBand::kLow) + 1;
+constexpr uint32_t kComponentKinds =
+    static_cast<uint32_t>(ComponentKind::kWorkload) + 1;
+constexpr uint32_t kMetrics =
+    static_cast<uint32_t>(monitor::MetricId::kDiskIops) + 1;
 
 // ---- segment naming ---------------------------------------------------
 //
@@ -246,12 +266,10 @@ Result<TenantVerdict> DecodeVerdict(const std::string& payload) {
   verdict.causes.reserve(n_causes);
   for (uint32_t i = 0; i < n_causes; ++i) {
     CauseVerdict cause;
-    if (!reader.GetU32(&u32)) return DecodeError();
-    cause.type = static_cast<diag::RootCauseType>(u32);
+    if (!reader.GetEnum(kCauseTypes, &cause.type)) return DecodeError();
     if (!reader.GetStr(&cause.subject)) return DecodeError();
     if (!reader.GetF64(&cause.confidence)) return DecodeError();
-    if (!reader.GetU32(&u32)) return DecodeError();
-    cause.band = static_cast<diag::ConfidenceBand>(u32);
+    if (!reader.GetEnum(kBands, &cause.band)) return DecodeError();
     if (!reader.GetF64(&cause.impact_pct)) return DecodeError();
     verdict.causes.push_back(std::move(cause));
   }
@@ -262,8 +280,9 @@ Result<TenantVerdict> DecodeVerdict(const std::string& payload) {
   for (uint32_t i = 0; i < n_components; ++i) {
     ComponentVerdict component;
     if (!reader.GetStr(&component.component)) return DecodeError();
-    if (!reader.GetU32(&u32)) return DecodeError();
-    component.kind = static_cast<ComponentKind>(u32);
+    if (!reader.GetEnum(kComponentKinds, &component.kind)) {
+      return DecodeError();
+    }
     if (!reader.GetU8(&flag)) return DecodeError();
     component.in_ccs = flag != 0;
     if (!reader.GetF64(&component.max_anomaly)) return DecodeError();
@@ -273,8 +292,7 @@ Result<TenantVerdict> DecodeVerdict(const std::string& payload) {
     component.metrics.reserve(n_metrics);
     for (uint32_t j = 0; j < n_metrics; ++j) {
       MetricVerdict metric;
-      if (!reader.GetU32(&u32)) return DecodeError();
-      metric.metric = static_cast<monitor::MetricId>(u32);
+      if (!reader.GetEnum(kMetrics, &metric.metric)) return DecodeError();
       if (!reader.GetF64(&metric.anomaly_score)) return DecodeError();
       if (!reader.GetF64(&metric.correlation)) return DecodeError();
       if (!reader.GetU8(&flag)) return DecodeError();
@@ -289,8 +307,9 @@ Result<TenantVerdict> DecodeVerdict(const std::string& payload) {
     if (n_types > payload.size()) return DecodeError();
     component.cause_types.reserve(n_types);
     for (uint32_t j = 0; j < n_types; ++j) {
-      if (!reader.GetU32(&u32)) return DecodeError();
-      component.cause_types.push_back(static_cast<diag::RootCauseType>(u32));
+      diag::RootCauseType type{};
+      if (!reader.GetEnum(kCauseTypes, &type)) return DecodeError();
+      component.cause_types.push_back(type);
     }
     if (!reader.GetU64(&component.generation)) return DecodeError();
     verdict.components.push_back(std::move(component));
@@ -300,8 +319,7 @@ Result<TenantVerdict> DecodeVerdict(const std::string& payload) {
     auto incident = std::make_shared<IncidentStamp>();
     if (!reader.GetU64(&incident->sequence)) return DecodeError();
     if (!reader.GetStr(&incident->subject)) return DecodeError();
-    if (!reader.GetU32(&u32)) return DecodeError();
-    incident->metric = static_cast<monitor::MetricId>(u32);
+    if (!reader.GetEnum(kMetrics, &incident->metric)) return DecodeError();
     if (!reader.GetI64(&incident->onset_time)) return DecodeError();
     if (!reader.GetI64(&incident->confirmed_time)) return DecodeError();
     verdict.incident = std::move(incident);

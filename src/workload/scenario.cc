@@ -1,131 +1,11 @@
 #include "workload/scenario.h"
 
-#include <algorithm>
+#include <iterator>
 
+#include "common/enum_table.h"
 #include "common/strings.h"
 
 namespace diads::workload {
-
-const char* ScenarioName(ScenarioId id) {
-  switch (id) {
-    case ScenarioId::kS1SanMisconfiguration:
-      return "S1-san-misconfiguration";
-    case ScenarioId::kS1bBurstyV2:
-      return "S1b-bursty-v2";
-    case ScenarioId::kS2DualExternalContention:
-      return "S2-dual-external-contention";
-    case ScenarioId::kS3DataPropertyChange:
-      return "S3-data-property-change";
-    case ScenarioId::kS4ConcurrentDbSan:
-      return "S4-concurrent-db-san";
-    case ScenarioId::kS5LockingWithNoise:
-      return "S5-locking-with-noise";
-    case ScenarioId::kS6IndexDrop:
-      return "S6-index-drop";
-    case ScenarioId::kS7ParamChange:
-      return "S7-param-change";
-    case ScenarioId::kS8AnalyzeAfterDrift:
-      return "S8-analyze-after-drift";
-    case ScenarioId::kS9CpuSaturation:
-      return "S9-cpu-saturation";
-    case ScenarioId::kS10RaidRebuild:
-      return "S10-raid-rebuild";
-    case ScenarioId::kS11DiskFailure:
-      return "S11-disk-failure";
-    case ScenarioId::kF1HbaFailover:
-      return "F1-hba-failover";
-    case ScenarioId::kF2MultipathImbalance:
-      return "F2-multipath-imbalance";
-    case ScenarioId::kF3IslRebuildCrosstalk:
-      return "F3-isl-rebuild-crosstalk";
-    case ScenarioId::kF4RetrySnowball:
-      return "F4-retry-snowball";
-    case ScenarioId::kC1CompressionDrift:
-      return "C1-compression-drift";
-    case ScenarioId::kC2ZoneMapStale:
-      return "C2-zone-map-stale";
-  }
-  return "?";
-}
-
-const char* ScenarioDescription(ScenarioId id) {
-  switch (id) {
-    case ScenarioId::kS1SanMisconfiguration:
-      return "SAN misconfiguration leading to contention in volume V1";
-    case ScenarioId::kS1bBurstyV2:
-      return "S1 plus bursty extra load on V2 with little query impact";
-    case ScenarioId::kS2DualExternalContention:
-      return "Contention caused by external workloads on volumes V1 and V2; "
-             "with only the former affecting query performance";
-    case ScenarioId::kS3DataPropertyChange:
-      return "SQL DML causes a subtle change in data properties; problem "
-             "propagates to SAN causing volume contention";
-    case ScenarioId::kS4ConcurrentDbSan:
-      return "Concurrent DB (change in data properties) and SAN "
-             "(misconfiguration) problems";
-    case ScenarioId::kS5LockingWithNoise:
-      return "DB problem (locking-based) and spurious symptoms of volume "
-             "contention due to noise";
-    case ScenarioId::kS6IndexDrop:
-      return "Index drop forces the optimizer onto a slower plan";
-    case ScenarioId::kS7ParamChange:
-      return "cost-parameter misconfiguration flips the plan "
-             "(random_page_cost on PostgreSQL, io_block_read_cost on MySQL, "
-             "zone_map_consult_cost on the columnar engine)";
-    case ScenarioId::kS8AnalyzeAfterDrift:
-      return "ANALYZE after silent data drift changes the plan";
-    case ScenarioId::kS9CpuSaturation:
-      return "A competing job saturates the database server's CPUs";
-    case ScenarioId::kS10RaidRebuild:
-      return "RAID rebuild on V1's pool steals backend bandwidth";
-    case ScenarioId::kS11DiskFailure:
-      return "Disk failure concentrates V1's load on the surviving disks";
-    case ScenarioId::kF1HbaFailover:
-      return "HBA failure masked by path failover; the surviving path "
-             "congests under the folded-over traffic";
-    case ScenarioId::kF2MultipathImbalance:
-      return "A port negotiates down to half bandwidth, unbalancing the "
-             "multipath split without any routing change";
-    case ScenarioId::kF3IslRebuildCrosstalk:
-      return "RAID rebuild whose replication stream crosses the shared "
-             "inter-switch link of the active fabric";
-    case ScenarioId::kF4RetrySnowball:
-      return "Timed-out I/Os get reissued into an already-slow volume, "
-             "snowballing into a retry storm";
-    case ScenarioId::kC1CompressionDrift:
-      return "Segment compression ratio drifts under churny DML, inflating "
-             "every scan of the table without changing a single row count";
-    case ScenarioId::kC2ZoneMapStale:
-      return "Stale zone maps defeat segment pruning: zone-pruned scans "
-             "read segments they should skip, full vector scans are "
-             "unaffected";
-  }
-  return "?";
-}
-
-diag::DiagnosisContext ScenarioOutput::MakeContext() const {
-  diag::DiagnosisContext ctx;
-  ctx.runs = &testbed->runs;
-  ctx.query = "Q2";
-  ctx.store = &testbed->store;
-  ctx.events = &testbed->event_log;
-  ctx.apg = apg.get();
-  ctx.topology = &testbed->topology;
-  ctx.catalog = &testbed->catalog;
-  ctx.database = testbed->database;
-  ctx.plan_whatif_probe = testbed->MakeWhatIfProber();
-  return ctx;
-}
-
-bool MatchesGroundTruth(const GroundTruthCause& truth,
-                        const diag::RootCause& cause,
-                        const ComponentRegistry& registry) {
-  if (truth.type != cause.type) return false;
-  if (truth.subject_name.empty()) return true;
-  if (!registry.Contains(cause.subject)) return false;
-  return registry.NameOf(cause.subject) == truth.subject_name;
-}
-
 namespace {
 
 /// Executes `count` Q2 runs starting at `*cursor`, advancing it by the
@@ -173,29 +53,315 @@ Status StartBackground(Testbed& tb, ExternalWorkloadGen& gen,
   return tb.perf_model.AddCpuLoad(tb.db_server, span, 0.08);
 }
 
+// --- Injectors: one per scenario, called at the transition point ---------
+
+Status InjectS1(const FaultPoint& at) {
+  return at.injector->InjectSanMisconfiguration(at.t_fault, at.fault_window);
+}
+
+Status InjectS1b(const FaultPoint& at) {
+  DIADS_RETURN_IF_ERROR(
+      at.injector->InjectSanMisconfiguration(at.t_fault, at.fault_window));
+  return at.injector->InjectBurstyLoad(at.tb->v2, at.fault_window, 620.0,
+                                       Minutes(5), Seconds(45));
+}
+
+Status InjectS2(const FaultPoint& at) {
+  DIADS_RETURN_IF_ERROR(at.injector->InjectExternalContention(
+      at.tb->v1, at.fault_window, 30.0, 95.0));
+  return at.injector->InjectExternalContention(at.tb->v2, at.fault_window,
+                                               80.0, 20.0);
+}
+
+Status InjectS3(const FaultPoint& at) {
+  return at.injector->InjectDataPropertyChange(at.t_fault, "partsupp", 1.7);
+}
+
+Status InjectS4(const FaultPoint& at) {
+  DIADS_RETURN_IF_ERROR(
+      at.injector->InjectDataPropertyChange(at.t_fault, "partsupp", 1.5));
+  return at.injector->InjectSanMisconfiguration(at.t_fault + Minutes(1),
+                                                at.fault_window);
+}
+
+Status InjectS5(const FaultPoint& at) {
+  DIADS_RETURN_IF_ERROR(at.injector->InjectLockContention(
+      at.fault_window, "partsupp", Seconds(40)));
+  return at.injector->InjectSpuriousVolumeSymptoms(at.tb->v2, at.fault_window,
+                                                   1.5);
+}
+
+Status InjectS6(const FaultPoint& at) {
+  return at.injector->InjectIndexDrop(at.t_fault, "partsupp_partkey_idx");
+}
+
+Status InjectS7(const FaultPoint& at) {
+  // Each engine has its own plan-flipping misconfiguration knob
+  // (random_page_cost has no MySQL analogue).
+  const db::PlanMisconfigKnob knob = at.tb->backend->MisconfigKnob();
+  return at.injector->InjectParamChange(at.t_fault, knob.param,
+                                        knob.bad_value);
+}
+
+Status InjectS8(const FaultPoint& at) {
+  return at.injector->InjectAnalyze(at.t_fault,
+                                    at.tb->backend->AnalyzeDriftSpec().table);
+}
+
+Status InjectS9(const FaultPoint& at) {
+  at.ground_truth->front().subject_name =
+      at.tb->registry.NameOf(at.tb->database);
+  return at.injector->InjectCpuSaturation(at.fault_window, 0.72);
+}
+
+Status InjectS10(const FaultPoint& at) {
+  return at.injector->InjectRaidRebuild(at.tb->pool1, at.fault_window, 0.45);
+}
+
+Status InjectS11(const FaultPoint& at) {
+  Result<ComponentId> disk1 = at.tb->registry.FindByName("disk1");
+  DIADS_RETURN_IF_ERROR(disk1.status());
+  DIADS_RETURN_IF_ERROR(at.injector->InjectDiskFailure(at.t_fault, *disk1));
+  // The array reacts as a real DS6000 would: an automatic RAID rebuild onto
+  // the hot spare, stealing backend bandwidth from the survivors.
+  return at.injector->InjectRaidRebuild(
+      at.tb->pool1, TimeInterval{at.t_fault + Minutes(1), at.fault_window.end},
+      0.30);
+}
+
+Status InjectF1(const FaultPoint& at) {
+  Testbed& tb = *at.tb;
+  // A mirror stream of 106.25 MB/s rides V1's resolved paths the whole
+  // time. Split across both 1 Gbps fabrics it is 0.425 utilization per
+  // path — below the congestion threshold, so the satisfactory era is
+  // genuinely quiet. (Load events may be registered in any time order; a
+  // sub-threshold stream adds exactly nothing to past run latencies.)
+  DIADS_ASSIGN_OR_RETURN(std::vector<san::IoPath> pre_paths,
+                         tb.topology.ResolvePaths(tb.db_server, tb.v1));
+  const TimeInterval pre_window{at.t0 - Hours(1), at.t_fault};
+  for (const san::IoPath& path : pre_paths) {
+    DIADS_RETURN_IF_ERROR(at.injector->InjectFabricStream(
+        pre_window, 106.25 / static_cast<double>(pre_paths.size()),
+        path.ports));
+  }
+  DIADS_RETURN_IF_ERROR(at.injector->InjectPathProbes(tb.v1, pre_window));
+  // The fault: hba0 dies. The config database logs the failure plus the
+  // path failovers it forces; queries keep running — the failure is masked
+  // — but the whole stream folds onto the surviving fabric-B path: 0.85
+  // utilization, past the congestion threshold.
+  DIADS_RETURN_IF_ERROR(at.injector->InjectHbaFailure(at.t_fault, tb.db_hba0));
+  DIADS_ASSIGN_OR_RETURN(std::vector<san::IoPath> post_paths,
+                         tb.topology.ResolvePaths(tb.db_server, tb.v1));
+  for (const san::IoPath& path : post_paths) {
+    DIADS_RETURN_IF_ERROR(at.injector->InjectFabricStream(
+        at.fault_window, 106.25 / static_cast<double>(post_paths.size()),
+        path.ports));
+  }
+  return at.injector->InjectPathProbes(tb.v1, at.fault_window);
+}
+
+Status InjectF2(const FaultPoint& at) {
+  Testbed& tb = *at.tb;
+  // At the fault point the fabric-A subsystem port negotiates down to half
+  // bandwidth just as a balanced 106.25 MB/s replication cycle starts
+  // across both paths: path B runs at a comfortable 0.425 utilization while
+  // the degraded port grinds at 0.85 of its reduced capacity. (Port
+  // capacity, like S11's disk failure, has no time dimension in the
+  // topology, so the stream is confined to the fault window to keep the
+  // satisfactory era's intervals clean.)
+  DIADS_ASSIGN_OR_RETURN(std::vector<san::IoPath> paths,
+                         tb.topology.ResolvePaths(tb.db_server, tb.v1));
+  for (const san::IoPath& path : paths) {
+    DIADS_RETURN_IF_ERROR(at.injector->InjectFabricStream(
+        at.fault_window, 106.25 / static_cast<double>(paths.size()),
+        path.ports));
+  }
+  DIADS_RETURN_IF_ERROR(at.injector->InjectPathProbes(
+      tb.v1, TimeInterval{at.t0 - Hours(1), at.fault_window.end}));
+  return at.injector->InjectPortDegradation(at.t_fault, tb.subsystem_port0,
+                                            0.5);
+}
+
+Status InjectF3(const FaultPoint& at) {
+  Testbed& tb = *at.tb;
+  // RAID rebuild on V2's pool, whose replication stream crosses fabric A's
+  // inter-switch link — the one fabric segment every path-A flow shares —
+  // so the rebuild hurts twice: backend bandwidth on P2's disks, congestion
+  // on the active fabric. 87.5 MB/s on a 1 Gbps ISL = 0.7 utilization: a
+  // moderate ~7 ms congestion tax on every path-A flow — enough to show up
+  // on the ISL port counters, not enough to drown out the rebuild itself.
+  DIADS_RETURN_IF_ERROR(
+      at.injector->InjectRaidRebuild(tb.pool2, at.fault_window, 0.45));
+  DIADS_RETURN_IF_ERROR(at.injector->InjectFabricStream(
+      at.fault_window, 87.5, {tb.isl_a0, tb.isl_a1}));
+  // Path probes keep the ISL's utilization visible in both volumes' fabric
+  // latency (congestion is charged through volume-bound events that carry
+  // path ports; the raw stream alone only moves the port counters).
+  const TimeInterval span{at.t0 - Hours(1), at.fault_window.end};
+  DIADS_RETURN_IF_ERROR(at.injector->InjectPathProbes(tb.v1, span));
+  return at.injector->InjectPathProbes(tb.v2, span);
+}
+
+Status InjectF4(const FaultPoint& at) {
+  return at.injector->InjectRetrySnowball(at.tb->v1, at.fault_window,
+                                          Minutes(15));
+}
+
+Status InjectC1(const FaultPoint& at) {
+  // partsupp carries both heavy leaves (the paper plan's V1 hot spot), so
+  // the drift inflates exactly the scans whose I/O dominates Q2.
+  return at.injector->InjectCompressionDrift(at.t_fault, "partsupp", 2.2);
+}
+
+Status InjectC2(const FaultPoint& at) {
+  return at.injector->InjectZoneMapStaleness(at.t_fault, "partsupp", 2.5);
+}
+
 }  // namespace
+
+const ScenarioSpec& GetScenarioSpec(ScenarioId id) {
+  using Id = ScenarioId;
+  using P = PlanSource;
+  using T = diag::RootCauseType;
+  constexpr std::optional<db::BackendKind> kEveryBackend = std::nullopt;
+
+  static const ScenarioSpec kScenarios[] = {
+      {Id::kS1SanMisconfiguration, "S1-san-misconfiguration",
+       "SAN misconfiguration leading to contention in volume V1",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kSanMisconfigurationContention, "V1"}}, &InjectS1},
+      {Id::kS1bBurstyV2, "S1b-bursty-v2",
+       "S1 plus bursty extra load on V2 with little query impact",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kSanMisconfigurationContention, "V1"}}, &InjectS1b},
+      {Id::kS2DualExternalContention, "S2-dual-external-contention",
+       "Contention caused by external workloads on volumes V1 and V2; with "
+       "only the former affecting query performance",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kExternalWorkloadContention, "V1"}}, &InjectS2},
+      {Id::kS3DataPropertyChange, "S3-data-property-change",
+       "SQL DML causes a subtle change in data properties; problem propagates "
+       "to SAN causing volume contention",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kDataPropertyChange, "table:partsupp"}}, &InjectS3},
+      {Id::kS4ConcurrentDbSan, "S4-concurrent-db-san",
+       "Concurrent DB (change in data properties) and SAN (misconfiguration) "
+       "problems",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kSanMisconfigurationContention, "V1"},
+        {T::kDataPropertyChange, "table:partsupp"}},
+       &InjectS4},
+      {Id::kS5LockingWithNoise, "S5-locking-with-noise",
+       "DB problem (locking-based) and spurious symptoms of volume contention "
+       "due to noise",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kLockContention, "table:partsupp"}}, &InjectS5},
+      {Id::kS6IndexDrop, "S6-index-drop",
+       "Index drop forces the optimizer onto a slower plan",
+       &BuildFigure1Testbed, P::kOptimizer, kEveryBackend,
+       {{T::kPlanChange, ""}}, &InjectS6},
+      {Id::kS7ParamChange, "S7-param-change",
+       "cost-parameter misconfiguration flips the plan (random_page_cost on "
+       "PostgreSQL, io_block_read_cost on MySQL, zone_map_consult_cost on the "
+       "columnar engine)",
+       &BuildFigure1Testbed, P::kOptimizer, kEveryBackend,
+       {{T::kPlanChange, ""}}, &InjectS7},
+      {Id::kS8AnalyzeAfterDrift, "S8-analyze-after-drift",
+       "ANALYZE after silent data drift changes the plan",
+       &BuildFigure1Testbed, P::kOptimizerAfterSilentDrift, kEveryBackend,
+       {{T::kPlanChange, ""}}, &InjectS8},
+      // The subject is the testbed's database; InjectS9 names it.
+      {Id::kS9CpuSaturation, "S9-cpu-saturation",
+       "A competing job saturates the database server's CPUs",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kCpuSaturation, ""}}, &InjectS9},
+      {Id::kS10RaidRebuild, "S10-raid-rebuild",
+       "RAID rebuild on V1's pool steals backend bandwidth",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kRaidRebuild, "V1"}}, &InjectS10},
+      {Id::kS11DiskFailure, "S11-disk-failure",
+       "Disk failure concentrates V1's load on the surviving disks",
+       &BuildFigure1Testbed, P::kPaperPlan, kEveryBackend,
+       {{T::kDiskFailure, "V1"}, {T::kRaidRebuild, "V1"}}, &InjectS11},
+      {Id::kF1HbaFailover, "F1-hba-failover",
+       "HBA failure masked by path failover; the surviving path congests under "
+       "the folded-over traffic",
+       &BuildMultipathTestbed, P::kPaperPlan, kEveryBackend,
+       {{T::kHbaFailure, "dbserver-hba0"}}, &InjectF1},
+      {Id::kF2MultipathImbalance, "F2-multipath-imbalance",
+       "A port negotiates down to half bandwidth, unbalancing the multipath "
+       "split without any routing change",
+       &BuildMultipathTestbed, P::kPaperPlan, kEveryBackend,
+       {{T::kMultipathImbalance, "ds6000-pA"}}, &InjectF2},
+      {Id::kF3IslRebuildCrosstalk, "F3-isl-rebuild-crosstalk",
+       "RAID rebuild whose replication stream crosses the shared inter-switch "
+       "link of the active fabric",
+       &BuildMultipathTestbed, P::kPaperPlan, kEveryBackend,
+       {{T::kRaidRebuild, "V2"}}, &InjectF3},
+      {Id::kF4RetrySnowball, "F4-retry-snowball",
+       "Timed-out I/Os get reissued into an already-slow volume, snowballing "
+       "into a retry storm",
+       &BuildMultipathTestbed, P::kPaperPlan, kEveryBackend,
+       {{T::kRetryStorm, "V1"}}, &InjectF4},
+      // The C family degrades column-store segments, which other engines do
+      // not have.
+      {Id::kC1CompressionDrift, "C1-compression-drift",
+       "Segment compression ratio drifts under churny DML, inflating every "
+       "scan of the table without changing a single row count",
+       &BuildFigure1Testbed, P::kPaperPlan, db::BackendKind::kColumnar,
+       {{T::kCompressionRatioDrift, "table:partsupp"}}, &InjectC1},
+      {Id::kC2ZoneMapStale, "C2-zone-map-stale",
+       "Stale zone maps defeat segment pruning: zone-pruned scans read "
+       "segments they should skip, full vector scans are unaffected",
+       &BuildFigure1Testbed, P::kPaperPlan, db::BackendKind::kColumnar,
+       {{T::kZoneMapStaleness, "table:partsupp"}}, &InjectC2},
+  };
+  static_assert(std::size(kScenarios) == static_cast<size_t>(Id::kCount),
+                "kScenarios needs one row per ScenarioId, in enum order");
+
+  static const ScenarioSpec kUnknownScenario{
+      Id::kCount, "?", "?", &BuildFigure1Testbed, P::kPaperPlan,
+      kEveryBackend, {}, nullptr};
+  return EnumRow(kScenarios, id, kUnknownScenario);
+}
+
+const char* ScenarioName(ScenarioId id) { return GetScenarioSpec(id).name; }
+
+diag::DiagnosisContext ScenarioOutput::MakeContext() const {
+  diag::DiagnosisContext ctx;
+  ctx.runs = &testbed->runs;
+  ctx.query = "Q2";
+  ctx.store = &testbed->store;
+  ctx.events = &testbed->event_log;
+  ctx.apg = apg.get();
+  ctx.topology = &testbed->topology;
+  ctx.catalog = &testbed->catalog;
+  ctx.database = testbed->database;
+  ctx.plan_whatif_probe = testbed->MakeWhatIfProber();
+  return ctx;
+}
+
+bool MatchesGroundTruth(const GroundTruthCause& truth,
+                        const diag::RootCause& cause,
+                        const ComponentRegistry& registry) {
+  if (truth.type != cause.type) return false;
+  if (truth.subject_name.empty()) return true;
+  if (!registry.Contains(cause.subject)) return false;
+  return registry.NameOf(cause.subject) == truth.subject_name;
+}
 
 Result<ScenarioOutput> RunScenario(ScenarioId id,
                                    const ScenarioOptions& options) {
+  const ScenarioSpec& spec = GetScenarioSpec(id);
+  if (spec.id == ScenarioId::kCount || !spec.RunsOn(options.testbed.backend)) {
+    return Status::InvalidArgument(StrFormat(
+        "scenario %s (id %d) does not run on backend '%s'", spec.name,
+        static_cast<int>(id), db::BackendKindName(options.testbed.backend)));
+  }
   ScenarioOptions opts = options;
   opts.testbed.seed = options.seed;
-  const bool multipath_scenario = id == ScenarioId::kF1HbaFailover ||
-                                  id == ScenarioId::kF2MultipathImbalance ||
-                                  id == ScenarioId::kF3IslRebuildCrosstalk ||
-                                  id == ScenarioId::kF4RetrySnowball;
-  const bool columnar_scenario = id == ScenarioId::kC1CompressionDrift ||
-                                 id == ScenarioId::kC2ZoneMapStale;
-  if (columnar_scenario &&
-      opts.testbed.backend != db::BackendKind::kColumnar) {
-    return Status::InvalidArgument(
-        StrFormat("%s is column-store-native; backend '%s' has no segments",
-                  ScenarioName(id),
-                  db::BackendKindName(opts.testbed.backend)));
-  }
   DIADS_ASSIGN_OR_RETURN(std::unique_ptr<Testbed> tb,
-                         multipath_scenario
-                             ? BuildMultipathTestbed(opts.testbed)
-                             : BuildFigure1Testbed(opts.testbed));
+                         spec.build_testbed(opts.testbed));
   ExternalWorkloadGen workloads(tb.get());
   FaultInjector injector(tb.get());
 
@@ -208,29 +374,24 @@ Result<ScenarioOutput> RunScenario(ScenarioId id,
   DIADS_RETURN_IF_ERROR(
       StartBackground(*tb, workloads, TimeInterval{t0 - Hours(1), horizon}));
 
-  const bool plan_change_scenario = id == ScenarioId::kS6IndexDrop ||
-                                    id == ScenarioId::kS7ParamChange ||
-                                    id == ScenarioId::kS8AnalyzeAfterDrift;
-
   // Pre-fault plan: the Figure-1 paper plan for the Table-1 scenarios, the
   // optimizer's choice for the plan-change scenarios.
   std::shared_ptr<const db::Plan> pre_plan = tb->paper_plan;
-  if (plan_change_scenario) {
-    if (id == ScenarioId::kS8AnalyzeAfterDrift) {
-      // Silent drift before the history: the table grew, the optimizer
-      // does not know yet. The satisfactory era runs a stale-statistics
-      // plan; the ANALYZE at the fault point flips the join strategy. The
-      // drift size is backend-specific (how much growth the engine's cost
-      // model absorbs before fresh stats change the plan), and the silent
-      // DML path keeps it invisible on every backend (on MySQL this models
-      // a STATS_AUTO_RECALC=0 table).
-      const db::StatsDriftSpec drift = tb->backend->AnalyzeDriftSpec();
-      DIADS_RETURN_IF_ERROR(tb->backend->ApplyDmlSilently(
-          t0 - Hours(2), drift.table, drift.factor,
-          StrFormat("silent data drift (%s grew %.0fx) before the run "
-                    "history",
-                    drift.table.c_str(), drift.factor)));
-    }
+  if (spec.plan == PlanSource::kOptimizerAfterSilentDrift) {
+    // Silent drift before the history: the table grew, the optimizer does
+    // not know yet. The satisfactory era runs a stale-statistics plan; the
+    // ANALYZE at the fault point flips the join strategy. The drift size is
+    // backend-specific (how much growth the engine's cost model absorbs
+    // before fresh stats change the plan), and the silent DML path keeps it
+    // invisible on every backend (on MySQL this models a
+    // STATS_AUTO_RECALC=0 table).
+    const db::StatsDriftSpec drift = tb->backend->AnalyzeDriftSpec();
+    DIADS_RETURN_IF_ERROR(tb->backend->ApplyDmlSilently(
+        t0 - Hours(2), drift.table, drift.factor,
+        StrFormat("silent data drift (%s grew %.0fx) before the run history",
+                  drift.table.c_str(), drift.factor)));
+  }
+  if (spec.plan != PlanSource::kPaperPlan) {
     DIADS_ASSIGN_OR_RETURN(db::Plan plan, tb->OptimizeQ2());
     pre_plan = std::make_shared<const db::Plan>(std::move(plan));
   }
@@ -243,204 +404,16 @@ Result<ScenarioOutput> RunScenario(ScenarioId id,
   // --- Fault injection at the transition ----------------------------------
   const SimTimeMs t_fault = cursor + Minutes(2);
   cursor = t_fault + Minutes(8);
-  const TimeInterval fault_window{t_fault, horizon};
   ScenarioOutput out;
   out.id = id;
-
-  switch (id) {
-    case ScenarioId::kS1SanMisconfiguration:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectSanMisconfiguration(t_fault, fault_window));
-      out.ground_truth = {{diag::RootCauseType::kSanMisconfigurationContention,
-                           "V1", true}};
-      break;
-    case ScenarioId::kS1bBurstyV2:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectSanMisconfiguration(t_fault, fault_window));
-      DIADS_RETURN_IF_ERROR(injector.InjectBurstyLoad(
-          tb->v2, fault_window, 620.0, Minutes(5), Seconds(45)));
-      out.ground_truth = {{diag::RootCauseType::kSanMisconfigurationContention,
-                           "V1", true}};
-      break;
-    case ScenarioId::kS2DualExternalContention:
-      DIADS_RETURN_IF_ERROR(injector.InjectExternalContention(
-          tb->v1, fault_window, 30.0, 95.0));
-      DIADS_RETURN_IF_ERROR(injector.InjectExternalContention(
-          tb->v2, fault_window, 80.0, 20.0));
-      out.ground_truth = {
-          {diag::RootCauseType::kExternalWorkloadContention, "V1", true}};
-      break;
-    case ScenarioId::kS3DataPropertyChange:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectDataPropertyChange(t_fault, "partsupp", 1.7));
-      out.ground_truth = {{diag::RootCauseType::kDataPropertyChange,
-                           "table:partsupp", true}};
-      break;
-    case ScenarioId::kS4ConcurrentDbSan:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectDataPropertyChange(t_fault, "partsupp", 1.5));
-      DIADS_RETURN_IF_ERROR(injector.InjectSanMisconfiguration(
-          t_fault + Minutes(1), fault_window));
-      out.ground_truth = {
-          {diag::RootCauseType::kSanMisconfigurationContention, "V1", true},
-          {diag::RootCauseType::kDataPropertyChange, "table:partsupp", true}};
-      break;
-    case ScenarioId::kS5LockingWithNoise:
-      DIADS_RETURN_IF_ERROR(injector.InjectLockContention(
-          fault_window, "partsupp", Seconds(40)));
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectSpuriousVolumeSymptoms(tb->v2, fault_window, 1.5));
-      out.ground_truth = {
-          {diag::RootCauseType::kLockContention, "table:partsupp", true}};
-      break;
-    case ScenarioId::kS6IndexDrop:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectIndexDrop(t_fault, "partsupp_partkey_idx"));
-      out.ground_truth = {{diag::RootCauseType::kPlanChange, "", true}};
-      break;
-    case ScenarioId::kS7ParamChange: {
-      // Each engine has its own plan-flipping misconfiguration knob
-      // (random_page_cost has no MySQL analogue).
-      const db::PlanMisconfigKnob knob = tb->backend->MisconfigKnob();
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectParamChange(t_fault, knob.param, knob.bad_value));
-      out.ground_truth = {{diag::RootCauseType::kPlanChange, "", true}};
-      break;
-    }
-    case ScenarioId::kS8AnalyzeAfterDrift:
-      DIADS_RETURN_IF_ERROR(injector.InjectAnalyze(
-          t_fault, tb->backend->AnalyzeDriftSpec().table));
-      out.ground_truth = {{diag::RootCauseType::kPlanChange, "", true}};
-      break;
-    case ScenarioId::kS9CpuSaturation:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectCpuSaturation(fault_window, 0.72));
-      out.ground_truth = {{diag::RootCauseType::kCpuSaturation,
-                           tb->registry.NameOf(tb->database), true}};
-      break;
-    case ScenarioId::kS10RaidRebuild:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectRaidRebuild(tb->pool1, fault_window, 0.45));
-      out.ground_truth = {{diag::RootCauseType::kRaidRebuild, "V1", true}};
-      break;
-    case ScenarioId::kS11DiskFailure: {
-      Result<ComponentId> disk1 = tb->registry.FindByName("disk1");
-      DIADS_RETURN_IF_ERROR(disk1.status());
-      DIADS_RETURN_IF_ERROR(injector.InjectDiskFailure(t_fault, *disk1));
-      // The array reacts as a real DS6000 would: an automatic RAID rebuild
-      // onto the hot spare, stealing backend bandwidth from the survivors.
-      DIADS_RETURN_IF_ERROR(injector.InjectRaidRebuild(
-          tb->pool1, TimeInterval{t_fault + Minutes(1), fault_window.end},
-          0.30));
-      out.ground_truth = {{diag::RootCauseType::kDiskFailure, "V1", true},
-                          {diag::RootCauseType::kRaidRebuild, "V1", true}};
-      break;
-    }
-    case ScenarioId::kF1HbaFailover: {
-      // A mirror stream of 106.25 MB/s rides V1's resolved paths the whole
-      // time. Split across both 1 Gbps fabrics it is 0.425 utilization per
-      // path — below the congestion threshold, so the satisfactory era is
-      // genuinely quiet. (Load events may be registered in any time order;
-      // a sub-threshold stream adds exactly nothing to past run latencies.)
-      DIADS_ASSIGN_OR_RETURN(
-          std::vector<san::IoPath> pre_paths,
-          tb->topology.ResolvePaths(tb->db_server, tb->v1));
-      const TimeInterval pre_window{t0 - Hours(1), t_fault};
-      for (const san::IoPath& path : pre_paths) {
-        DIADS_RETURN_IF_ERROR(injector.InjectFabricStream(
-            pre_window, 106.25 / static_cast<double>(pre_paths.size()),
-            path.ports));
-      }
-      DIADS_RETURN_IF_ERROR(injector.InjectPathProbes(tb->v1, pre_window));
-      // The fault: hba0 dies. The config database logs the failure plus the
-      // path failovers it forces; queries keep running — the failure is
-      // masked — but the whole stream folds onto the surviving fabric-B
-      // path: 0.85 utilization, past the congestion threshold.
-      DIADS_RETURN_IF_ERROR(injector.InjectHbaFailure(t_fault, tb->db_hba0));
-      DIADS_ASSIGN_OR_RETURN(
-          std::vector<san::IoPath> post_paths,
-          tb->topology.ResolvePaths(tb->db_server, tb->v1));
-      for (const san::IoPath& path : post_paths) {
-        DIADS_RETURN_IF_ERROR(injector.InjectFabricStream(
-            fault_window, 106.25 / static_cast<double>(post_paths.size()),
-            path.ports));
-      }
-      DIADS_RETURN_IF_ERROR(injector.InjectPathProbes(tb->v1, fault_window));
-      out.ground_truth = {
-          {diag::RootCauseType::kHbaFailure, "dbserver-hba0", true}};
-      break;
-    }
-    case ScenarioId::kF2MultipathImbalance: {
-      // At the fault point the fabric-A subsystem port negotiates down to
-      // half bandwidth just as a balanced 106.25 MB/s replication cycle
-      // starts across both paths: path B runs at a comfortable 0.425
-      // utilization while the degraded port grinds at 0.85 of its reduced
-      // capacity. (Port capacity, like S11's disk failure, has no time
-      // dimension in the topology, so the stream is confined to the fault
-      // window to keep the satisfactory era's intervals clean.)
-      DIADS_ASSIGN_OR_RETURN(
-          std::vector<san::IoPath> paths,
-          tb->topology.ResolvePaths(tb->db_server, tb->v1));
-      for (const san::IoPath& path : paths) {
-        DIADS_RETURN_IF_ERROR(injector.InjectFabricStream(
-            fault_window, 106.25 / static_cast<double>(paths.size()),
-            path.ports));
-      }
-      DIADS_RETURN_IF_ERROR(injector.InjectPathProbes(
-          tb->v1, TimeInterval{t0 - Hours(1), horizon}));
-      DIADS_RETURN_IF_ERROR(injector.InjectPortDegradation(
-          t_fault, tb->subsystem_port0, 0.5));
-      out.ground_truth = {
-          {diag::RootCauseType::kMultipathImbalance, "ds6000-pA", true}};
-      break;
-    }
-    case ScenarioId::kF3IslRebuildCrosstalk: {
-      // RAID rebuild on V2's pool, whose replication stream crosses fabric
-      // A's inter-switch link — the one fabric segment every path-A flow
-      // shares — so the rebuild hurts twice: backend bandwidth on P2's
-      // disks, congestion on the active fabric.
-      // 87.5 MB/s on a 1 Gbps ISL = 0.7 utilization: a moderate ~7 ms
-      // congestion tax on every path-A flow — enough to show up on the ISL
-      // port counters, not enough to drown out the rebuild itself.
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectRaidRebuild(tb->pool2, fault_window, 0.45));
-      DIADS_RETURN_IF_ERROR(injector.InjectFabricStream(
-          fault_window, 87.5, {tb->isl_a0, tb->isl_a1}));
-      // Path probes keep the ISL's utilization visible in both volumes'
-      // fabric latency (congestion is charged through volume-bound events
-      // that carry path ports; the raw stream alone only moves the port
-      // counters).
-      DIADS_RETURN_IF_ERROR(injector.InjectPathProbes(
-          tb->v1, TimeInterval{t0 - Hours(1), horizon}));
-      DIADS_RETURN_IF_ERROR(injector.InjectPathProbes(
-          tb->v2, TimeInterval{t0 - Hours(1), horizon}));
-      out.ground_truth = {{diag::RootCauseType::kRaidRebuild, "V2", true}};
-      break;
-    }
-    case ScenarioId::kF4RetrySnowball:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectRetrySnowball(tb->v1, fault_window, Minutes(15)));
-      out.ground_truth = {{diag::RootCauseType::kRetryStorm, "V1", true}};
-      break;
-    case ScenarioId::kC1CompressionDrift:
-      // partsupp carries both heavy leaves (the paper plan's V1 hot spot),
-      // so the drift inflates exactly the scans whose I/O dominates Q2.
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectCompressionDrift(t_fault, "partsupp", 2.2));
-      out.ground_truth = {{diag::RootCauseType::kCompressionRatioDrift,
-                           "table:partsupp", true}};
-      break;
-    case ScenarioId::kC2ZoneMapStale:
-      DIADS_RETURN_IF_ERROR(
-          injector.InjectZoneMapStaleness(t_fault, "partsupp", 2.5));
-      out.ground_truth = {{diag::RootCauseType::kZoneMapStaleness,
-                           "table:partsupp", true}};
-      break;
-  }
+  out.ground_truth = spec.ground_truth;
+  DIADS_RETURN_IF_ERROR(spec.inject(FaultPoint{tb.get(), &injector, t0,
+                                               t_fault, {t_fault, horizon},
+                                               &out.ground_truth}));
 
   // Post-fault plan: re-optimized for plan-change scenarios.
   std::shared_ptr<const db::Plan> post_plan = pre_plan;
-  if (plan_change_scenario) {
+  if (spec.plan != PlanSource::kPaperPlan) {
     DIADS_ASSIGN_OR_RETURN(db::Plan plan, tb->OptimizeQ2());
     post_plan = std::make_shared<const db::Plan>(std::move(plan));
   }

@@ -1,43 +1,21 @@
-// The evaluation scenarios (Table 1 of the paper, plus plan-change extras).
+// The evaluation scenarios: Table 1 of the paper (S1-S5, plus S1b, Section
+// 5's bursty-V2 twist), plan changes for Module PD (S6-S8), Section 6's
+// injector list (S9-S11: "server, disk, or volume contention, RAID
+// rebuilds"), fabric failover on the dual-fabric multipath testbed
+// (F1-F4), and column-store-native faults that only the columnar backend
+// runs (C1-C2). Each is one ScenarioSpec row in scenario.cc.
 //
-// Each scenario builds a fresh Figure-1 testbed, executes a history of
-// periodic Q2 runs (the report-generation workload), injects its fault(s)
-// at the transition point, executes the post-fault runs, collects the
-// monitors over the whole span, and labels runs by time window — the
-// paper's "all runs from 8 AM to 2 PM were satisfactory" style of
-// declarative labelling.
-//
-//   S1  SAN misconfiguration -> contention in V1             (Table 1, row 1)
-//   S1b S1 plus bursty, low-impact extra load on V2          (Section 5 twist)
-//   S2  External workloads on V1 and V2; only V1's matters   (row 2)
-//   S3  DML changes data properties; propagates to the SAN   (row 3)
-//   S4  Concurrent DB (data properties) + SAN (misconfig)    (row 4)
-//   S5  Lock contention + spurious V2 contention symptoms    (row 5)
-//   S6  Index drop changes the plan                          (Module PD)
-//   S7  cost-parameter change flips the plan                 (Module PD)
-//   S8  ANALYZE after silent data drift changes the plan     (Module PD)
-//   S9  Database server CPU saturation                       (Section 6's
-//   S10 RAID rebuild on V1's pool                             injector list:
-//   S11 Disk failure in V1's pool                             "server, disk,
-//                                                             or volume
-//                                                             contention,
-//                                                             RAID rebuilds")
-//
-// The F family runs on the dual-fabric multipath testbed instead:
-//   F1  HBA failure masked by path failover; the surviving path congests
-//   F2  A degraded port unbalances the multipath split
-//   F3  RAID rebuild whose replication stream crosses a shared ISL
-//   F4  I/O retry storm snowballs an ordinary slowdown
-//
-// The C family is column-store-native and only runs when the testbed's
-// backend is the columnar engine (other engines have no segments to
-// degrade; RunScenario rejects the combination):
-//   C1  Compression-ratio drift inflates every scan of a table
-//   C2  Stale zone maps defeat segment pruning on zone-pruned scans
+// Each scenario builds a fresh testbed, executes a history of periodic Q2
+// runs (the report-generation workload), injects its fault(s) at the
+// transition point, executes the post-fault runs, collects the monitors
+// over the whole span, and labels runs by time window — the paper's "all
+// runs from 8 AM to 2 PM were satisfactory" style of declarative
+// labelling.
 #ifndef DIADS_WORKLOAD_SCENARIO_H_
 #define DIADS_WORKLOAD_SCENARIO_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,10 +48,12 @@ enum class ScenarioId {
   // Column-store family: requires TestbedOptions::backend == kColumnar.
   kC1CompressionDrift,
   kC2ZoneMapStale,
+  // Not a scenario: the number of them. Keep last.
+  kCount,
 };
 
+/// "S1-san-misconfiguration" etc.; "?" outside the enum.
 const char* ScenarioName(ScenarioId id);
-const char* ScenarioDescription(ScenarioId id);
 
 struct ScenarioOptions {
   uint64_t seed = 42;
@@ -90,6 +70,50 @@ struct GroundTruthCause {
   std::string subject_name;  ///< Registry name ("V1", "table:partsupp", ...).
   bool primary = true;       ///< False for injected-but-negligible faults.
 };
+
+/// Which plan the runs execute.
+enum class PlanSource {
+  kPaperPlan,  ///< The Figure-1 paper plan, before and after the fault.
+  kOptimizer,  ///< The optimizer's choice, re-optimized after the fault.
+  /// As kOptimizer, after silent data drift before the run history (S8:
+  /// the satisfactory era runs a stale-statistics plan).
+  kOptimizerAfterSilentDrift,
+};
+
+/// What a scenario's injector acts on at the transition point.
+struct FaultPoint {
+  Testbed* tb = nullptr;
+  FaultInjector* injector = nullptr;
+  SimTimeMs t0 = 0;           ///< Start of the run history.
+  SimTimeMs t_fault = 0;      ///< Fault onset.
+  TimeInterval fault_window;  ///< From t_fault to the end of the load.
+  /// The row's ground truth, already copied to the output; an injector
+  /// fills in what depends on the testbed (S9's database name).
+  std::vector<GroundTruthCause>* ground_truth = nullptr;
+};
+
+/// One row of the scenario catalogue.
+struct ScenarioSpec {
+  ScenarioId id;
+  const char* name;
+  const char* description;
+  /// BuildFigure1Testbed, or BuildMultipathTestbed for the F family.
+  Result<std::unique_ptr<Testbed>> (*build_testbed)(const TestbedOptions&);
+  PlanSource plan;
+  /// The one backend the scenario runs on; every backend when unset.
+  std::optional<db::BackendKind> only_backend;
+  std::vector<GroundTruthCause> ground_truth;
+  /// Injects the fault(s) at the transition point.
+  Status (*inject)(const FaultPoint& at);
+
+  bool RunsOn(db::BackendKind backend) const {
+    return !only_backend.has_value() || *only_backend == backend;
+  }
+};
+
+/// The row for `id`; a row named "?" that RunScenario rejects for a value
+/// outside the enum.
+const ScenarioSpec& GetScenarioSpec(ScenarioId id);
 
 /// A finished scenario: the testbed (owning all state), the APG of the
 /// diagnosed plan, labelled windows, and the ground truth.

@@ -236,8 +236,7 @@ TEST_F(Scenario1Modules, SdWithoutDatabaseStillNarrows) {
   // Section 5: "DIADS produces good results even when the symptoms
   // database is incomplete" — with none at all, the fallback still points
   // at V1.
-  std::vector<RootCause> causes =
-      FallbackCauses(*ctx_, *config_, *co_, *da_, *cr_);
+  std::vector<RootCause> causes = FallbackCauses(*ctx_, *config_, *da_, *cr_);
   ASSERT_FALSE(causes.empty());
   EXPECT_EQ(causes.front().subject, scenario_->testbed->v1);
 }
@@ -294,8 +293,7 @@ TEST_F(Scenario1Modules, IaCostModelVariantAlsoImplicatesV1) {
 // --- Renderers ------------------------------------------------------------------
 
 TEST_F(Scenario1Modules, PanelsRender) {
-  EXPECT_NE(RenderPdResult(*ctx_, *pd_).find("plans differ: no"),
-            std::string::npos);
+  EXPECT_NE(RenderPdResult(*pd_).find("plans differ: no"), std::string::npos);
   EXPECT_NE(RenderCoResult(*ctx_, *co_).find("O8"), std::string::npos);
   EXPECT_NE(RenderDaResult(*ctx_, *da_).find("V1"), std::string::npos);
   EXPECT_NE(RenderCrResult(*ctx_, *cr_).find("data properties"),

@@ -44,7 +44,7 @@ using workload::SerialDiagnosis;
 // --- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool({/*workers=*/3, /*queue_capacity=*/16});
+  ThreadPool pool({/*workers=*/3, /*queue_capacity=*/16, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
@@ -56,7 +56,7 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
 TEST(ThreadPoolTest, BackpressureBlocksThenCompletes) {
   // One slow worker, capacity 2: submissions beyond the capacity block the
   // producer instead of growing the queue, and all tasks still run.
-  ThreadPool pool({/*workers=*/1, /*queue_capacity=*/2});
+  ThreadPool pool({/*workers=*/1, /*queue_capacity=*/2, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pool.Submit([&count] {
@@ -72,7 +72,7 @@ TEST(ThreadPoolTest, BackpressureBlocksThenCompletes) {
 }
 
 TEST(ThreadPoolTest, ShutdownCancelsQueuedAndRejectsNew) {
-  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64});
+  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64, /*fairness=*/{}});
   std::atomic<int> ran{0};
   std::atomic<int> cancelled{0};
   for (int i = 0; i < 20; ++i) {
@@ -98,7 +98,7 @@ TEST(ThreadPoolTest, ShutdownCancelsQueuedAndRejectsNew) {
 }
 
 TEST(ThreadPoolTest, DrainThenShutdownRunsEverything) {
-  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64});
+  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
@@ -109,7 +109,7 @@ TEST(ThreadPoolTest, DrainThenShutdownRunsEverything) {
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
-  ThreadPool pool({2, 8});
+  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/8, /*fairness=*/{}});
   pool.Shutdown();
   pool.Shutdown();
 }

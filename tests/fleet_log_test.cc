@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,32 @@ TEST(VerdictCodecTest, RejectsGarbageWithoutCrashing) {
   // Trailing garbage is also rejected (a CRC-valid record must parse
   // exactly, or the frame boundary is suspect).
   EXPECT_FALSE(DecodeVerdict(payload + "x").ok());
+}
+
+TEST(VerdictCodecTest, RejectsEnumValuesOutsideTheirEnum) {
+  // The last value of every stored enum decodes...
+  TenantVerdict last = MakeVerdict("t", 1, true);
+  last.causes.front().type = diag::RootCauseType::kZoneMapStaleness;
+  last.causes.front().band = diag::ConfidenceBand::kLow;
+  last.components.front().kind = ComponentKind::kWorkload;
+  last.components.front().metrics.front().metric =
+      monitor::MetricId::kDiskIops;
+  ASSERT_TRUE(DecodeVerdict(EncodeVerdict(last)).ok());
+  // ...and one past it, in each of the six places, does not.
+  std::vector<TenantVerdict> bad(6, last);
+  bad[0].causes.front().type = static_cast<diag::RootCauseType>(14);
+  bad[1].causes.front().band = static_cast<diag::ConfidenceBand>(3);
+  bad[2].components.front().kind = static_cast<ComponentKind>(15);
+  bad[3].components.front().metrics.front().metric =
+      static_cast<monitor::MetricId>(44);
+  bad[4].components.front().cause_types.front() =
+      static_cast<diag::RootCauseType>(14);
+  auto incident = std::make_shared<IncidentStamp>(*last.incident);
+  incident->metric = static_cast<monitor::MetricId>(44);
+  bad[5].incident = incident;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(DecodeVerdict(EncodeVerdict(bad[i])).ok()) << "case " << i;
+  }
 }
 
 // --- Append / replay ---------------------------------------------------------
@@ -425,6 +452,35 @@ TEST(SegmentLogFaultTest, CorruptSegmentDoesNotPoisonLaterSegments) {
   EXPECT_EQ(stats.segments_scanned, 2u);
   EXPECT_EQ(stats.records_dropped, 1u);
   EXPECT_EQ(generations, (std::vector<uint64_t>{101, 102}));
+}
+
+TEST(SegmentLogFaultTest, OutOfRangeCauseTypeSkipsOnlyThatRecord) {
+  // A CRC-valid record naming cause type 14, one past the last
+  // RootCauseType (say, written by a build with more causes). The type
+  // would index past the cause catalogue, so the payload must fail to
+  // decode, and recovery must skip that record and keep the others.
+  TenantVerdict future = MakeVerdict("t01", 1);
+  future.causes.front().type = static_cast<diag::RootCauseType>(14);
+  EXPECT_FALSE(DecodeVerdict(EncodeVerdict(future)).ok());
+
+  const fs::path dir = ScratchDir("out_of_range_cause");
+  {
+    Result<std::unique_ptr<SegmentLog>> log = SegmentLog::Open({dir.string()});
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE((*log)->Append(MakeVerdict("t00", 0)).ok());
+    ASSERT_TRUE((*log)->Append(future).ok());
+    ASSERT_TRUE((*log)->Append(MakeVerdict("t02", 2)).ok());
+  }
+  FleetStore store;
+  const ReplayStats stats = RecoverFromLog(dir.string(), &store);
+  EXPECT_EQ(stats.records_replayed, 2u);
+  EXPECT_EQ(stats.decode_failures, 1u);
+  EXPECT_EQ(stats.records_dropped, 0u);
+  std::set<std::string> tenants;
+  for (const FleetStore::Row& row : store.Snapshot()) {
+    tenants.insert(row.key.tenant);
+  }
+  EXPECT_EQ(tenants, (std::set<std::string>{"t00", "t02"}));
 }
 
 // --- Recovery into a FleetStore ---------------------------------------------

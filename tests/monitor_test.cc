@@ -468,7 +468,9 @@ TEST(TimeSeriesStoreTest, MeanInMatchesNaiveReference) {
           NaiveMeanIn(series, ascending[q]);
       ASSERT_EQ(forward.MeanIn(ascending[q], &cursor_mean),
                 sorted_expected.ok());
-      if (sorted_expected.ok()) EXPECT_EQ(cursor_mean, *sorted_expected);
+      if (sorted_expected.ok()) {
+        EXPECT_EQ(cursor_mean, *sorted_expected);
+      }
     }
   }
 }

@@ -17,31 +17,29 @@ namespace diads::testsupport {
 using workload::ScenarioId;
 
 const std::vector<ScenarioId>& AllScenarioIds() {
-  static const std::vector<ScenarioId> ids = {
-      ScenarioId::kS1SanMisconfiguration, ScenarioId::kS1bBurstyV2,
-      ScenarioId::kS2DualExternalContention, ScenarioId::kS3DataPropertyChange,
-      ScenarioId::kS4ConcurrentDbSan, ScenarioId::kS5LockingWithNoise,
-      ScenarioId::kS6IndexDrop, ScenarioId::kS7ParamChange,
-      ScenarioId::kS8AnalyzeAfterDrift, ScenarioId::kS9CpuSaturation,
-      ScenarioId::kS10RaidRebuild, ScenarioId::kS11DiskFailure,
-      ScenarioId::kF1HbaFailover, ScenarioId::kF2MultipathImbalance,
-      ScenarioId::kF3IslRebuildCrosstalk, ScenarioId::kF4RetrySnowball,
-  };
+  static const std::vector<ScenarioId> ids = [] {
+    std::vector<ScenarioId> out;
+    for (int i = 0; i < static_cast<int>(ScenarioId::kCount); ++i) {
+      const ScenarioId id = static_cast<ScenarioId>(i);
+      if (!workload::GetScenarioSpec(id).only_backend.has_value()) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }();
   return ids;
 }
 
 std::vector<std::pair<ScenarioId, db::BackendKind>> AllConformanceCases() {
   std::vector<std::pair<ScenarioId, db::BackendKind>> cases;
   for (db::BackendKind backend : db::AllBackendKinds()) {
-    for (ScenarioId id : AllScenarioIds()) {
-      cases.emplace_back(id, backend);
+    for (int i = 0; i < static_cast<int>(ScenarioId::kCount); ++i) {
+      const ScenarioId id = static_cast<ScenarioId>(i);
+      if (workload::GetScenarioSpec(id).RunsOn(backend)) {
+        cases.emplace_back(id, backend);
+      }
     }
   }
-  // The column-store-native scenarios only exist on the columnar engine
-  // (RunScenario rejects them elsewhere — no segments to degrade).
-  cases.emplace_back(ScenarioId::kC1CompressionDrift,
-                     db::BackendKind::kColumnar);
-  cases.emplace_back(ScenarioId::kC2ZoneMapStale, db::BackendKind::kColumnar);
   return cases;
 }
 

@@ -54,15 +54,16 @@ struct DiagnosedScenario {
   std::string store_digest_hash;
 };
 
-/// The 12 Table-1 / plan-change scenarios plus the 4 multipath failover
-/// scenarios, in canonical order. These are the backend-neutral scenarios:
-/// every backend runs all of them. The column-store-native C family is NOT
-/// here (it only runs on the columnar engine; see AllConformanceCases).
+/// The backend-neutral scenarios, in enum order: the 12 Table-1 /
+/// plan-change scenarios plus the 4 multipath failover scenarios. The
+/// column-store-native C family is NOT here (it only runs on the columnar
+/// engine; see AllConformanceCases).
 const std::vector<workload::ScenarioId>& AllScenarioIds();
 
-/// Every (scenario, backend) conformance configuration: the 16 backend-
-/// neutral scenarios x all backends, plus (C1, columnar) and (C2,
-/// columnar) — 16 x 3 + 2 = 50.
+/// Every (scenario, backend) conformance configuration, backend-major in
+/// enum order: each scenario on every backend its spec runs on. That is
+/// the 16 backend-neutral scenarios x all backends, plus (C1, columnar)
+/// and (C2, columnar) — 16 x 3 + 2 = 50.
 std::vector<std::pair<workload::ScenarioId, db::BackendKind>>
 AllConformanceCases();
 

@@ -113,25 +113,6 @@ TEST(MetricShortNameTest, RoundTrip) {
   EXPECT_FALSE(ParseMetricShortName("bogus").ok());
 }
 
-TEST(EventTypeNameTest, RoundTripAll) {
-  for (EventType type :
-       {EventType::kVolumeCreated, EventType::kVolumeDeleted,
-        EventType::kZoningChanged, EventType::kLunMappingChanged,
-        EventType::kDiskFailed, EventType::kDiskRecovered,
-        EventType::kRaidRebuildStarted, EventType::kRaidRebuildCompleted,
-        EventType::kExternalWorkloadStarted,
-        EventType::kExternalWorkloadStopped, EventType::kVolumePerfDegraded,
-        EventType::kSubsystemHighLoad, EventType::kIndexCreated,
-        EventType::kIndexDropped, EventType::kDbParamChanged,
-        EventType::kTableStatsChanged, EventType::kDmlBatch,
-        EventType::kTableLockContention}) {
-    Result<EventType> round = ParseEventTypeName(EventTypeName(type));
-    ASSERT_TRUE(round.ok()) << EventTypeName(type);
-    EXPECT_EQ(*round, type);
-  }
-  EXPECT_FALSE(ParseEventTypeName("NotAnEvent").ok());
-}
-
 // The indexed lookup path (SymptomIndex) must answer every predicate of
 // the default symptoms database exactly as the linear-scan path does, for
 // every volume binding, over real module results.

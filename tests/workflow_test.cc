@@ -138,10 +138,10 @@ TEST(SymptomsDbTest, DefaultDatabaseIsValid) {
 
 TEST(SymptomsDbTest, WeightsMustSumTo100) {
   SymptomsDb db;
-  EXPECT_FALSE(db.AddEntry("bad", RootCauseType::kLockContention, false,
+  EXPECT_FALSE(db.AddEntry("bad", RootCauseType::kLockContention,
                            {{"lock_wait_high()", 50}})
                    .ok());
-  EXPECT_TRUE(db.AddEntry("good", RootCauseType::kLockContention, false,
+  EXPECT_TRUE(db.AddEntry("good", RootCauseType::kLockContention,
                           {{"lock_wait_high()", 60},
                            {"op_anomaly_exists()", 40}})
                   .ok());
@@ -149,10 +149,10 @@ TEST(SymptomsDbTest, WeightsMustSumTo100) {
 
 TEST(SymptomsDbTest, RejectsUnparseableConditions) {
   SymptomsDb db;
-  EXPECT_FALSE(db.AddEntry("bad", RootCauseType::kLockContention, false,
+  EXPECT_FALSE(db.AddEntry("bad", RootCauseType::kLockContention,
                            {{"this is not an expression", 100}})
                    .ok());
-  EXPECT_FALSE(db.AddEntry("bad2", RootCauseType::kLockContention, false,
+  EXPECT_FALSE(db.AddEntry("bad2", RootCauseType::kLockContention,
                            {{"lock_wait_high()", -10},
                             {"op_anomaly_exists()", 110}})
                    .ok());
@@ -160,10 +160,10 @@ TEST(SymptomsDbTest, RejectsUnparseableConditions) {
 
 TEST(SymptomsDbTest, DuplicateAndRemove) {
   SymptomsDb db;
-  ASSERT_TRUE(db.AddEntry("e", RootCauseType::kLockContention, false,
+  ASSERT_TRUE(db.AddEntry("e", RootCauseType::kLockContention,
                           {{"lock_wait_high()", 100}})
                   .ok());
-  EXPECT_FALSE(db.AddEntry("e", RootCauseType::kLockContention, false,
+  EXPECT_FALSE(db.AddEntry("e", RootCauseType::kLockContention,
                            {{"lock_wait_high()", 100}})
                    .ok());
   EXPECT_TRUE(db.RemoveEntry("e").ok());

@@ -367,17 +367,5 @@ TEST(ScenarioTest, MatchesGroundTruthSemantics) {
   EXPECT_FALSE(MatchesGroundTruth(wrong_type, cause, registry));
 }
 
-TEST(ScenarioTest, AllScenarioNamesAndDescriptionsDefined) {
-  for (ScenarioId id :
-       {ScenarioId::kS1SanMisconfiguration, ScenarioId::kS1bBurstyV2,
-        ScenarioId::kS2DualExternalContention,
-        ScenarioId::kS3DataPropertyChange, ScenarioId::kS4ConcurrentDbSan,
-        ScenarioId::kS5LockingWithNoise, ScenarioId::kS6IndexDrop,
-        ScenarioId::kS7ParamChange, ScenarioId::kS8AnalyzeAfterDrift}) {
-    EXPECT_STRNE(ScenarioName(id), "?");
-    EXPECT_STRNE(ScenarioDescription(id), "?");
-  }
-}
-
 }  // namespace
 }  // namespace diads::workload
