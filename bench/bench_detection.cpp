@@ -4,14 +4,16 @@
 //
 // Three sections, each a CI gate:
 //
-//   * Latency: every Table-1 / plan-change scenario is replayed through a
+//   * Latency: every scenario of the catalogue (workload::ScenarioSpec) is
+//     replayed, on its only backend or else the default one, through a
 //     SlowdownDetector wired to a live DiagnosisEngine. Every fault onset
 //     must raise an incident *after* the satisfactory era and auto-submit
-//     a diagnosis that resolves ok. The headline per scenario is the
-//     detection latency in simulated minutes (fault onset -> confirming
-//     sample): SAN-side faults elevate every monitoring interval and
-//     confirm in ~45 simulated minutes; plan-change faults only elevate
-//     the ~1-in-6 intervals that overlap a report run, so the
+//     a diagnosis whose ReportDigest equals a serial Workflow::Diagnose
+//     over the scenario's canonical context. The headline per scenario is
+//     the detection latency in simulated minutes (fault onset ->
+//     confirming sample): SAN-side faults elevate every monitoring
+//     interval and confirm in ~45 simulated minutes; plan-change faults
+//     only elevate the ~1-in-6 intervals that overlap a report run, so the
 //     5-of-32-window confirmation needs ~4 run periods (~2¼ sim hours).
 //   * Quiet fleet: every tenant of a BuildFleet fleet replayed up to its
 //     satisfactory end — the era the golden table certifies healthy. Any
@@ -38,8 +40,11 @@
 
 #include "common/sim_time.h"
 #include "common/strings.h"
+#include "db/backend.h"
 #include "detect/detector.h"
+#include "diads/report.h"
 #include "diads/symptoms_db.h"
+#include "diads/workflow.h"
 #include "engine/engine.h"
 #include "monitor/timeseries.h"
 #include "support/bench_json.h"
@@ -75,22 +80,15 @@ double Ms(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-const std::vector<workload::ScenarioId>& AllScenarios() {
-  static const std::vector<workload::ScenarioId> ids = {
-      workload::ScenarioId::kS1SanMisconfiguration,
-      workload::ScenarioId::kS1bBurstyV2,
-      workload::ScenarioId::kS2DualExternalContention,
-      workload::ScenarioId::kS3DataPropertyChange,
-      workload::ScenarioId::kS4ConcurrentDbSan,
-      workload::ScenarioId::kS5LockingWithNoise,
-      workload::ScenarioId::kS6IndexDrop,
-      workload::ScenarioId::kS7ParamChange,
-      workload::ScenarioId::kS8AnalyzeAfterDrift,
-      workload::ScenarioId::kS9CpuSaturation,
-      workload::ScenarioId::kS10RaidRebuild,
-      workload::ScenarioId::kS11DiskFailure,
-  };
-  return ids;
+/// Every scenario of the catalogue, each on the backend its spec pins or
+/// else the default one.
+std::vector<workload::ScenarioSpec> AllScenarios() {
+  std::vector<workload::ScenarioSpec> specs;
+  for (int i = 0; i < static_cast<int>(workload::ScenarioId::kCount); ++i) {
+    specs.push_back(
+        workload::GetScenarioSpec(static_cast<workload::ScenarioId>(i)));
+  }
+  return specs;
 }
 
 }  // namespace
@@ -114,12 +112,16 @@ int main(int argc, char** argv) {
   double max_latency_min = 0;
 
   // --- Detection latency per fault scenario ------------------------------
+  const std::vector<workload::ScenarioSpec> scenarios = AllScenarios();
   std::printf("detection latency (%zu scenarios, seed %llu)\n",
-              AllScenarios().size(),
-              static_cast<unsigned long long>(bench.seed));
-  for (workload::ScenarioId id : AllScenarios()) {
+              scenarios.size(), static_cast<unsigned long long>(bench.seed));
+  for (const workload::ScenarioSpec& spec : scenarios) {
+    const workload::ScenarioId id = spec.id;
     workload::ScenarioOptions scenario_options;
     scenario_options.seed = bench.seed;
+    scenario_options.testbed.backend =
+        spec.only_backend.value_or(scenario_options.testbed.backend);
+    const char* backend = db::BackendKindName(scenario_options.testbed.backend);
     Result<workload::ScenarioOutput> scenario =
         workload::RunScenario(id, scenario_options);
     if (!scenario.ok()) {
@@ -141,9 +143,23 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // The auto-diagnosis must answer exactly what an administrator's
+    // serial diagnosis of the same canonical context answers.
+    diag::Workflow workflow(scenario->MakeContext(), diag::WorkflowConfig{},
+                            &symptoms);
+    Result<diag::DiagnosisReport> serial = workflow.Diagnose();
+    if (!serial.ok()) {
+      std::fprintf(stderr, "serial diagnosis of %s failed: %s\n",
+                   workload::ScenarioName(id),
+                   serial.status().ToString().c_str());
+      return 1;
+    }
     const bool detected = !replay->incidents.empty();
     const bool diagnosed = !replay->responses.empty() &&
                            replay->responses.front().ok();
+    const bool digest_equal =
+        diagnosed && diag::ReportDigest(*replay->responses.front().report) ==
+                         diag::ReportDigest(*serial);
     bool onset_fp = false;
     for (const detect::Incident& incident : replay->incidents) {
       if (incident.confirmed_time <= scenario->satisfactory_window.end) {
@@ -154,21 +170,24 @@ int main(int argc, char** argv) {
         detected ? static_cast<double>(replay->detection_latency) / 60000.0
                  : -1;
     all_detected = all_detected && detected && !onset_fp;
-    all_diagnosed = all_diagnosed && diagnosed;
+    all_diagnosed = all_diagnosed && digest_equal;
     if (onset_fp) ++onset_false_positives;
     max_latency_min = std::max(max_latency_min, latency_min);
 
-    std::printf("  %-28s incidents=%zu diagnosed=%d latency=%6.1f min "
-                "(%llu crossings, %llu series)\n",
-                workload::ScenarioName(id), replay->incidents.size(),
-                diagnosed ? 1 : 0, latency_min,
+    std::printf("  %-28s %-8s incidents=%zu diagnosed=%d digest=%s "
+                "latency=%6.1f min (%llu crossings, %llu series)\n",
+                workload::ScenarioName(id), backend, replay->incidents.size(),
+                diagnosed ? 1 : 0, digest_equal ? "equal" : "DIFFERS",
+                latency_min,
                 static_cast<unsigned long long>(replay->stats.band_crossings),
                 static_cast<unsigned long long>(replay->stats.series_tracked));
     bench::BenchJson("detection")
         .Str("mode", "scenario")
         .Str("scenario", workload::ScenarioName(id))
+        .Str("backend", backend)
         .Int("incidents", static_cast<int64_t>(replay->incidents.size()))
         .Bool("diagnosed", diagnosed)
+        .Bool("digest_equal", digest_equal)
         .Num("latency_min", latency_min, 1)
         .Uint("crossings", replay->stats.band_crossings)
         .Uint("suppressed_active", replay->stats.suppressed_active)
@@ -301,6 +320,7 @@ int main(int argc, char** argv) {
                     quiet_incidents == 0 && overhead_ok;
   bench::BenchJson("detection")
       .Str("mode", "summary")
+      .Int("catalogue", static_cast<int64_t>(scenarios.size()))
       .Bool("all_detected", all_detected)
       .Bool("all_diagnosed", all_diagnosed)
       .Uint("false_positives", quiet_incidents)

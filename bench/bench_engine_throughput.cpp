@@ -64,6 +64,7 @@
 #include "engine/engine.h"
 #include "monitor/async_collector.h"
 #include "obs/trace.h"
+#include "stats/descriptive.h"
 #include "support/bench_json.h"
 #include "workload/fleet.h"
 
@@ -103,6 +104,17 @@ struct ConfigResult {
   uint64_t coalesced = 0;
   double p95_ms = 0;
 };
+
+/// Exact latency percentile `p` (0-100) over `responses`.
+double LatencyPercentile(
+    const std::vector<engine::DiagnosisResponse>& responses, double p) {
+  std::vector<double> latencies;
+  latencies.reserve(responses.size());
+  for (const engine::DiagnosisResponse& response : responses) {
+    latencies.push_back(response.latency_ms);
+  }
+  return stats::Percentile(std::move(latencies), p);
+}
 
 /// The measured request stream: per tenant, `fresh` distinct incidents
 /// plus `repeats` copies of incident 0, interleaved across tenants.
@@ -146,10 +158,8 @@ ConfigResult RunConfig(const workload::FleetWorkload& fleet,
       std::exit(1);
     }
   }
-  // Drop warmup samples so latency percentiles cover only the measured
-  // stream; the cache's own counters survive, so `before` still nets
-  // them out.
-  engine.ResetStats();
+  // Counters are netted against `before`, and latency percentiles come
+  // from the measured stream's own responses, so the warm-up is excluded.
   const engine::EngineStatsSnapshot before = engine.Stats();
 
   std::vector<engine::DiagnosisRequest> stream = MakeStream(
@@ -182,7 +192,7 @@ ConfigResult RunConfig(const workload::FleetWorkload& fleet,
   result.hit_rate =
       hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0;
   result.coalesced = after.coalesced - before.coalesced;
-  result.p95_ms = after.request_latency.p95_ms;
+  result.p95_ms = LatencyPercentile(responses, 95);
   return result;
 }
 
@@ -268,8 +278,8 @@ AsyncModeResult RunAsyncMode(const workload::FleetWorkload& fleet,
   result.mode = overlapped ? "async" : "blocking";
   result.requests = static_cast<int>(responses.size());
   result.seconds = seconds;
-  result.p50_ms = stats.request_latency.p50_ms;
-  result.p99_ms = stats.request_latency.p99_ms;
+  result.p50_ms = LatencyPercentile(responses, 50);
+  result.p99_ms = LatencyPercentile(responses, 99);
   result.fetches = stats.collection_fetches;
   result.timeouts = stats.collection_timeouts;
   result.stale = stats.collection_stale;
@@ -296,7 +306,6 @@ ModelCacheModeResult RunModelCachePass(
     const std::vector<std::string>& serial_digests, const BenchOptions& bench,
     engine::DiagnosisEngine* engine, const char* mode) {
   const engine::EngineStatsSnapshot before = engine->Stats();
-  engine->ResetStats();
   std::vector<engine::DiagnosisRequest> stream =
       MakeStream(fleet, bench.mc_fresh, /*repeats=*/0);
   std::vector<size_t> tenant_of_request;
@@ -335,7 +344,7 @@ ModelCacheModeResult RunModelCachePass(
   result.requests = static_cast<int>(responses.size());
   result.seconds = seconds;
   result.per_sec = seconds > 0 ? result.requests / seconds : 0;
-  result.p95_ms = after.request_latency.p95_ms;
+  result.p95_ms = LatencyPercentile(responses, 95);
   result.model_hits = after.model_cache_hits - before.model_cache_hits;
   result.model_misses = after.model_cache_misses - before.model_cache_misses;
   const uint64_t total = result.model_hits + result.model_misses;

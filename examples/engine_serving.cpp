@@ -12,11 +12,12 @@
 // (submit -> queue wait -> gather -> per-component fetches -> workflow
 // modules -> fleet publish) and writes a Chrome trace-event JSON you can
 // open at chrome://tracing or https://ui.perfetto.dev. With --metrics-out
-// it scrapes the unified metrics registry (engine + fleet-store sources)
-// into a JSON snapshot, plus Prometheus text exposition alongside at
-// <path>.prom. The engine's own health series (throughput, queue depth,
-// latency quantiles) are appended into a dedicated TimeSeriesStore — the
-// self-monitoring loop that lets DIADS be pointed at itself.
+// it scrapes the engine's metrics registry (the engine's own counters and
+// latency histograms, plus the fleet-store sources) into a JSON snapshot,
+// plus Prometheus text exposition alongside at <path>.prom. The engine's
+// own health series (throughput, queue depth, latency quantiles) are
+// appended into a dedicated TimeSeriesStore — the self-monitoring loop
+// that lets DIADS be pointed at itself.
 //
 // With --detect the run additionally replays every tenant's monitoring
 // stream through the always-on SlowdownDetector (append -> sketch ->
@@ -58,7 +59,6 @@
 #include "detect/metrics.h"
 #include "diads/workflow.h"
 #include "engine/engine.h"
-#include "engine/metrics_export.h"
 #include "engine/self_monitor.h"
 #include "fleet/log.h"
 #include "fleet/metrics.h"
@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
 
   engine::DiagnosisEngine engine(engine_options, &symptoms, collector);
 
-  // Unified registry: every engine + fleet-store counter, one scrape.
-  obs::MetricsRegistry registry;
-  engine::RegisterEngineMetrics(&registry, &engine);
+  // The engine's registry carries its own counters and latency
+  // histograms; the fleet store (and log) join it, one scrape for all.
+  obs::MetricsRegistry& registry = engine.metrics();
   fleet::RegisterFleetStoreMetrics(&registry, &fleet_store);
   if (fleet_log != nullptr) {
     fleet::RegisterFleetLogMetrics(&registry, fleet_log.get());

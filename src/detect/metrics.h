@@ -1,5 +1,5 @@
 // Bridges SlowdownDetector counters into the unified metrics registry,
-// following the engine/fleet source pattern: the detector's atomics stay
+// following the fleet store's source pattern: the detector's atomics stay
 // where they are, the registry reads a snapshot at scrape time. Family
 // naming: diads_detect_<what>[_total].
 #ifndef DIADS_DETECT_METRICS_H_

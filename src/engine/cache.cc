@@ -53,8 +53,7 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
 std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
     const CacheKey& key,
     std::shared_ptr<const CollectionSummary>* collection,
-    bool validate_generation, const void* authority,
-    uint64_t store_generation) {
+    const void* authority, uint64_t store_generation) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -62,7 +61,7 @@ std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
     ++shard.misses;
     return nullptr;
   }
-  if (validate_generation &&
+  if (authority != nullptr &&
       (it->second->authority != authority ||
        it->second->store_generation != store_generation)) {
     // The report predates the store's current data (or was computed from a

@@ -91,7 +91,7 @@ class ResultCache {
   /// `collection` is non-null it receives the entry's collection summary
   /// (possibly null for entries computed without async collection).
   ///
-  /// When `validate_generation` is set, a hit additionally requires the
+  /// When `authority` is non-null, a hit additionally requires the
   /// entry's recorded (authority, store_generation) stamp to equal the
   /// caller's — the entry was computed from exactly the data the caller
   /// sees now. A mismatch erases the entry (Append-driven invalidation)
@@ -100,8 +100,7 @@ class ResultCache {
   std::shared_ptr<const diag::DiagnosisReport> Get(
       const CacheKey& key,
       std::shared_ptr<const CollectionSummary>* collection = nullptr,
-      bool validate_generation = false, const void* authority = nullptr,
-      uint64_t store_generation = 0);
+      const void* authority = nullptr, uint64_t store_generation = 0);
 
   /// Inserts or replaces; evicts the shard's least-recently-used entry when
   /// the shard is at capacity. `authority` / `store_generation` stamp the

@@ -126,6 +126,7 @@ DiagnosisEngine::DiagnosisEngine(
       symptoms_db_(symptoms_db),
       collector_(std::move(collector)),
       gatherer_(collector_.get(), options.gather),
+      stats_(&metrics_, &pool_, &cache_, &model_cache_),
       cache_(ResultCache::Options{options.cache_capacity,
                                   options.cache_shards}),
       model_cache_(diag::BaselineModelCache::Options{
@@ -150,8 +151,10 @@ CacheKey DiagnosisEngine::KeyFor(const DiagnosisRequest& request) {
 
 std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     DiagnosisRequest request) {
-  stats_.RecordSubmitted();
-  if (request.incident != nullptr) stats_.RecordAutoSubmitted();
+  stats_.Add(&EngineStatsSnapshot::submitted);
+  if (request.incident != nullptr) {
+    stats_.Add(&EngineStatsSnapshot::auto_submitted);
+  }
   const Clock::time_point submitted = Clock::now();
   // One root span per Submit. The request's TraceContext parents every
   // serving-path child (cache lookup, queue wait, gather, modules,
@@ -171,7 +174,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     DiagnosisResponse response;
     response.status = std::move(status);
     response.latency_ms = ElapsedMs(submitted);
-    if (failed_counts) stats_.RecordFailed();
+    if (failed_counts) stats_.Add(&EngineStatsSnapshot::failed);
     promise->set_value(std::move(response));
   };
 
@@ -194,12 +197,9 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     const monitor::TimeSeriesStore* authority = AuthorityOf(request);
     const uint64_t generation = authority->StoreGeneration();
     if (std::shared_ptr<const diag::DiagnosisReport> report =
-            cache_.Get(key, &cached_collection,
-                       options_.invalidate_results_on_append, authority,
-                       generation)) {
+            cache_.Get(key, &cached_collection, authority, generation)) {
       cache_span.Note("outcome", "hit");
       cache_span.End();
-      stats_.RecordCacheHit();
       // Normally the computation that filled this entry already
       // published its verdict, but an explicit FleetStore invalidation
       // (with no new monitoring data) leaves the store empty while the
@@ -207,12 +207,10 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
       // missing or older. Checking the tenant row alone suffices because
       // every store invalidation path (InvalidateTenant,
       // InvalidateComponent, DropStale) drops it along with the targeted
-      // rows. Only safe with generation-validated hits: they guarantee
-      // this report reflects the store's current data, so the fresh
-      // stamps are truthful. (Legacy mode keeps the gap: a stale hit
-      // must not pose as a fresh verdict.)
-      if (options_.fleet_store != nullptr &&
-          options_.invalidate_results_on_append) {
+      // rows. Safe because hits are generation-validated: this report
+      // reflects the store's current data, so the fresh stamps are
+      // truthful.
+      if (options_.fleet_store != nullptr) {
         const fleet::FleetStore::Row row = options_.fleet_store->Get(
             fleet::FleetKey{request.tag, "", key.window_begin,
                             key.window_end});
@@ -221,7 +219,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
               fleet::ExtractVerdict(request.ctx, *report, request.tag);
           verdict.incident = request.incident;
           options_.fleet_store->Publish(verdict);
-          stats_.RecordFleetPublish();
+          stats_.Add(&EngineStatsSnapshot::fleet_publishes);
         }
       }
       DiagnosisResponse response;
@@ -234,14 +232,14 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
       profile->total_ms = response.latency_ms;
       response.cost = std::move(profile);
       root.Note("outcome", "cache_hit");
-      stats_.RecordCompleted();
-      stats_.RecordRequestLatency(response.latency_ms);
+      stats_.Add(&EngineStatsSnapshot::completed);
+      stats_.Observe(&EngineStatsSnapshot::request_latency,
+                     response.latency_ms);
       promise->set_value(std::move(response));
       return future;
     }
     cache_span.Note("outcome", "miss");
     cache_span.End();
-    stats_.RecordCacheMiss();
   }
 
   if (options_.coalesce_identical) {
@@ -253,7 +251,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
         it->second->waiters.push_back(Waiter{std::move(promise), submitted,
                                              /*coalesced=*/true,
                                              std::move(root)});
-        stats_.RecordCoalesced();
+        stats_.Add(&EngineStatsSnapshot::coalesced);
         return future;
       }
       auto entry = std::make_unique<Inflight>();
@@ -282,7 +280,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
       Execute(key, std::move(request), ElapsedMs(enqueued));
     };
     const Status submitted_status = pool_.Submit(std::move(task));
-    stats_.RecordQueueDepth(pool_.QueueDepth());
+    stats_.RaiseTo(&EngineStatsSnapshot::max_queue_depth, pool_.QueueDepth());
     if (!submitted_status.ok()) {
       // The pool refused the enqueue (admission share, or it shut down
       // between the inflight insert and the enqueue): fail every waiter
@@ -309,7 +307,8 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     RecordTerminal(status);
     root_holder->Note("outcome", OutcomeNote(status));
     root_holder->End();
-    stats_.RecordRequestLatency(response.latency_ms);
+    stats_.Observe(&EngineStatsSnapshot::request_latency,
+                   response.latency_ms);
     promise->set_value(std::move(response));
   };
   task.run =
@@ -338,20 +337,18 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
         response.report = std::move(report);
         response.collection = std::move(collection);
         response.cost = std::move(cost);
-        if (status.ok()) {
-          stats_.RecordCompleted();
-        } else {
-          stats_.RecordFailed();
-        }
+        stats_.Add(status.ok() ? &EngineStatsSnapshot::completed
+                               : &EngineStatsSnapshot::failed);
         root_holder->Note("outcome", status.ok() ? "ok" : "error");
         root_holder->End();
-        stats_.RecordRequestLatency(response.latency_ms);
+        stats_.Observe(&EngineStatsSnapshot::request_latency,
+                       response.latency_ms);
         promise->set_value(std::move(response));
       };
   const Status submitted_status = pool_.Submit(std::move(task));
-  stats_.RecordQueueDepth(pool_.QueueDepth());
+  stats_.RaiseTo(&EngineStatsSnapshot::max_queue_depth, pool_.QueueDepth());
   if (!submitted_status.ok()) {
-    stats_.RecordRejected();
+    stats_.Add(&EngineStatsSnapshot::rejected);
     root_holder->Note("outcome", OutcomeNote(submitted_status));
     root_holder->End();
     fulfill_now(submitted_status, /*failed_counts=*/false);
@@ -377,7 +374,7 @@ QueueTask DiagnosisEngine::TaskSpecFor(const DiagnosisRequest& request,
 
 void DiagnosisEngine::RecordTerminal(const Status& status) {
   if (status.ok()) {
-    stats_.RecordCompleted();
+    stats_.Add(&EngineStatsSnapshot::completed);
     return;
   }
   switch (status.code()) {
@@ -387,10 +384,10 @@ void DiagnosisEngine::RecordTerminal(const Status& status) {
     case StatusCode::kFailedPrecondition:
     case StatusCode::kShutdown:
     case StatusCode::kResourceExhausted:
-      stats_.RecordRejected();
+      stats_.Add(&EngineStatsSnapshot::rejected);
       break;
     default:
-      stats_.RecordFailed();
+      stats_.Add(&EngineStatsSnapshot::failed);
       break;
   }
 }
@@ -553,7 +550,7 @@ void DiagnosisEngine::AfterCompute(
       verdict.cost = cost;
       verdict.incident = request.incident;
       options_.fleet_store->Publish(verdict);
-      stats_.RecordFleetPublish();
+      stats_.Add(&EngineStatsSnapshot::fleet_publishes);
     }
   }
 }
@@ -591,7 +588,8 @@ void DiagnosisEngine::Resolve(
     RecordTerminal(status);
     waiter.span.Note("outcome", OutcomeNote(status));
     waiter.span.End();
-    stats_.RecordRequestLatency(response.latency_ms);
+    stats_.Observe(&EngineStatsSnapshot::request_latency,
+                   response.latency_ms);
     waiter.promise->set_value(std::move(response));
   }
 }
@@ -624,29 +622,6 @@ void DiagnosisEngine::Shutdown() {
 
 std::vector<TenantAdmissionRow> DiagnosisEngine::TenantAdmission() const {
   return pool_.TenantRows();
-}
-
-EngineStatsSnapshot DiagnosisEngine::Stats() const {
-  EngineStatsSnapshot snapshot = stats_.Snapshot(pool_.QueueDepth());
-  const FairQueueCounters queue = pool_.QueueCounters();
-  snapshot.admitted = queue.admitted;
-  snapshot.rejected_share = queue.rejected_share;
-  snapshot.shed_deadline = queue.shed_deadline;
-  snapshot.cancelled_shutdown = queue.cancelled_shutdown;
-  snapshot.starvation_avoided = queue.starvation_avoided;
-  snapshot.queued_cost = pool_.QueuedCost();
-  const ResultCache::Counters cache = cache_.TotalCounters();
-  snapshot.cache_evictions = cache.evictions;
-  snapshot.cache_invalidations = cache.invalidations;
-  const diag::BaselineModelCache::Counters models =
-      model_cache_.TotalCounters();
-  snapshot.model_cache_hits = models.hits;
-  snapshot.model_cache_misses = models.misses;
-  snapshot.model_cache_evictions = models.evictions;
-  snapshot.model_cache_invalidations = models.invalidations;
-  snapshot.model_cache_declined = models.declined;
-  snapshot.model_cache_entries = models.entries;
-  return snapshot;
 }
 
 }  // namespace diads::engine

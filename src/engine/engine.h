@@ -18,12 +18,20 @@
 //     with the diagnosis;
 //   * finished reports are memoized in a sharded LRU cache keyed by
 //     (query, window, tenant tag, config) — a repeat of the same question
-//     is answered without re-running the module chain;
+//     is answered without re-running the module chain. A cached report is
+//     served only while the tenant store's StoreGeneration still equals
+//     the value recorded when it was computed, so a question asked after
+//     new monitoring data arrives recomputes instead of serving stale.
+//     The guarantee covers appends that happen-before Submit (the store
+//     is not thread-safe against appends racing an in-flight diagnosis,
+//     so a coalesced waiter may share the report of a computation started
+//     before its Submit);
 //   * identical requests already in flight are coalesced: the second
 //     asker waits for the first one's report instead of computing it
 //     twice (single-flight);
-//   * everything is measured (EngineStats): throughput, queue depth,
-//     per-module latency percentiles, cache hit rate.
+//   * everything is measured (EngineStats) into the engine's metrics
+//     registry: throughput, queue depth, per-module latency histograms,
+//     cache hit rate.
 //
 // Determinism contract: for a given request, the engine's report is
 // byte-identical (see ReportDigest) to a direct serial
@@ -59,6 +67,7 @@
 #include "monitor/async_collector.h"
 #include "monitor/gather.h"
 #include "obs/cost_profile.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace diads::fleet {
@@ -175,16 +184,6 @@ struct EngineOptions {
   /// owned; must outlive the engine. Publishing never changes the report
   /// (ReportDigest is identical with the store attached or not).
   fleet::FleetStore* fleet_store = nullptr;
-  /// Generation-validate result-cache hits: a cached report is served
-  /// only while the tenant store's StoreGeneration still equals the value
-  /// recorded when the report was computed, so a query issued after new
-  /// monitoring data arrives recomputes instead of serving stale. Uses
-  /// the same append counters the model cache invalidates on. Scope: the
-  /// guarantee covers appends that happen-before Submit (the store is
-  /// not thread-safe against appends racing an in-flight diagnosis, so a
-  /// coalesced waiter may legally share the report of a computation
-  /// started before its Submit).
-  bool invalidate_results_on_append = true;
   /// Tenant-fair admission + dispatch discipline for the work queue
   /// (weights, share fractions, DRR quantum — see fair_queue.h). Enabled
   /// by default; disable for the legacy single-FIFO behavior that
@@ -253,17 +252,19 @@ class DiagnosisEngine {
                                     ComponentId component);
 
   /// Live metrics (queue depth sampled now, cache counters included).
-  EngineStatsSnapshot Stats() const;
+  EngineStatsSnapshot Stats() const { return stats_.Snapshot(); }
+
+  /// The engine's metrics registry: every row of the engine's metric
+  /// table (engine/stats.h). Callers may add their own sources (a fleet
+  /// store, its log, a detector) to scrape them with the engine's; each
+  /// must outlive the engine's last scrape.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Per-tenant admission/dispatch accounting (submitted, admitted,
   /// rejected, shed, dispatched, queued cost), sorted by tenant tag —
   /// the data behind an operator's "who is flooding us" table.
   std::vector<TenantAdmissionRow> TenantAdmission() const;
-
-  /// Zeroes every counter and latency sample and restarts the throughput
-  /// clock (benchmarks call this after warmup). Cache contents and the
-  /// cache's own counters are untouched.
-  void ResetStats() { stats_.Reset(); }
 
   /// The cache identity the engine derives for a request.
   static CacheKey KeyFor(const DiagnosisRequest& request);
@@ -311,6 +312,7 @@ class DiagnosisEngine {
   const diag::SymptomsDb* symptoms_db_;
   std::shared_ptr<monitor::AsyncCollector> collector_;  ///< May be null.
   monitor::MetricGatherer gatherer_;  ///< Valid only when collector_ set.
+  obs::MetricsRegistry metrics_;  ///< Before stats_, which registers into it.
   EngineStats stats_;
   ResultCache cache_;
   /// Fitted baseline models shared by all workers (see

@@ -1,172 +1,347 @@
 #include "engine/stats.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <cassert>
 
 #include "common/strings.h"
+#include "diads/model_cache.h"
 #include "diads/workflow.h"
+#include "engine/cache.h"
+#include "engine/thread_pool.h"
 #include "monitor/gather.h"
 
 namespace diads::engine {
+
+struct ScrapeView {
+  FairQueueCounters queue;
+  uint64_t queue_depth = 0;
+  double queued_cost = 0;
+  ResultCache::Counters cache;
+  diag::BaselineModelCache::Counters models;
+  double elapsed_sec = 0;
+  uint64_t completed = 0;
+};
+
 namespace {
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+using S = EngineStatsSnapshot;
+using obs::MetricType;
+
+constexpr MetricType kCounter = MetricType::kCounter;
+constexpr MetricType kGauge = MetricType::kGauge;
+
+/// A counter (or high-water gauge) the engine records.
+EngineMetricRow Recorded(const char* name, const char* help,
+                         uint64_t S::*count, MetricType type = kCounter) {
+  return {name, help, type, nullptr, count, nullptr, nullptr, nullptr};
 }
 
-double PercentileOfSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+/// A latency the engine records, as a histogram.
+EngineMetricRow Latency(const char* name, const char* help,
+                        LatencySummary S::*latency,
+                        const char* module = nullptr) {
+  return {name,    help,    MetricType::kHistogram, module,
+          nullptr, nullptr, latency,                nullptr};
 }
 
-std::string SummaryJson(const char* name,
-                        const LatencyRecorder::Summary& s) {
-  return StrFormat(
-      "\"%s\":{\"count\":%llu,\"mean_ms\":%.3f,\"p50_ms\":%.3f,"
-      "\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f}",
-      name, static_cast<unsigned long long>(s.count), s.mean_ms, s.p50_ms,
-      s.p95_ms, s.p99_ms, s.max_ms);
+EngineMetricRow ModuleLatency(const char* module,
+                              LatencySummary S::*latency) {
+  return Latency("diads_module_latency_ms",
+                 "Per workflow module, milliseconds", latency, module);
+}
+
+/// A counter (or gauge) read from its owner at scrape time.
+EngineMetricRow Read(const char* name, const char* help, uint64_t S::*count,
+                     double (*read)(const ScrapeView&),
+                     MetricType type = kCounter) {
+  return {name, help, type, nullptr, count, nullptr, nullptr, read};
+}
+EngineMetricRow Read(const char* name, const char* help, double S::*value,
+                     double (*read)(const ScrapeView&)) {
+  return {name, help, kGauge, nullptr, nullptr, value, nullptr, read};
+}
+
+/// The scrape view's member at `path` (`view.*path[0].*path[1]`).
+template <auto... kPath>
+double At(const ScrapeView& view) {
+  return static_cast<double>((view .* ... .* kPath));
+}
+
+using Queue = FairQueueCounters;
+using Cache = ResultCache::Counters;
+using Models = diag::BaselineModelCache::Counters;
+
+std::vector<EngineMetricRow> MakeRows() {
+  // The rows the engine records come first, the hottest at the front:
+  // EngineStats finds a record call's row by scanning from the top.
+  return {
+      Recorded("diads_engine_submitted_total", "Requests accepted",
+               &S::submitted),
+      Recorded("diads_engine_completed_total", "Requests completed ok",
+               &S::completed),
+      Latency("diads_engine_request_latency_ms",
+              "Submit to report ready, milliseconds", &S::request_latency),
+      Recorded("diads_engine_failed_total", "Requests failed", &S::failed),
+      Recorded("diads_engine_rejected_total",
+               "Requests refused (shutdown, admission)", &S::rejected),
+      Recorded("diads_engine_coalesced_total",
+               "Requests joined onto an identical in-flight request",
+               &S::coalesced),
+      Recorded("diads_engine_auto_submitted_total",
+               "Requests auto-submitted by the slowdown detector",
+               &S::auto_submitted),
+      Recorded("diads_engine_fleet_publishes_total",
+               "Verdicts published into the fleet store",
+               &S::fleet_publishes),
+      Recorded("diads_engine_max_queue_depth", "High-water queued requests",
+               &S::max_queue_depth, kGauge),
+      ModuleLatency("PD", &S::pd),
+      ModuleLatency("CO", &S::co),
+      ModuleLatency("DA", &S::da),
+      ModuleLatency("CR", &S::cr),
+      ModuleLatency("SD", &S::sd),
+      ModuleLatency("IA", &S::ia),
+      Recorded("diads_gather_fetches_total", "Fetch attempts issued",
+               &S::collection_fetches),
+      Recorded("diads_gather_timeouts_total",
+               "Fetch attempts past their deadline", &S::collection_timeouts),
+      Recorded("diads_gather_retries_total", "Fetches re-issued",
+               &S::collection_retries),
+      Recorded("diads_gather_stale_components_total",
+               "Components degraded to stale local data",
+               &S::collection_stale),
+      Recorded("diads_gather_degraded_diagnoses_total",
+               "Diagnoses served with >= 1 stale component",
+               &S::degraded_diagnoses),
+      Latency("diads_gather_fetch_latency_ms",
+              "Per successful component fetch, milliseconds",
+              &S::fetch_latency),
+      Latency("diads_gather_latency_ms",
+              "Per diagnosis scatter/gather, milliseconds",
+              &S::gather_latency),
+      // Read from the worker pool's fair queue.
+      Read("diads_engine_admitted_total",
+           "Requests accepted past tenant-share admission", &S::admitted,
+           At<&ScrapeView::queue, &Queue::admitted>),
+      Read("diads_engine_rejected_share_total",
+           "Requests refused because the tenant's queue share was full",
+           &S::rejected_share, At<&ScrapeView::queue, &Queue::rejected_share>),
+      Read("diads_engine_shed_deadline_total",
+           "Queued requests dropped past their deadline", &S::shed_deadline,
+           At<&ScrapeView::queue, &Queue::shed_deadline>),
+      Read("diads_engine_cancelled_shutdown_total",
+           "Queued requests failed explicitly by shutdown",
+           &S::cancelled_shutdown,
+           At<&ScrapeView::queue, &Queue::cancelled_shutdown>),
+      Read("diads_engine_starvation_avoided_total",
+           "Dispatches where fair queueing overtook a flooding tenant's "
+           "earlier request",
+           &S::starvation_avoided,
+           At<&ScrapeView::queue, &Queue::starvation_avoided>),
+      Read("diads_engine_queue_depth", "Queued requests now", &S::queue_depth,
+           At<&ScrapeView::queue_depth>, kGauge),
+      Read("diads_engine_queued_cost", "Cost units currently enqueued",
+           &S::queued_cost, At<&ScrapeView::queued_cost>),
+      // Read from the result cache.
+      Read("diads_engine_result_cache_hits_total", "Result-cache hits",
+           &S::cache_hits, At<&ScrapeView::cache, &Cache::hits>),
+      Read("diads_engine_result_cache_misses_total", "Result-cache misses",
+           &S::cache_misses, At<&ScrapeView::cache, &Cache::misses>),
+      Read("diads_engine_result_cache_evictions_total",
+           "Result-cache LRU evictions", &S::cache_evictions,
+           At<&ScrapeView::cache, &Cache::evictions>),
+      Read("diads_engine_result_cache_invalidations_total",
+           "Result-cache entries dropped stale or invalidated",
+           &S::cache_invalidations,
+           At<&ScrapeView::cache, &Cache::invalidations>),
+      // Read from the baseline-model cache.
+      Read("diads_model_cache_hits_total", "Baseline-model cache hits",
+           &S::model_cache_hits, At<&ScrapeView::models, &Models::hits>),
+      Read("diads_model_cache_misses_total", "Baseline-model cache misses",
+           &S::model_cache_misses, At<&ScrapeView::models, &Models::misses>),
+      Read("diads_model_cache_evictions_total",
+           "Baseline-model cache CLOCK evictions", &S::model_cache_evictions,
+           At<&ScrapeView::models, &Models::evictions>),
+      Read("diads_model_cache_invalidations_total",
+           "Baseline-model cache append-driven drops",
+           &S::model_cache_invalidations,
+           At<&ScrapeView::models, &Models::invalidations>),
+      Read("diads_model_cache_declined_total",
+           "Fitted models the baseline-model cache declined to admit",
+           &S::model_cache_declined,
+           At<&ScrapeView::models, &Models::declined>),
+      Read("diads_model_cache_entries", "Baseline-model cache live entries",
+           &S::model_cache_entries, At<&ScrapeView::models, &Models::entries>,
+           kGauge),
+      // Read from the clock.
+      Read("diads_engine_elapsed_sec", "Seconds since engine start",
+           &S::elapsed_sec, At<&ScrapeView::elapsed_sec>),
+      Read("diads_engine_throughput_per_sec",
+           "Completed diagnoses per second since engine start",
+           &S::throughput_per_sec, [](const ScrapeView& v) {
+             return v.elapsed_sec > 0 ? v.completed / v.elapsed_sec : 0.0;
+           }),
+  };
+}
+
+template <typename T>
+using Field = T S::*;
+
+/// The row whose `member` is `field`; that row must be one the engine
+/// records.
+template <typename T>
+size_t RowOf(Field<T> field, Field<T> EngineMetricRow::*member) {
+  const std::vector<EngineMetricRow>& rows = EngineMetricRows();
+  size_t i = 0;
+  while (i < rows.size() && rows[i].*member != field) ++i;
+  assert(i < rows.size() && rows[i].read == nullptr);
+  return i;
+}
+
+LatencySummary Summarize(const obs::Histogram::Snapshot& snap) {
+  LatencySummary out;
+  out.count = snap.count;
+  if (snap.count == 0) return out;
+  out.mean_ms = snap.sum / static_cast<double>(snap.count);
+  out.p50_ms = snap.Quantile(0.50);
+  out.p95_ms = snap.Quantile(0.95);
+  out.p99_ms = snap.Quantile(0.99);
+  return out;
 }
 
 }  // namespace
 
-void LatencyRecorder::Record(double ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.push_back(ms);
+obs::Labels EngineMetricRow::labels() const {
+  if (module == nullptr) return {};
+  return {{"module", module}};
 }
 
-LatencyRecorder::Summary LatencyRecorder::Summarize() const {
-  std::vector<double> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_;
+const std::vector<EngineMetricRow>& EngineMetricRows() {
+  static const std::vector<EngineMetricRow> rows = MakeRows();
+  return rows;
+}
+
+EngineStats::EngineStats(obs::MetricsRegistry* registry,
+                         const ThreadPool* pool, const ResultCache* cache,
+                         const diag::BaselineModelCache* model_cache)
+    : pool_(pool),
+      cache_(cache),
+      model_cache_(model_cache),
+      start_(std::chrono::steady_clock::now()) {
+  const std::vector<EngineMetricRow>& rows = EngineMetricRows();
+  instruments_.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const EngineMetricRow& row = rows[i];
+    if (row.read != nullptr) continue;
+    switch (row.type) {
+      case MetricType::kCounter:
+        instruments_[i].counter =
+            registry->AddCounter(row.name, row.help, row.labels());
+        break;
+      case MetricType::kGauge:
+        instruments_[i].gauge =
+            registry->AddGauge(row.name, row.help, row.labels());
+        break;
+      case MetricType::kHistogram:
+        instruments_[i].histogram = registry->AddHistogram(
+            row.name, row.help, obs::kLatencyMsBuckets, row.labels());
+        break;
+    }
   }
-  Summary out;
-  out.count = sorted.size();
-  if (sorted.empty()) return out;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0;
-  for (double v : sorted) total += v;
-  out.mean_ms = total / static_cast<double>(sorted.size());
-  out.p50_ms = PercentileOfSorted(sorted, 50);
-  out.p95_ms = PercentileOfSorted(sorted, 95);
-  out.p99_ms = PercentileOfSorted(sorted, 99);
-  out.max_ms = sorted.back();
-  return out;
+  registry->AddSource(
+      [this](obs::MetricsEmitter& emitter) { EmitOwnerRows(emitter); });
 }
 
-void LatencyRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.clear();
+void EngineStats::Add(uint64_t S::*field, uint64_t n) {
+  instruments_[RowOf(field, &EngineMetricRow::count)].counter->Increment(n);
 }
 
-EngineStats::EngineStats() { start_ns_.store(NowNs()); }
+void EngineStats::RaiseTo(uint64_t S::*field, uint64_t v) {
+  instruments_[RowOf(field, &EngineMetricRow::count)].gauge->RaiseTo(
+      static_cast<double>(v));
+}
 
-void EngineStats::RecordQueueDepth(size_t depth) {
-  size_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-  while (depth > seen &&
-         !max_queue_depth_.compare_exchange_weak(seen, depth)) {
-  }
+void EngineStats::Observe(LatencySummary S::*field, double ms) {
+  instruments_[RowOf(field, &EngineMetricRow::latency)].histogram->Observe(
+      ms);
 }
 
 void EngineStats::RecordModuleLatencies(const diag::ModuleTimings& timings) {
-  pd_.Record(timings.pd_ms);
-  co_.Record(timings.co_ms);
-  da_.Record(timings.da_ms);
-  cr_.Record(timings.cr_ms);
-  sd_.Record(timings.sd_ms);
-  ia_.Record(timings.ia_ms);
+  Observe(&S::pd, timings.pd_ms);
+  Observe(&S::co, timings.co_ms);
+  Observe(&S::da, timings.da_ms);
+  Observe(&S::cr, timings.cr_ms);
+  Observe(&S::sd, timings.sd_ms);
+  Observe(&S::ia, timings.ia_ms);
 }
 
 void EngineStats::RecordCollection(const monitor::GatherResult& gather) {
-  collection_fetches_.fetch_add(gather.counters.fetches,
-                                std::memory_order_relaxed);
-  collection_timeouts_.fetch_add(gather.counters.timeouts,
-                                 std::memory_order_relaxed);
-  collection_retries_.fetch_add(gather.counters.retries,
-                                std::memory_order_relaxed);
-  collection_stale_.fetch_add(gather.counters.stale_components,
-                              std::memory_order_relaxed);
-  if (gather.degraded()) {
-    degraded_diagnoses_.fetch_add(1, std::memory_order_relaxed);
+  Add(&S::collection_fetches, gather.counters.fetches);
+  Add(&S::collection_timeouts, gather.counters.timeouts);
+  Add(&S::collection_retries, gather.counters.retries);
+  Add(&S::collection_stale, gather.counters.stale_components);
+  if (gather.degraded()) Add(&S::degraded_diagnoses);
+  for (double ms : gather.fetch_ms) Observe(&S::fetch_latency, ms);
+  Observe(&S::gather_latency, gather.counters.gather_ms);
+}
+
+ScrapeView EngineStats::View() const {
+  ScrapeView view;
+  if (pool_ != nullptr) {
+    view.queue = pool_->QueueCounters();
+    view.queue_depth = pool_->QueueDepth();
+    view.queued_cost = pool_->QueuedCost();
   }
-  for (double ms : gather.fetch_ms) fetch_latency_.Record(ms);
-  gather_latency_.Record(gather.counters.gather_ms);
+  if (cache_ != nullptr) view.cache = cache_->TotalCounters();
+  if (model_cache_ != nullptr) view.models = model_cache_->TotalCounters();
+  view.elapsed_sec = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start_)
+                         .count();
+  view.completed =
+      instruments_[RowOf(&S::completed, &EngineMetricRow::count)]
+          .counter->value();
+  return view;
 }
 
-EngineStatsSnapshot EngineStats::Snapshot(size_t queue_depth) const {
+void EngineStats::EmitOwnerRows(obs::MetricsEmitter& emitter) const {
+  const ScrapeView view = View();
+  for (const EngineMetricRow& row : EngineMetricRows()) {
+    if (row.read == nullptr) continue;
+    const double value = row.read(view);
+    if (row.type == MetricType::kCounter) {
+      emitter.Counter(row.name, row.help, row.labels(),
+                      static_cast<uint64_t>(value));
+    } else {
+      emitter.Gauge(row.name, row.help, row.labels(), value);
+    }
+  }
+}
+
+EngineStatsSnapshot EngineStats::Snapshot() const {
+  const ScrapeView view = View();
+  const std::vector<EngineMetricRow>& rows = EngineMetricRows();
   EngineStatsSnapshot out;
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.completed = completed_.load(std::memory_order_relaxed);
-  out.failed = failed_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  out.coalesced = coalesced_.load(std::memory_order_relaxed);
-  out.auto_submitted = auto_submitted_.load(std::memory_order_relaxed);
-  out.fleet_publishes = fleet_publishes_.load(std::memory_order_relaxed);
-  out.queue_depth = queue_depth;
-  out.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  out.elapsed_sec =
-      static_cast<double>(NowNs() - start_ns_.load()) / 1e9;
-  out.throughput_per_sec =
-      out.elapsed_sec > 0
-          ? static_cast<double>(out.completed) / out.elapsed_sec
-          : 0;
-  out.collection_fetches =
-      collection_fetches_.load(std::memory_order_relaxed);
-  out.collection_timeouts =
-      collection_timeouts_.load(std::memory_order_relaxed);
-  out.collection_retries =
-      collection_retries_.load(std::memory_order_relaxed);
-  out.collection_stale = collection_stale_.load(std::memory_order_relaxed);
-  out.degraded_diagnoses =
-      degraded_diagnoses_.load(std::memory_order_relaxed);
-  out.request_latency = request_latency_.Summarize();
-  out.fetch_latency = fetch_latency_.Summarize();
-  out.gather_latency = gather_latency_.Summarize();
-  out.pd = pd_.Summarize();
-  out.co = co_.Summarize();
-  out.da = da_.Summarize();
-  out.cr = cr_.Summarize();
-  out.sd = sd_.Summarize();
-  out.ia = ia_.Summarize();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const EngineMetricRow& row = rows[i];
+    const Instrument& instrument = instruments_[i];
+    if (row.latency != nullptr) {
+      out.*row.latency = Summarize(instrument.histogram->Snap());
+      continue;
+    }
+    double value = 0;
+    if (row.read != nullptr) {
+      value = row.read(view);
+    } else if (instrument.counter != nullptr) {
+      value = static_cast<double>(instrument.counter->value());
+    } else {
+      value = instrument.gauge->value();
+    }
+    if (row.count != nullptr) {
+      out.*row.count = static_cast<uint64_t>(value);
+    } else {
+      out.*row.value = value;
+    }
+  }
   return out;
-}
-
-void EngineStats::Reset() {
-  submitted_.store(0);
-  completed_.store(0);
-  failed_.store(0);
-  rejected_.store(0);
-  cache_hits_.store(0);
-  cache_misses_.store(0);
-  coalesced_.store(0);
-  auto_submitted_.store(0);
-  fleet_publishes_.store(0);
-  collection_fetches_.store(0);
-  collection_timeouts_.store(0);
-  collection_retries_.store(0);
-  collection_stale_.store(0);
-  degraded_diagnoses_.store(0);
-  max_queue_depth_.store(0);
-  start_ns_.store(NowNs());
-  request_latency_.Clear();
-  fetch_latency_.Clear();
-  gather_latency_.Clear();
-  pd_.Clear();
-  co_.Clear();
-  da_.Clear();
-  cr_.Clear();
-  sd_.Clear();
-  ia_.Clear();
 }
 
 std::string EngineStatsSnapshot::Render() const {
@@ -198,16 +373,18 @@ std::string EngineStatsSnapshot::Render() const {
   if (model_cache_hits + model_cache_misses > 0) {
     out += StrFormat(
         "models: %llu hits, %llu misses, %llu evictions, "
-        "%llu invalidations, %llu declined (hit rate %.1f%%, %zu cached)\n",
+        "%llu invalidations, %llu declined (hit rate %.1f%%, %llu cached)\n",
         static_cast<unsigned long long>(model_cache_hits),
         static_cast<unsigned long long>(model_cache_misses),
         static_cast<unsigned long long>(model_cache_evictions),
         static_cast<unsigned long long>(model_cache_invalidations),
         static_cast<unsigned long long>(model_cache_declined),
-        ModelCacheHitRate() * 100.0, model_cache_entries);
+        ModelCacheHitRate() * 100.0,
+        static_cast<unsigned long long>(model_cache_entries));
   }
-  out += StrFormat("queue:  depth %zu (max %zu)\n", queue_depth,
-                   max_queue_depth);
+  out += StrFormat("queue:  depth %llu (max %llu)\n",
+                   static_cast<unsigned long long>(queue_depth),
+                   static_cast<unsigned long long>(max_queue_depth));
   if (rejected_share + shed_deadline + cancelled_shutdown +
           starvation_avoided >
       0) {
@@ -221,9 +398,9 @@ std::string EngineStatsSnapshot::Render() const {
         static_cast<unsigned long long>(starvation_avoided));
   }
   out += StrFormat(
-      "latency: p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms (n=%llu)\n",
-      request_latency.p50_ms, request_latency.p95_ms, request_latency.p99_ms,
-      request_latency.max_ms,
+      "latency: mean %.2fms p50 %.2fms p95 %.2fms p99 %.2fms (n=%llu)\n",
+      request_latency.mean_ms, request_latency.p50_ms, request_latency.p95_ms,
+      request_latency.p99_ms,
       static_cast<unsigned long long>(request_latency.count));
   if (collection_fetches > 0) {
     out += StrFormat(
@@ -237,85 +414,12 @@ std::string EngineStatsSnapshot::Render() const {
         static_cast<unsigned long long>(degraded_diagnoses),
         fetch_latency.p95_ms, gather_latency.p95_ms);
   }
-  struct Row {
-    const char* name;
-    const LatencyRecorder::Summary* s;
-  } rows[] = {{"PD", &pd}, {"CO", &co}, {"DA", &da},
-              {"CR", &cr}, {"SD", &sd}, {"IA", &ia}};
-  for (const Row& row : rows) {
-    if (row.s->count == 0) continue;
-    out += StrFormat("module %s: mean %.2fms p95 %.2fms\n", row.name,
-                     row.s->mean_ms, row.s->p95_ms);
+  for (const EngineMetricRow& row : EngineMetricRows()) {
+    if (row.module == nullptr || (this->*row.latency).count == 0) continue;
+    out += StrFormat("module %s: mean %.2fms p95 %.2fms\n", row.module,
+                     (this->*row.latency).mean_ms,
+                     (this->*row.latency).p95_ms);
   }
-  return out;
-}
-
-std::string EngineStatsSnapshot::ToJson() const {
-  std::string out = "{";
-  out += StrFormat(
-      "\"submitted\":%llu,\"completed\":%llu,\"failed\":%llu,"
-      "\"rejected\":%llu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_evictions\":%llu,\"cache_invalidations\":%llu,"
-      "\"coalesced\":%llu,\"auto_submitted\":%llu,"
-      "\"fleet_publishes\":%llu,\"queue_depth\":%zu,"
-      "\"max_queue_depth\":%zu,\"elapsed_sec\":%.3f,"
-      "\"throughput_per_sec\":%.2f,\"cache_hit_rate\":%.4f,",
-      static_cast<unsigned long long>(submitted),
-      static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(failed),
-      static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(cache_evictions),
-      static_cast<unsigned long long>(cache_invalidations),
-      static_cast<unsigned long long>(coalesced),
-      static_cast<unsigned long long>(auto_submitted),
-      static_cast<unsigned long long>(fleet_publishes), queue_depth,
-      max_queue_depth, elapsed_sec, throughput_per_sec, CacheHitRate());
-  out += StrFormat(
-      "\"admitted\":%llu,\"rejected_share\":%llu,\"shed_deadline\":%llu,"
-      "\"cancelled_shutdown\":%llu,\"starvation_avoided\":%llu,"
-      "\"queued_cost\":%.2f,",
-      static_cast<unsigned long long>(admitted),
-      static_cast<unsigned long long>(rejected_share),
-      static_cast<unsigned long long>(shed_deadline),
-      static_cast<unsigned long long>(cancelled_shutdown),
-      static_cast<unsigned long long>(starvation_avoided), queued_cost);
-  out += StrFormat(
-      "\"model_cache_hits\":%llu,\"model_cache_misses\":%llu,"
-      "\"model_cache_evictions\":%llu,\"model_cache_invalidations\":%llu,"
-      "\"model_cache_declined\":%llu,"
-      "\"model_cache_entries\":%zu,\"model_cache_hit_rate\":%.4f,",
-      static_cast<unsigned long long>(model_cache_hits),
-      static_cast<unsigned long long>(model_cache_misses),
-      static_cast<unsigned long long>(model_cache_evictions),
-      static_cast<unsigned long long>(model_cache_invalidations),
-      static_cast<unsigned long long>(model_cache_declined),
-      model_cache_entries, ModelCacheHitRate());
-  out += StrFormat(
-      "\"collection_fetches\":%llu,\"collection_timeouts\":%llu,"
-      "\"collection_retries\":%llu,\"collection_stale\":%llu,"
-      "\"degraded_diagnoses\":%llu,",
-      static_cast<unsigned long long>(collection_fetches),
-      static_cast<unsigned long long>(collection_timeouts),
-      static_cast<unsigned long long>(collection_retries),
-      static_cast<unsigned long long>(collection_stale),
-      static_cast<unsigned long long>(degraded_diagnoses));
-  out += SummaryJson("request_latency", request_latency);
-  out += ",";
-  out += SummaryJson("fetch_latency", fetch_latency);
-  out += ",";
-  out += SummaryJson("gather_latency", gather_latency);
-  struct Row {
-    const char* name;
-    const LatencyRecorder::Summary* s;
-  } rows[] = {{"pd", &pd}, {"co", &co}, {"da", &da},
-              {"cr", &cr}, {"sd", &sd}, {"ia", &ia}};
-  for (const Row& row : rows) {
-    out += ",";
-    out += SummaryJson(row.name, *row.s);
-  }
-  out += "}";
   return out;
 }
 

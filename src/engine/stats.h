@@ -6,19 +6,31 @@
 // latency breakdown across the workflow's modules (PD/CO/DA/CR/SD/IA) to
 // tell "the service is slow" apart from "one module regressed".
 //
-// All recorders are thread-safe; workers record with a short critical
-// section and readers take a consistent snapshot.
+// Every engine metric is one row of the table in stats.cc: its registry
+// name, help string and the EngineStatsSnapshot member it fills. The
+// table drives everything else. EngineStats registers each row into the
+// engine's obs::MetricsRegistry, the serving path records straight into
+// those registry instruments, and Snapshot() fills the snapshot by
+// walking the same rows. Counters the engine counts itself are registry
+// counters; its nine latencies are fixed-bucket registry histograms
+// (obs::kLatencyMsBuckets), so their memory does not grow with requests.
+// Counters that the worker pool, the result cache and the model cache
+// keep for their own use stay with those owners; their rows read them at
+// scrape time. Adding an engine metric takes one table row, one
+// EngineStatsSnapshot field and its record call.
 #ifndef DIADS_ENGINE_STATS_H_
 #define DIADS_ENGINE_STATS_H_
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace diads::diag {
-struct ModuleTimings;  // diads/workflow.h
+struct ModuleTimings;      // diads/workflow.h
+class BaselineModelCache;  // diads/model_cache.h
 }  // namespace diads::diag
 
 namespace diads::monitor {
@@ -27,40 +39,28 @@ struct GatherResult;  // monitor/gather.h
 
 namespace diads::engine {
 
-/// Thread-safe latency accumulator with exact percentiles.
-///
-/// Stores every sample (a diagnosis service handles thousands of requests,
-/// not billions; exactness beats a sketch at this scale) and sorts lazily
-/// at snapshot time.
-class LatencyRecorder {
- public:
-  void Record(double ms);
+class ResultCache;  // engine/cache.h
+class ThreadPool;   // engine/thread_pool.h
 
-  struct Summary {
-    uint64_t count = 0;
-    double mean_ms = 0;
-    double p50_ms = 0;
-    double p95_ms = 0;
-    double p99_ms = 0;
-    double max_ms = 0;
-  };
-  Summary Summarize() const;
-
-  void Clear();
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> samples_;
+/// One latency histogram, summarized. Count and mean are exact; the
+/// quantiles are obs::Histogram::Snapshot::Quantile estimates, within
+/// 2^(1/4) - 1 (19%) of the exact percentile.
+struct LatencySummary {
+  uint64_t count = 0;
+  double mean_ms = 0;
+  double p50_ms = 0;
+  double p95_ms = 0;
+  double p99_ms = 0;
 };
 
-/// Point-in-time view of the engine's counters.
+/// Point-in-time view of the engine's metrics.
 struct EngineStatsSnapshot {
   uint64_t submitted = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
   uint64_t rejected = 0;       ///< Submitted after shutdown began.
-  // Fair-queue admission/dispatch outcomes (filled by the engine from its
-  // ThreadPool; all zero for a queue that never rejected or shed).
+  // Fair-queue admission/dispatch outcomes (from the engine's ThreadPool;
+  // all zero for a queue that never rejected or shed).
   uint64_t admitted = 0;            ///< Tasks accepted past admission.
   uint64_t rejected_share = 0;      ///< Refused: tenant queue share full.
   uint64_t shed_deadline = 0;       ///< Dropped expired before running.
@@ -69,11 +69,12 @@ struct EngineStatsSnapshot {
   /// earlier-arrived request of another (flooding) tenant.
   uint64_t starvation_avoided = 0;
   double queued_cost = 0;           ///< Cost currently enqueued.
+  // Result cache (from the engine's ResultCache).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;  ///< Filled by the engine from its cache.
+  uint64_t cache_evictions = 0;
   /// Result-cache entries dropped stale (generation mismatch) or by
-  /// explicit per-tenant/per-component invalidation. From the cache.
+  /// explicit per-tenant/per-component invalidation.
   uint64_t cache_invalidations = 0;
   uint64_t coalesced = 0;      ///< Joined an identical in-flight request.
   /// Requests carrying a detector incident (SlowdownDetector auto-submit)
@@ -81,8 +82,8 @@ struct EngineStatsSnapshot {
   uint64_t auto_submitted = 0;
   /// Verdicts published into the fleet store (0 without a fleet store).
   uint64_t fleet_publishes = 0;
-  // Baseline-model cache (filled by the engine from its
-  // BaselineModelCache; all zero when the model cache is disabled).
+  // Baseline-model cache (from the engine's BaselineModelCache; all zero
+  // when the model cache is disabled).
   uint64_t model_cache_hits = 0;
   uint64_t model_cache_misses = 0;
   uint64_t model_cache_evictions = 0;
@@ -90,10 +91,10 @@ struct EngineStatsSnapshot {
   /// Fitted models not cached because the shard's hand found no
   /// unreferenced resident (an undersized cache keeping its residents).
   uint64_t model_cache_declined = 0;
-  size_t model_cache_entries = 0;
-  size_t queue_depth = 0;
-  size_t max_queue_depth = 0;
-  double elapsed_sec = 0;      ///< Since engine start (or stats reset).
+  uint64_t model_cache_entries = 0;
+  uint64_t queue_depth = 0;
+  uint64_t max_queue_depth = 0;
+  double elapsed_sec = 0;         ///< Since engine start.
   double throughput_per_sec = 0;  ///< completed / elapsed.
   // Async SAN collection (zero when the engine has no collector).
   uint64_t collection_fetches = 0;   ///< Fetch attempts issued.
@@ -101,10 +102,10 @@ struct EngineStatsSnapshot {
   uint64_t collection_retries = 0;   ///< Re-issued fetches.
   uint64_t collection_stale = 0;     ///< Components served stale.
   uint64_t degraded_diagnoses = 0;   ///< Diagnoses with >= 1 stale component.
-  LatencyRecorder::Summary request_latency;  ///< Submit -> report ready.
-  LatencyRecorder::Summary fetch_latency;    ///< Per successful fetch.
-  LatencyRecorder::Summary gather_latency;   ///< Per diagnosis gather.
-  LatencyRecorder::Summary pd, co, da, cr, sd, ia;  ///< Per module.
+  LatencySummary request_latency;  ///< Submit -> report ready.
+  LatencySummary fetch_latency;    ///< Per successful fetch.
+  LatencySummary gather_latency;   ///< Per diagnosis gather.
+  LatencySummary pd, co, da, cr, sd, ia;  ///< Per module.
 
   double CacheHitRate() const {
     const uint64_t total = cache_hits + cache_misses;
@@ -119,55 +120,81 @@ struct EngineStatsSnapshot {
 
   /// Human-readable multi-line rendering (console dashboards).
   std::string Render() const;
-  /// One-line JSON object (bench output, log scraping).
-  std::string ToJson() const;
 };
 
-/// The engine's shared metrics hub. One instance per DiagnosisEngine.
+/// What one scrape reads outside the registry instruments: the owners'
+/// counters and the clock (defined in stats.cc).
+struct ScrapeView;
+
+/// One row of the engine's metric table. The row fills exactly one of
+/// `count`, `value` and `latency`.
+struct EngineMetricRow {
+  const char* name;  ///< Registry family name.
+  const char* help;
+  obs::MetricType type;
+  /// Value of the "module" label, or null for an unlabelled row.
+  const char* module;
+  uint64_t EngineStatsSnapshot::*count;
+  double EngineStatsSnapshot::*value;
+  LatencySummary EngineStatsSnapshot::*latency;
+  /// For a value the engine does not record itself: reads it at scrape
+  /// time. Null for the rows the engine records into registry
+  /// instruments.
+  double (*read)(const ScrapeView& view);
+
+  obs::Labels labels() const;
+};
+
+/// The engine's metric table, in registration order.
+const std::vector<EngineMetricRow>& EngineMetricRows();
+
+/// Registers every engine metric into one registry and records into it.
+/// One instance per DiagnosisEngine. Thread-safe: the record calls are
+/// lock-free, and Snapshot() may race them.
 class EngineStats {
  public:
-  void RecordSubmitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCompleted() { completed_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCoalesced() { coalesced_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordAutoSubmitted() {
-    auto_submitted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordFleetPublish() {
-    fleet_publishes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordQueueDepth(size_t depth);
-  void RecordRequestLatency(double ms) { request_latency_.Record(ms); }
+  /// Registers the table's rows into `registry`, which must outlive this
+  /// object. A scrape of the registry reads this object and the owners
+  /// (each may be null, reading as zero, and need not be constructed
+  /// yet), so scrape it only while they live.
+  EngineStats(obs::MetricsRegistry* registry, const ThreadPool* pool = nullptr,
+              const ResultCache* cache = nullptr,
+              const diag::BaselineModelCache* model_cache = nullptr);
+
+  EngineStats(const EngineStats&) = delete;
+  EngineStats& operator=(const EngineStats&) = delete;
+
+  /// Adds `n` to the counter row that fills `field`.
+  void Add(uint64_t EngineStatsSnapshot::*field, uint64_t n = 1);
+  /// Raises the high-water gauge row that fills `field` to `v`.
+  void RaiseTo(uint64_t EngineStatsSnapshot::*field, uint64_t v);
+  /// Observes `ms` in the latency row that fills `field`.
+  void Observe(LatencySummary EngineStatsSnapshot::*field, double ms);
+
   void RecordModuleLatencies(const diag::ModuleTimings& timings);
   /// Folds one diagnosis's gather (counters + fetch latencies) in.
   void RecordCollection(const monitor::GatherResult& gather);
 
-  /// `queue_depth` is sampled by the caller (the queue owns the live value).
-  EngineStatsSnapshot Snapshot(size_t queue_depth) const;
-
-  /// Restarts the throughput clock and zeroes every counter.
-  void Reset();
-
-  EngineStats();
+  /// Every row read now, into the member it fills.
+  EngineStatsSnapshot Snapshot() const;
 
  private:
-  std::atomic<uint64_t> submitted_{0}, completed_{0}, failed_{0}, rejected_{0};
-  std::atomic<uint64_t> cache_hits_{0}, cache_misses_{0};
-  std::atomic<uint64_t> coalesced_{0}, fleet_publishes_{0};
-  std::atomic<uint64_t> auto_submitted_{0};
-  std::atomic<uint64_t> collection_fetches_{0}, collection_timeouts_{0};
-  std::atomic<uint64_t> collection_retries_{0}, collection_stale_{0};
-  std::atomic<uint64_t> degraded_diagnoses_{0};
-  std::atomic<size_t> max_queue_depth_{0};
-  std::atomic<int64_t> start_ns_{0};
-  LatencyRecorder request_latency_;
-  LatencyRecorder fetch_latency_, gather_latency_;
-  LatencyRecorder pd_, co_, da_, cr_, sd_, ia_;
+  /// The registry instrument of a row the engine records itself.
+  struct Instrument {
+    obs::Counter* counter = nullptr;
+    obs::Gauge* gauge = nullptr;
+    obs::Histogram* histogram = nullptr;
+  };
+
+  ScrapeView View() const;
+  /// Emits the rows read at scrape time.
+  void EmitOwnerRows(obs::MetricsEmitter& emitter) const;
+
+  const ThreadPool* pool_;
+  const ResultCache* cache_;
+  const diag::BaselineModelCache* model_cache_;
+  const std::chrono::steady_clock::time_point start_;
+  std::vector<Instrument> instruments_;  ///< Parallel to the table.
 };
 
 }  // namespace diads::engine

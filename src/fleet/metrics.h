@@ -1,7 +1,8 @@
-// FleetStore -> unified metrics registry bridge (the fleet-side sibling
-// of engine/metrics_export.h). Scrape-time source over
-// FleetStore::TotalCounters — nothing new is counted, the store's exact
-// per-row accounting just becomes scrapeable.
+// FleetStore -> metrics registry bridge. A scrape-time source over
+// FleetStore::TotalCounters: nothing new is counted, the store's exact
+// per-row accounting just becomes scrapeable. Register it into the
+// registry the serving engine owns (DiagnosisEngine::metrics()) to scrape
+// the store with the engine.
 #ifndef DIADS_FLEET_METRICS_H_
 #define DIADS_FLEET_METRICS_H_
 

@@ -115,7 +115,6 @@ void Histogram::Observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const size_t index = static_cast<size_t>(it - bounds_.begin());
   counts_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   double expected = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + v,
                                      std::memory_order_relaxed)) {
@@ -125,14 +124,40 @@ void Histogram::Observe(double v) {
 Histogram::Snapshot Histogram::Snap() const {
   Snapshot snap;
   snap.bounds = bounds_;
+  snap.cumulative.reserve(bounds_.size());
   uint64_t running = 0;
   for (size_t i = 0; i < bounds_.size(); ++i) {
     running += counts_[i].load(std::memory_order_relaxed);
     snap.cumulative.push_back(running);
   }
-  snap.count = count_.load(std::memory_order_relaxed);
+  snap.count =
+      running + counts_[bounds_.size()].load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
+}
+
+double Histogram::Snapshot::Quantile(double q) const {
+  if (count == 0 || bounds.empty()) return 0;
+  // The estimate of the order statistic at 0-based rank k: its bucket's
+  // bounds interpolated by k's position among the bucket's observations.
+  const auto order_statistic = [this](uint64_t k) {
+    const size_t i = static_cast<size_t>(
+        std::upper_bound(cumulative.begin(), cumulative.end(), k) -
+        cumulative.begin());
+    if (i == 0) return bounds.front();
+    if (i == bounds.size()) return bounds.back();
+    const uint64_t below = cumulative[i - 1];
+    const double position = (static_cast<double>(k - below) + 0.5) /
+                            static_cast<double>(cumulative[i] - below);
+    return bounds[i - 1] + (bounds[i] - bounds[i - 1]) * position;
+  };
+  const double rank =
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(count - 1);
+  const uint64_t lo = static_cast<uint64_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const double at_lo = order_statistic(lo);
+  if (frac == 0 || lo + 1 >= count) return at_lo;
+  return at_lo * (1.0 - frac) + order_statistic(lo + 1) * frac;
 }
 
 Counter* MetricsRegistry::AddCounter(const std::string& name,

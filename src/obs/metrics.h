@@ -1,10 +1,6 @@
 // Unified metrics registry.
 //
-// Before this existed, every subsystem kept its own counter bundle with
-// its own render format: EngineStats, GatherCounters, BaselineModelCache
-// stats, FleetStore::Counters, TimeSeriesStore generations. This registry
-// gives them one surface to register into, and gives operators one scrape
-// endpoint with two formats:
+// One scrape surface for every subsystem, with two formats:
 //
 //   * RenderPrometheus() — Prometheus text exposition (# HELP / # TYPE,
 //     counter/gauge/histogram families, exponential _bucket{le=} lines)
@@ -15,12 +11,15 @@
 //
 //   * Owned instruments (AddCounter/AddGauge/AddHistogram) — the registry
 //     allocates the atomic and hands back a stable pointer; callers
-//     update it on the hot path (lock-free).
+//     update it on the hot path (lock-free). The engine records every
+//     counter and latency it counts itself this way (engine/stats.h).
 //   * Sources (AddSource) — a callback invoked at scrape time that emits
-//     values from an existing stats object (e.g. an EngineStatsSnapshot).
-//     This is how the legacy counter bundles join the registry without
-//     double-accounting: their atomics stay where they are, the registry
-//     reads them when asked.
+//     counters an owner keeps for its own use: the engine's pool and
+//     caches, the fleet store and its log, the slowdown detector. Their
+//     atomics stay where they are; the registry reads them when asked.
+//
+// Histograms keep fixed buckets, so their memory does not grow with the
+// number of observations.
 //
 // The per-counter naming convention is diads_<subsystem>_<what>[_total].
 #ifndef DIADS_OBS_METRICS_H_
@@ -61,6 +60,13 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Sets the value to `v` if `v` is larger (a high-water mark).
+  void RaiseTo(double v) {
+    double seen = value_.load(std::memory_order_relaxed);
+    while (v > seen &&
+           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -75,6 +81,12 @@ struct ExponentialBuckets {
   int bucket_count = 16;
 };
 
+/// Millisecond latencies: bounds 1 us * 2^(i/4) for i in [0, 108), so 107
+/// buckets of growth 2^(1/4) span 1 us to about 113 s. A histogram with
+/// this layout holds 1.7 KB of bounds and counts.
+inline constexpr ExponentialBuckets kLatencyMsBuckets{0.001,
+                                                      1.189207115002721, 108};
+
 /// Histogram over exponential buckets. Observe() is lock-free (relaxed
 /// atomics; the sum uses a CAS loop).
 class Histogram {
@@ -88,13 +100,26 @@ class Histogram {
     std::vector<uint64_t> cumulative; ///< Per-bound cumulative counts.
     uint64_t count = 0;               ///< Total observations (= +Inf cum).
     double sum = 0;
+
+    /// The q-quantile (q in [0, 1]) by the rule stats::PercentileOfSorted
+    /// applies to the sorted observations: linear interpolation between
+    /// the order statistics at ranks floor and ceil of q * (count - 1).
+    /// Each order statistic is estimated inside its bucket (by its rank
+    /// among the bucket's observations), so for observations between the
+    /// first and the last bound the relative error is at most
+    /// growth - 1. An observation at or below the first bound reads as
+    /// the first bound, and one past the last bound as the last bound
+    /// (as Prometheus's histogram_quantile reads the +Inf bucket). 0 when
+    /// empty.
+    double Quantile(double q) const;
   };
   Snapshot Snap() const;
 
  private:
   std::vector<double> bounds_;
+  /// Per-bucket observation counts, the last one past every bound. The
+  /// snapshot's count is their sum, so it always agrees with the buckets.
   std::unique_ptr<std::atomic<uint64_t>[]> counts_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "stats/descriptive.h"
 
@@ -38,18 +39,25 @@ double SelectBandwidthSorted(const std::vector<double>& sorted,
   return std::max(h, std::max(1e-9, scale * 1e-6));
 }
 
-/// The argsort of `samples` and the samples in that order: one sort of an
-/// index permutation gives both.
+/// The argsort of `samples` and the samples in that order, from one sort
+/// of (value, index) pairs by value: the comparisons read the values in
+/// place instead of through the permutation. Equal values end up in an
+/// unspecified order.
 void SortWithOrder(const std::vector<double>& samples,
                    std::vector<uint32_t>* order, std::vector<double>* sorted) {
-  order->resize(samples.size());
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(), [&samples](uint32_t a, uint32_t b) {
-    return samples[a] < samples[b];
+  using Entry = std::pair<double, uint32_t>;
+  std::vector<Entry> pairs(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    pairs[i] = {samples[i], static_cast<uint32_t>(i)};
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const Entry& a, const Entry& b) {
+    return a.first < b.first;
   });
-  sorted->resize(samples.size());
-  for (size_t k = 0; k < order->size(); ++k) {
-    (*sorted)[k] = samples[(*order)[k]];
+  order->resize(pairs.size());
+  sorted->resize(pairs.size());
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    (*sorted)[k] = pairs[k].first;
+    (*order)[k] = pairs[k].second;
   }
 }
 

@@ -7,7 +7,9 @@
 // validate the locking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <future>
 #include <map>
@@ -27,6 +29,7 @@
 #include "fleet/query.h"
 #include "fleet/store.h"
 #include "monitor/async_collector.h"
+#include "obs/metrics.h"
 #include "workload/fleet.h"
 #include "workload/scenario.h"
 
@@ -116,38 +119,55 @@ TEST(ThreadPoolTest, ShutdownIsIdempotent) {
 
 // --- Stats ------------------------------------------------------------------
 
-TEST(LatencyRecorderTest, ExactPercentiles) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) recorder.Record(static_cast<double>(i));
-  LatencyRecorder::Summary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean_ms, 50.5);
-  EXPECT_NEAR(s.p50_ms, 50.5, 0.01);
-  EXPECT_NEAR(s.p95_ms, 95.05, 0.01);
-  EXPECT_NEAR(s.p99_ms, 99.01, 0.01);
-  EXPECT_DOUBLE_EQ(s.max_ms, 100.0);
-}
-
 TEST(EngineStatsTest, SnapshotAndJson) {
-  EngineStats stats;
-  stats.RecordSubmitted();
-  stats.RecordSubmitted();
-  stats.RecordCompleted();
-  stats.RecordCacheHit();
-  stats.RecordCacheMiss();
-  stats.RecordQueueDepth(7);
-  stats.RecordQueueDepth(3);
-  stats.RecordRequestLatency(5.0);
-  EngineStatsSnapshot snap = stats.Snapshot(/*queue_depth=*/1);
+  obs::MetricsRegistry registry;
+  ResultCache cache({/*capacity=*/8, /*shards=*/2});
+  EngineStats stats(&registry, /*pool=*/nullptr, &cache);
+  stats.Add(&EngineStatsSnapshot::submitted);
+  stats.Add(&EngineStatsSnapshot::submitted);
+  stats.Add(&EngineStatsSnapshot::completed);
+  stats.RaiseTo(&EngineStatsSnapshot::max_queue_depth, 7);
+  stats.RaiseTo(&EngineStatsSnapshot::max_queue_depth, 3);
+  stats.Observe(&EngineStatsSnapshot::request_latency, 5.0);
+  // Result-cache counters stay with the cache; the snapshot reads them.
+  CacheKey key;
+  key.query = "Q2";
+  EXPECT_EQ(cache.Get(key), nullptr);
+  cache.Put(key, std::make_shared<diag::DiagnosisReport>());
+  EXPECT_NE(cache.Get(key), nullptr);
+
+  EngineStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.submitted, 2u);
   EXPECT_EQ(snap.completed, 1u);
   EXPECT_EQ(snap.max_queue_depth, 7u);
-  EXPECT_EQ(snap.queue_depth, 1u);
+  EXPECT_EQ(snap.queue_depth, 0u);  // No pool: owner rows read zero.
   EXPECT_DOUBLE_EQ(snap.CacheHitRate(), 0.5);
-  const std::string json = snap.ToJson();
-  EXPECT_NE(json.find("\"submitted\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hit_rate\":0.5"), std::string::npos);
+  EXPECT_EQ(snap.request_latency.count, 1u);
+  EXPECT_DOUBLE_EQ(snap.request_latency.mean_ms, 5.0);
   EXPECT_FALSE(snap.Render().empty());
+
+  // The registry's JSON is the snapshot's JSON form.
+  Result<JsonValue> parsed = ParseJson(registry.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::map<std::string, const JsonValue*> by_name;
+  for (const JsonValue& metric : parsed->Find("metrics")->array_items()) {
+    by_name[metric.Find("name")->string_value()] = &metric;
+  }
+  ASSERT_TRUE(by_name.count("diads_engine_submitted_total"));
+  EXPECT_EQ(by_name["diads_engine_submitted_total"]
+                ->Find("value")
+                ->number_value(),
+            2.0);
+  ASSERT_TRUE(by_name.count("diads_engine_result_cache_hits_total"));
+  EXPECT_EQ(by_name["diads_engine_result_cache_hits_total"]
+                ->Find("value")
+                ->number_value(),
+            1.0);
+  ASSERT_TRUE(by_name.count("diads_engine_request_latency_ms"));
+  const JsonValue* latency = by_name["diads_engine_request_latency_ms"];
+  EXPECT_EQ(latency->Find("type")->string_value(), "histogram");
+  EXPECT_EQ(latency->Find("value")->number_value(), 1.0);
+  EXPECT_EQ(latency->Find("sum")->number_value(), 5.0);
 }
 
 // --- ResultCache ------------------------------------------------------------
@@ -426,8 +446,129 @@ TEST_F(EngineScenarioTest, ModuleLatenciesAreRecorded) {
   EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.co.count, 1u);
   EXPECT_EQ(stats.ia.count, 1u);
-  EXPECT_GE(stats.request_latency.max_ms,
-            stats.co.mean_ms);  // Request covers its modules.
+  EXPECT_EQ(stats.request_latency.count, 1u);
+  // One request covers its modules: exact means, not bucket estimates.
+  EXPECT_GE(stats.request_latency.mean_ms,
+            stats.pd.mean_ms + stats.co.mean_ms + stats.da.mean_ms +
+                stats.cr.mean_ms + stats.sd.mean_ms + stats.ia.mean_ms);
+}
+
+// --- DiagnosisEngine: the metric table ------------------------------------
+
+bool ValidMetricName(const std::string& name) {
+  if (name.empty()) return false;
+  for (size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    const bool letter = std::isalpha(static_cast<unsigned char>(c)) ||
+                        c == '_' || c == ':';
+    const bool digit = std::isdigit(static_cast<unsigned char>(c)) != 0;
+    if (!letter && !(digit && i > 0)) return false;
+  }
+  return true;
+}
+
+/// What `row`'s collected sample carries, read through its snapshot
+/// member (a histogram sample carries its observation count).
+double SnapshotValue(const EngineStatsSnapshot& snapshot,
+                     const EngineMetricRow& row) {
+  if (row.count != nullptr) return static_cast<double>(snapshot.*row.count);
+  if (row.value != nullptr) return snapshot.*row.value;
+  return static_cast<double>((snapshot.*row.latency).count);
+}
+
+TEST_F(EngineScenarioTest, EveryMetricRowIsCollectedOnceAndReadsBack) {
+  // A small workload that moves most rows: a computed diagnosis with an
+  // async gather and a fleet publish, a cache hit, an invalid request, an
+  // explicit invalidation, and a refusal after shutdown.
+  fleet::FleetStore store;
+  monitor::SimulatedLatencyOptions latency;
+  latency.base_latency_ms = 0.5;
+  EngineOptions options;
+  options.workers = 2;
+  options.fleet_store = &store;
+  DiagnosisEngine engine(
+      options, symptoms_,
+      std::make_shared<monitor::SimulatedSanCollector>(latency));
+  ASSERT_TRUE(engine.Submit(RequestForScenario()).get().ok());
+  ASSERT_TRUE(engine.Submit(RequestForScenario()).get().cache_hit);
+  EXPECT_FALSE(engine.Submit(DiagnosisRequest{}).get().ok());
+  EXPECT_EQ(engine.InvalidateTenantResults("tenant-a"), 1u);
+  engine.Shutdown();
+  EXPECT_FALSE(engine.Submit(RequestForScenario()).get().ok());
+
+  // The clock-driven rows (elapsed, throughput) move between reads, so
+  // each collected value must lie between a snapshot taken before the
+  // scrape and one taken after it; every other row reads back exactly.
+  const EngineStatsSnapshot before = engine.Stats();
+  const std::vector<obs::MetricSample> samples = engine.metrics().Collect();
+  const EngineStatsSnapshot after = engine.Stats();
+
+  const std::vector<EngineMetricRow>& rows = EngineMetricRows();
+  EXPECT_EQ(samples.size(), rows.size());
+  std::set<std::pair<std::string, obs::Labels>> seen;
+  size_t moved = 0;
+  for (const EngineMetricRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_TRUE(ValidMetricName(row.name));
+    EXPECT_TRUE(seen.insert({row.name, row.labels()}).second)
+        << "two rows share a name and labels";
+    EXPECT_EQ((row.count != nullptr) + (row.value != nullptr) +
+                  (row.latency != nullptr),
+              1);
+    EXPECT_EQ(row.type == obs::MetricType::kHistogram,
+              row.latency != nullptr);
+    const obs::MetricSample* sample = nullptr;
+    int matches = 0;
+    for (const obs::MetricSample& candidate : samples) {
+      if (candidate.name == row.name && candidate.labels == row.labels()) {
+        sample = &candidate;
+        ++matches;
+      }
+    }
+    ASSERT_EQ(matches, 1);
+    EXPECT_EQ(sample->type, row.type);
+    const double a = SnapshotValue(before, row);
+    const double b = SnapshotValue(after, row);
+    EXPECT_GE(sample->value, std::min(a, b));
+    EXPECT_LE(sample->value, std::max(a, b));
+    if (row.latency != nullptr && sample->value > 0) {
+      EXPECT_DOUBLE_EQ((after.*row.latency).mean_ms,
+                       sample->hist_sum / sample->value);
+    }
+    if (sample->value != 0) ++moved;
+  }
+  // Enough rows moved that a row filling the wrong member would show.
+  EXPECT_GT(moved, rows.size() / 2);
+}
+
+TEST_F(EngineScenarioTest, CacheHitSoakKeepsMetricsMemoryFlat) {
+  // A dashboard polling one answered question: every poll is a
+  // result-cache hit that records a request latency. The engine's
+  // instruments are fixed-size, so 10^5 polls leave the registry with the
+  // samples and buckets one poll did.
+  EngineOptions options;
+  options.workers = 1;
+  DiagnosisEngine engine(options, symptoms_);
+  const DiagnosisRequest request = RequestForScenario();
+  ASSERT_TRUE(engine.Submit(request).get().ok());
+  ASSERT_TRUE(engine.Submit(request).get().cache_hit);
+  const auto shape = [&engine] {
+    std::vector<size_t> buckets;
+    for (const obs::MetricSample& sample : engine.metrics().Collect()) {
+      buckets.push_back(sample.hist_bounds.size());
+    }
+    return buckets;
+  };
+  const std::vector<size_t> after_one_poll = shape();
+
+  constexpr uint64_t kPolls = 100000;
+  for (uint64_t poll = 1; poll < kPolls; ++poll) {
+    ASSERT_TRUE(engine.Submit(request).get().cache_hit);
+  }
+  const EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.request_latency.count, kPolls + 1);  // + the compute.
+  EXPECT_EQ(stats.cache_hits, kPolls);
+  EXPECT_EQ(shape(), after_one_poll);
 }
 
 // --- DiagnosisEngine: async collection --------------------------------------
@@ -948,25 +1089,6 @@ TEST_F(EngineInvalidationTest, PostAppendQueryIsNeverServedStaleReport) {
   DiagnosisResponse cached = engine.Submit(Request("tenant-a")).get();
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached.cache_hit);
-}
-
-TEST_F(EngineInvalidationTest, LegacyModeServesCachedReportAcrossAppend) {
-  // With generation validation off, the old TTL-free LRU behavior holds:
-  // the repeat after an Append is still the cached (stale) object. This
-  // pins the knob so the default's value is visible.
-  EngineOptions options;
-  options.workers = 2;
-  options.invalidate_results_on_append = false;
-  DiagnosisEngine engine(options, symptoms_.get());
-
-  DiagnosisResponse first = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(first.ok());
-  AppendToV1();
-  DiagnosisResponse repeat = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_TRUE(repeat.cache_hit);
-  EXPECT_EQ(repeat.report.get(), first.report.get());
-  EXPECT_EQ(engine.Stats().cache_invalidations, 0u);
 }
 
 TEST_F(EngineInvalidationTest, ExplicitTenantInvalidationIsScopedToTag) {
