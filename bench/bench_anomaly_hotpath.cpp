@@ -18,8 +18,8 @@
 //      (FitCachedModel + ScoreWithModel). The scores must match bit for
 //      bit — a mismatch exits non-zero.
 //
-//   3. store_slice — TimeSeriesStore window queries: the owning Slice
-//      copy vs the SampleSpan view (SliceView) plus MeanIn, over random
+//   3. store_slice — TimeSeriesStore window queries: a copy of the slice
+//      vs the SampleSpan view (SliceView) plus MeanIn, over random
 //      run-sized windows of a long monitoring series.
 //
 // The CI release job gates on the kde_eval summary: batched must be
@@ -218,12 +218,12 @@ ModelFitRow RunModelFit(const BenchOptions& bench, int baseline_n,
   return row;
 }
 
-// --- Experiment 3: owning Slice vs SampleSpan view -------------------------
+// --- Experiment 3: copied slice vs SampleSpan view -------------------------
 
 struct StoreSliceRow {
   int series = 0;
   int windows = 0;
-  double copy_us = 0;  ///< Slice + sum of the copied samples, per query.
+  double copy_us = 0;  ///< Copied slice + sum of its samples, per query.
   double view_us = 0;  ///< SliceView + sum through the view, per query.
   double mean_us = 0;  ///< MeanIn (view-based), per query.
   double speedup = 0;  ///< copy / view.
@@ -253,8 +253,8 @@ StoreSliceRow RunStoreSlice(const BenchOptions& bench) {
   double copy_sink = 0;
   const Clock::time_point copy_start = Clock::now();
   for (const TimeInterval& q : queries) {
-    const std::vector<monitor::Sample> slice =
-        store.Slice(component, metric, q);
+    const monitor::SampleSpan view = store.SliceView(component, metric, q);
+    const std::vector<monitor::Sample> slice(view.begin(), view.end());
     for (const monitor::Sample& s : slice) copy_sink += s.value;
   }
   const double copy_us = ElapsedUs(copy_start) / bench.windows;
@@ -269,7 +269,7 @@ StoreSliceRow RunStoreSlice(const BenchOptions& bench) {
 
   if (copy_sink != view_sink) {
     std::fprintf(stderr,
-                 "EXACTNESS VIOLATION: SliceView sum differs from Slice\n");
+                 "EXACTNESS VIOLATION: SliceView sum differs from its copy\n");
     std::exit(1);
   }
 
@@ -387,11 +387,11 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", fit_table.Render().c_str());
 
-  // --- 3. owning Slice vs SampleSpan view ---------------------------------
+  // --- 3. copied slice vs SampleSpan view ---------------------------------
   StoreSliceRow slice_row = RunStoreSlice(bench);
   std::printf(
       "Store slicing over a %d-sample series (%d random run-sized "
-      "windows): Slice copy %.3fus, SliceView %.3fus (%.1fx), "
+      "windows): copied slice %.3fus, SliceView %.3fus (%.1fx), "
       "view-based MeanIn %.3fus per query.\n",
       slice_row.series, slice_row.windows, slice_row.copy_us,
       slice_row.view_us, slice_row.speedup, slice_row.mean_us);

@@ -38,8 +38,10 @@
 // A fourth experiment measures the span tracer's overhead: the same
 // fresh-only compute-bound stream (no collector stall, result cache off)
 // with the tracer attached vs detached, alternated passes, min-of-N wall
-// time per mode. The summary row's overhead_pct is CI-gated (< 5%):
-// tracing must stay cheap enough to leave on in production.
+// time per mode. The summary row prints overhead_pct; nothing gates it,
+// because a pass of a few milliseconds (CI's flags give about 7 ms) is
+// too short to resolve a few percent. The run fails only if tracing
+// changes a report's digest.
 //
 //   $ ./bench_engine_throughput [--collector-ms=N] [--fresh=N]
 //                               [--repeats=N] [--tenants=N] [--seed=N]

@@ -90,7 +90,7 @@ std::string ApgBrowser::RenderMetricTable(ComponentId component,
   // Collect the sample grid (all metrics share the collector's timestamps).
   std::set<SimTimeMs> times;
   for (monitor::MetricId m : metrics) {
-    for (const monitor::Sample& s : store_->Slice(component, m, window)) {
+    for (const monitor::Sample& s : store_->SliceView(component, m, window)) {
       times.insert(s.time);
     }
   }

@@ -69,6 +69,9 @@ DbCollector::DbCollector(const DbActivityModel* activity,
 
 Status DbCollector::EmitSample(monitor::MetricId metric, SimTimeMs t,
                                double value) {
+  if (reserve_per_series_ > 0) {
+    store_->Reserve(database_, metric, reserve_per_series_);
+  }
   std::optional<double> noisy = noise_->Apply(database_, metric, t, value);
   if (!noisy.has_value()) return Status::Ok();
   return store_->Append(database_, metric, t, *noisy);
@@ -82,6 +85,8 @@ Status DbCollector::CollectRange(SimTimeMs from, SimTimeMs to) {
     return Status::InvalidArgument("sampling interval must be positive");
   }
   using monitor::MetricId;
+  reserve_per_series_ = static_cast<size_t>(
+      (to - from + sampling_interval_ - 1) / sampling_interval_);
   for (SimTimeMs t0 = from; t0 < to; t0 += sampling_interval_) {
     const TimeInterval interval{t0, std::min(t0 + sampling_interval_, to)};
     const SimTimeMs t = interval.end;
@@ -110,6 +115,7 @@ Status DbCollector::CollectRange(SimTimeMs from, SimTimeMs to) {
         4.0 + c.locks_held + locks_->ExtraLocksHeldAt(mid)));
     DIADS_RETURN_IF_ERROR(
         EmitSample(MetricId::kDbSpaceUsageMb, t, catalog_->TotalSizeMb()));
+    reserve_per_series_ = 0;
   }
   return Status::Ok();
 }

@@ -61,8 +61,10 @@ class DbCollector {
               monitor::TimeSeriesStore* store, monitor::NoiseModel* noise,
               SimTimeMs sampling_interval = Minutes(5));
 
-  /// Collects every interval [t, t+dt) with t in [from, to).
-  /// InvalidArgument for an empty range or a sampling interval <= 0.
+  /// Collects every interval [t, t+dt) with t in [from, to). Each series
+  /// is sized for the range's interval count before its first sample, so
+  /// it is allocated once. InvalidArgument for an empty range or a
+  /// sampling interval <= 0.
   Status CollectRange(SimTimeMs from, SimTimeMs to);
 
  private:
@@ -75,6 +77,9 @@ class DbCollector {
   monitor::TimeSeriesStore* store_;
   monitor::NoiseModel* noise_;
   SimTimeMs sampling_interval_;
+  /// Samples EmitSample reserves per series: the range's interval count
+  /// during its first interval, 0 after.
+  size_t reserve_per_series_ = 0;
 };
 
 }  // namespace diads::db

@@ -122,9 +122,11 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
   // The model cache keys metric-series baselines on the *authoritative*
   // store: when the engine diagnoses over a per-request collected
   // snapshot, ctx.store is ephemeral but the tenant's live store
-  // identifies (and generation-stamps) the series. CoveringSlice
-  // guarantees the snapshot's per-run means equal the source store's, so
-  // a baseline extracted from either is the same baseline.
+  // identifies the series. The generation comes from ctx.store: a
+  // snapshot shares the source's buffer and records its generation at
+  // the fetch, so a baseline is stamped with the generation of the data
+  // it was extracted from, and a diagnosis over a snapshot never reads
+  // the live store.
   const monitor::TimeSeriesStore* authority = ctx.Authority();
   const TimeInterval window = ctx.AnalysisWindow();
   const uint64_t config_fp = AnomalyConfigFingerprint(config.metric_anomaly);
@@ -163,7 +165,7 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
       key.config_fingerprint = config_fp;
       key.provenance_fingerprint = provenance;
       Result<CachedBaseline> base = GetOrFitBaseline(
-          ctx.model_cache, key, authority->Generation(component, metric),
+          ctx.model_cache, key, ctx.store->Generation(component, metric),
           config.metric_anomaly.bandwidth_rule,
           [&series, &good] {
             ExtractedBaseline e;

@@ -68,10 +68,12 @@ struct DiagnosisContext {
   /// performance — a hit reproduces the refit's scores bit for bit, so
   /// reports are ReportDigest-identical with the cache on or off.
   BaselineModelCache* model_cache = nullptr;
-  /// Identity + generation authority for model-cache keys over metric
-  /// series. Defaults to `store` when null; the engine points it at the
-  /// tenant's live store so diagnoses over per-request collected
-  /// snapshots (whose store pointers are ephemeral) still share models.
+  /// Identity of the metric series in model-cache keys. Defaults to
+  /// `store` when null; the engine points it at the tenant's live store
+  /// so diagnoses over per-request collected snapshots (whose store
+  /// pointers are ephemeral) still share models. Series generations come
+  /// from `store`: a snapshot records each series' generation at its
+  /// fetch, so only the pointer of this store is used while diagnosing.
   const monitor::TimeSeriesStore* model_authority = nullptr;
 
   /// Observability plumbing. Both are strictly write-only side channels:
@@ -86,10 +88,13 @@ struct DiagnosisContext {
   obs::ModelLookupCounters* model_lookups = nullptr;
 
   /// The effective authority: `model_authority` when set, else `store`.
-  /// The single fallback rule every generation consumer must share —
-  /// model-cache keys, the engine's result-cache stamps, and fleet
-  /// verdict stamps all validate against this store's append counters,
-  /// and they only agree because they all call this.
+  /// The single fallback rule every consumer must share — model-cache
+  /// keys name their source by it, and the engine's result-cache stamps
+  /// and fleet verdict stamps validate against its append counters; they
+  /// only agree because they all call this. Module DA reads no counter of
+  /// it: a collected snapshot shares the source's buffers and carries
+  /// their generations, so its series' generations equal the
+  /// authority's at the fetch.
   const monitor::TimeSeriesStore* Authority() const {
     return model_authority != nullptr ? model_authority : store;
   }

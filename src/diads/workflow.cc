@@ -115,11 +115,9 @@ CollectionOutcome Workflow::Collect(
     const monitor::MetricGatherer& gatherer) const {
   CollectionOutcome out;
   obs::SpanHandle span = ctx_.trace.StartSpan("gather", "collect");
-  const std::vector<monitor::SeriesKey> keys =
-      SymptomIndex::CollectMetricKeys(ctx_);
   const std::vector<monitor::FetchRequest> plan =
-      monitor::CollectionPlanner::Plan(keys, ctx_.AnalysisWindow(),
-                                       ctx_.store);
+      monitor::CollectionPlanner::Plan(SymptomIndex::CollectMetricKeys(ctx_),
+                                       ctx_.AnalysisWindow(), ctx_.store);
   out.planned_components = plan.size();
   out.planned_series = monitor::CollectionPlanner::SeriesCount(plan);
   out.gather = gatherer.Gather(plan, ctx_.trace.Under(span));
@@ -136,9 +134,10 @@ Result<DiagnosisReport> Workflow::DiagnoseOverCollection(
     const CollectionOutcome& outcome, ImpactMethod impact_method,
     ModuleTimings* timings) const {
   // Diagnose over the collected snapshot: every module reads the fetched
-  // covering slices instead of round-tripping to the store per series.
-  // The model cache keeps keying on the tenant's live store — the
-  // snapshot's pointer is ephemeral, its data digest-identical.
+  // series, pinned at the fetch, instead of round-tripping to the store
+  // per series. The model cache keeps naming the series by the tenant's
+  // live store — the snapshot's pointer is ephemeral — and takes their
+  // generations from the snapshot.
   DiagnosisContext collected_ctx = ctx_;
   collected_ctx.model_authority = ctx_.Authority();
   collected_ctx.store = &outcome.gather.collected;

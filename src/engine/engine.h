@@ -22,10 +22,14 @@
 //     served only while the tenant store's StoreGeneration still equals
 //     the value recorded when it was computed, so a question asked after
 //     new monitoring data arrives recomputes instead of serving stale.
-//     The guarantee covers appends that happen-before Submit (the store
-//     is not thread-safe against appends racing an in-flight diagnosis,
-//     so a coalesced waiter may share the report of a computation started
-//     before its Submit);
+//     The guarantee covers appends that happen-before Submit. A
+//     diagnosis itself reads only its collected snapshot, whose series
+//     are pinned copy-on-write at the fetch, but the engine's own stamps
+//     still read the live store: the result-cache generation at lookup
+//     and completion, and the fleet verdict's generations at publish. So
+//     appends must not race a Submit or an in-flight request of the same
+//     store, and a coalesced waiter may share the report of a computation
+//     started before its Submit;
 //   * identical requests already in flight are coalesced: the second
 //     asker waits for the first one's report instead of computing it
 //     twice (single-flight);

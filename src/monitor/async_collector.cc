@@ -14,12 +14,14 @@ MetricBatch BatchFromSource(const FetchRequest& request) {
     batch.status = Status::InvalidArgument("FetchRequest.source is null");
     return batch;
   }
+  batch.series.reserve(request.metrics.size());
   for (MetricId metric : request.metrics) {
     MetricSeries series;
     series.metric = metric;
-    series.samples = request.source->CoveringSlice(request.component, metric,
-                                                   request.interval);
-    if (!series.samples.empty()) batch.series.push_back(std::move(series));
+    series.pinned = request.source->Pin(request.component, metric);
+    if (series.pinned.empty()) continue;
+    series.samples = CoveringSlice(series.pinned.samples(), request.interval);
+    batch.series.push_back(std::move(series));
   }
   return batch;
 }

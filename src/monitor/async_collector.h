@@ -18,7 +18,10 @@
 // own TimeSeriesStore (the request names its source store, so one
 // collector serves a whole multi-tenant fleet) after a configurable
 // per-component latency, imposed by a small pool of connection threads —
-// the shape of a TPC/SMI-S agent fan-out without the wire.
+// the shape of a TPC/SMI-S agent fan-out without the wire. In-process,
+// the "wire" carries no copy: a fetch pins the source's series buffers
+// (copy-on-write, see TimeSeriesStore::Pin) and reports the covering
+// slice inside each as what a real collector would ship.
 #ifndef DIADS_MONITOR_ASYNC_COLLECTOR_H_
 #define DIADS_MONITOR_ASYNC_COLLECTOR_H_
 
@@ -39,7 +42,7 @@
 namespace diads::monitor {
 
 /// One per-component pull: every listed metric's covering slice of
-/// `interval` (see TimeSeriesStore::CoveringSlice) from `source`.
+/// `interval` (see monitor::CoveringSlice) from `source`.
 struct FetchRequest {
   ComponentId component;
   TimeInterval interval;
@@ -51,10 +54,14 @@ struct FetchRequest {
   const TimeSeriesStore* source = nullptr;
 };
 
-/// One fetched series.
+/// One fetched series: the source's whole buffer, pinned, and the covering
+/// slice inside it. The slice is what the fetch ships (the gather layer's
+/// sample and byte counts); the pin lets the snapshot share the buffer
+/// instead of copying the slice.
 struct MetricSeries {
   MetricId metric = MetricId::kVolTotalIos;
-  std::vector<Sample> samples;
+  PinnedSeries pinned;
+  SampleSpan samples;  ///< CoveringSlice of the request window in `pinned`.
 };
 
 /// What a Fetch resolves to.
@@ -68,11 +75,12 @@ struct MetricBatch {
   bool ok() const { return status.ok(); }
 };
 
-/// Builds a MetricBatch by reading the request's covering slices straight
-/// from request.source (empty series skipped; not-ok status when source
-/// is null). The one definition of "what a fetch returns", shared by
-/// backends serving fresh data and by the gather layer's stale-local
-/// fallback — so degraded data stays byte-identical to fetched data.
+/// Builds a MetricBatch by pinning each requested series of
+/// request.source and marking its covering slice (empty series skipped;
+/// not-ok status when source is null). No sample is copied. The one
+/// definition of "what a fetch returns", shared by backends serving fresh
+/// data and by the gather layer's stale-local fallback — so degraded data
+/// stays byte-identical to fetched data.
 MetricBatch BatchFromSource(const FetchRequest& request);
 
 /// The async collection interface. Implementations must be safe to call
@@ -107,8 +115,9 @@ struct SimulatedLatencyOptions {
 };
 
 /// Simulated-latency backend over in-memory stores. Deterministic: a
-/// component's latency is fixed by the options, and the returned samples
-/// are exactly the source store's covering slices.
+/// component's latency is fixed by the options, and the returned series
+/// are the source store's, pinned at the fetch, with their covering
+/// slices.
 class SimulatedSanCollector : public AsyncCollector {
  public:
   explicit SimulatedSanCollector(SimulatedLatencyOptions options);

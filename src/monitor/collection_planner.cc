@@ -1,27 +1,37 @@
 #include "monitor/collection_planner.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <tuple>
+#include <utility>
 
 namespace diads::monitor {
 
 std::vector<FetchRequest> CollectionPlanner::Plan(
-    const std::vector<SeriesKey>& keys, const TimeInterval& window,
+    std::vector<SeriesKey> keys, const TimeInterval& window,
     const TimeSeriesStore* source) {
-  std::map<ComponentId, std::set<MetricId>> by_component;
-  for (const SeriesKey& key : keys) {
-    by_component[key.component].insert(key.metric);
-  }
+  std::sort(keys.begin(), keys.end(),
+            [](const SeriesKey& a, const SeriesKey& b) {
+              return std::tie(a.component, a.metric) <
+                     std::tie(b.component, b.metric);
+            });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   std::vector<FetchRequest> plan;
-  plan.reserve(by_component.size());
-  for (const auto& [component, metrics] : by_component) {
+  for (size_t first = 0; first < keys.size();) {
+    size_t last = first + 1;
+    while (last < keys.size() &&
+           keys[last].component == keys[first].component) {
+      ++last;
+    }
     FetchRequest request;
-    request.component = component;
+    request.component = keys[first].component;
     request.interval = window;
-    request.metrics.assign(metrics.begin(), metrics.end());
+    request.metrics.reserve(last - first);
+    for (size_t i = first; i < last; ++i) {
+      request.metrics.push_back(keys[i].metric);
+    }
     request.source = source;
     plan.push_back(std::move(request));
+    first = last;
   }
   return plan;
 }

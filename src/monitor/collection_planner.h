@@ -27,8 +27,9 @@ class CollectionPlanner {
   /// Batches `keys` into one FetchRequest per distinct component, covering
   /// `window`, served from `source`. Duplicate keys collapse; components
   /// and their metric lists come out sorted, so the plan (and therefore
-  /// the collected store) is deterministic regardless of key order.
-  static std::vector<FetchRequest> Plan(const std::vector<SeriesKey>& keys,
+  /// the collected store) is deterministic regardless of key order. Sorts
+  /// the keys in place and groups them in one pass.
+  static std::vector<FetchRequest> Plan(std::vector<SeriesKey> keys,
                                         const TimeInterval& window,
                                         const TimeSeriesStore* source);
 

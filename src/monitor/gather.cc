@@ -12,11 +12,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Moves a batch's series into the collected store, accumulating the
-/// integrated volume into `counters`. Samples within a series are
-/// time-ordered (covering slices preserve store order), and the plan
+/// Approximate wire size of one shipped series' framing (metric id,
+/// sample count and padding).
+constexpr uint64_t kSeriesHeaderBytes = 32;
+
+/// Adopts a batch's pinned series into the collected store, accumulating
+/// the shipped volume (the covering slices) into `counters`. The plan
 /// fetches each component once, so every series is new to the store and
-/// the appends cannot fail.
+/// the adoption cannot fail.
 void Integrate(MetricBatch batch, TimeSeriesStore* collected,
                GatherCounters* counters) {
   for (MetricSeries& series : batch.series) {
@@ -25,10 +28,9 @@ void Integrate(MetricBatch batch, TimeSeriesStore* collected,
     // Approximate wire size: one (time, value) pair per sample plus a
     // small per-series header. Good enough for "which diagnosis moved
     // how much data" attribution; nothing bills by it.
-    counters->bytes_collected +=
-        samples * sizeof(Sample) + sizeof(MetricSeries);
-    collected->AppendSamples(batch.component, series.metric,
-                             std::move(series.samples));
+    counters->bytes_collected += samples * sizeof(Sample) + kSeriesHeaderBytes;
+    collected->AdoptSeries(batch.component, series.metric,
+                           std::move(series.pinned));
   }
 }
 

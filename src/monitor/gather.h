@@ -10,9 +10,12 @@
 // stale. The diagnosis proceeds on identical data and the staleness is
 // surfaced up through the engine's response and serving stats.
 //
-// The result owns a TimeSeriesStore holding exactly the fetched covering
-// slices, so a Workflow pointed at it answers every in-window query
-// identically to the source store (asserted by async_collector_test).
+// The result owns a TimeSeriesStore that shares each fetched series'
+// buffer with its source (pinned at the fetch, no sample copied), so a
+// Workflow pointed at it answers every query over a fetched series
+// exactly as the source store did at the fetch — also while the source
+// goes on appending on another thread (asserted by async_collector_test).
+// The counters still measure what a fetch ships: the covering slices.
 #ifndef DIADS_MONITOR_GATHER_H_
 #define DIADS_MONITOR_GATHER_H_
 
@@ -40,13 +43,13 @@ struct GatherCounters {
   uint64_t retries = 0;           ///< Re-issues after a timed-out attempt.
   uint64_t cancelled = 0;         ///< Fetches the collector resolved not-ok.
   uint64_t stale_components = 0;  ///< Components degraded to local data.
-  uint64_t samples_collected = 0; ///< Metric samples integrated (incl. stale).
-  uint64_t bytes_collected = 0;   ///< Approximate integrated payload bytes.
+  uint64_t samples_collected = 0; ///< Covering-slice samples (incl. stale).
+  uint64_t bytes_collected = 0;   ///< Approximate shipped payload bytes.
   double gather_ms = 0;           ///< Wall clock of the whole gather.
 };
 
 struct GatherResult {
-  /// The fetched covering slices, ready to serve a diagnosis.
+  /// The fetched series, pinned, ready to serve a diagnosis.
   TimeSeriesStore collected;
   /// Components served stale (sorted by id). Empty on a clean gather.
   std::vector<ComponentId> stale_components;

@@ -22,6 +22,9 @@ SanCollector::SanCollector(const san::SanTopology* topology,
 
 Status SanCollector::EmitSample(ComponentId component, MetricId metric,
                                 SimTimeMs t, double clean_value) {
+  if (reserve_per_series_ > 0) {
+    store_->Reserve(component, metric, reserve_per_series_);
+  }
   std::optional<double> noisy = noise_->Apply(component, metric, t, clean_value);
   if (!noisy.has_value()) return Status::Ok();  // Dropped sample.
   return store_->Append(component, metric, t, *noisy);
@@ -172,9 +175,12 @@ Status SanCollector::CollectRange(SimTimeMs from, SimTimeMs to) {
   if (config_.sampling_interval <= 0) {
     return Status::InvalidArgument("sampling interval must be positive");
   }
-  for (SimTimeMs t = from; t < to; t += config_.sampling_interval) {
-    TimeInterval interval{t, std::min(t + config_.sampling_interval, to)};
+  const SimTimeMs step = config_.sampling_interval;
+  reserve_per_series_ = static_cast<size_t>((to - from + step - 1) / step);
+  for (SimTimeMs t = from; t < to; t += step) {
+    TimeInterval interval{t, std::min(t + step, to)};
     DIADS_RETURN_IF_ERROR(CollectInterval(interval));
+    reserve_per_series_ = 0;
   }
   return Status::Ok();
 }

@@ -41,9 +41,11 @@ class SanCollector {
                SanCollectorConfig config = {});
 
   /// Collects every interval [t, t+dt) with t in [from, to), appending one
-  /// sample per component metric per interval. Idempotence is the caller's
-  /// responsibility (collect each range once). InvalidArgument for an empty
-  /// range or a sampling interval <= 0.
+  /// sample per component metric per interval. Each series is sized for
+  /// the range's interval count before its first sample, so it is
+  /// allocated once. Idempotence is the caller's responsibility (collect
+  /// each range once). InvalidArgument for an empty range or a sampling
+  /// interval <= 0.
   Status CollectRange(SimTimeMs from, SimTimeMs to);
 
   SimTimeMs sampling_interval() const { return config_.sampling_interval; }
@@ -59,6 +61,9 @@ class SanCollector {
   NoiseModel* noise_;
   EventLog* event_log_;
   SanCollectorConfig config_;
+  /// Samples EmitSample reserves per series: the range's interval count
+  /// during its first interval, 0 after.
+  size_t reserve_per_series_ = 0;
 };
 
 }  // namespace diads::monitor

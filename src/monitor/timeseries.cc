@@ -40,8 +40,6 @@ SampleIt SeekTime(SampleIt first, SampleIt last, SimTimeMs t) {
   return first;
 }
 
-bool EarlierThan(const Sample& a, const Sample& b) { return a.time < b.time; }
-
 /// A NaN would make every sort over the samples (the KDE fit, midranks)
 /// use an inconsistent comparator, which is undefined behaviour, and an
 /// infinity poisons every mean it enters; neither is a measurement.
@@ -51,78 +49,123 @@ Status NonFiniteSample() {
 
 }  // namespace
 
+const std::vector<Sample>& PinnedSeries::samples() const {
+  return buffer_ == nullptr ? EmptySeries() : buffer_->samples;
+}
+
 Status TimeSeriesStore::Append(ComponentId component, MetricId metric,
                                SimTimeMs time, double value) {
   if (!std::isfinite(value)) return NonFiniteSample();
   SeriesData& s = series_[SeriesKey{component, metric}];
-  if (!s.samples.empty() && time < s.samples.back().time) {
+  SampleBuffer* buffer = s.buffer.get();
+  if (buffer != nullptr && !buffer->samples.empty() &&
+      time < buffer->samples.back().time) {
     return Status::InvalidArgument(
         "samples must be appended in non-decreasing time order");
   }
-  ComponentData& c = components_[component];
-  if (s.ordinal == kUnassignedOrdinal) AddSeries(metric, s, c);
-  s.samples.push_back(Sample{time, value});
+  if (s.ordinal == kUnassignedOrdinal) AddSeries(component, metric, s);
+  std::vector<Sample>& samples =
+      buffer != nullptr && !buffer->pinned.load(std::memory_order_relaxed)
+          ? buffer->samples
+          : Writable(s, 0);
+  samples.push_back(Sample{time, value});
   ++s.generation;
-  ++c.generation;
+  ++s.component->generation;
   ++store_generation_;
   ++total_samples_;
   if (listener_ != nullptr) {
-    listener_->OnAppend(component, metric, s.samples.back(), s.generation,
+    listener_->OnAppend(component, metric, samples.back(), s.generation,
                         s.ordinal);
   }
   return Status::Ok();
 }
 
-Status TimeSeriesStore::AppendSamples(ComponentId component, MetricId metric,
-                                      std::vector<Sample> samples) {
+void TimeSeriesStore::Reserve(ComponentId component, MetricId metric,
+                              size_t additional) {
+  if (additional == 0) return;
+  SeriesData& s = series_[SeriesKey{component, metric}];
+  const std::vector<Sample>& samples =
+      s.buffer == nullptr ? EmptySeries() : s.buffer->samples;
+  const size_t needed = samples.size() + additional;
+  if (needed <= samples.capacity()) return;
+  Writable(s, samples.empty() ? needed
+                              : std::max(needed, 2 * samples.capacity()));
+}
+
+PinnedSeries TimeSeriesStore::Pin(ComponentId component,
+                                  MetricId metric) const {
+  PinnedSeries pinned;
+  auto it = series_.find(SeriesKey{component, metric});
+  if (it == series_.end() || it->second.buffer == nullptr ||
+      it->second.buffer->samples.empty()) {
+    return pinned;
+  }
+  // Relaxed suffices: the flag is only ever set, and the store's next
+  // write, which reads it, already happens after this pin (the store is
+  // not written concurrently with reads).
+  it->second.buffer->pinned.store(true, std::memory_order_relaxed);
+  pinned.buffer_ = it->second.buffer;
+  pinned.generation_ = it->second.generation;
+  return pinned;
+}
+
+Status TimeSeriesStore::AdoptSeries(ComponentId component, MetricId metric,
+                                    PinnedSeries pinned) {
+  if (pinned.empty()) return Status::Ok();
+  const std::vector<Sample>& incoming = pinned.samples();
   const SeriesKey key{component, metric};
   auto existing = series_.find(key);
-  const bool continues_series =
-      samples.empty() || existing == series_.end() ||
-      existing->second.samples.empty() ||
-      samples.front().time >= existing->second.samples.back().time;
-  if (!continues_series ||
-      !std::is_sorted(samples.begin(), samples.end(), EarlierThan)) {
+  const bool extends = existing != series_.end() &&
+                       existing->second.buffer != nullptr &&
+                       !existing->second.buffer->samples.empty();
+  if (extends &&
+      incoming.front().time < existing->second.buffer->samples.back().time) {
     return Status::InvalidArgument(
         "samples must be appended in non-decreasing time order");
   }
-  if (!std::all_of(samples.begin(), samples.end(), [](const Sample& sample) {
-        return std::isfinite(sample.value);
-      })) {
-    return NonFiniteSample();
-  }
-  if (samples.empty()) return Status::Ok();
-  if (listener_ != nullptr) {
-    // The listener sees each sample with the counters as of that sample,
-    // which only per-sample appends reproduce. Validated above, so none
-    // of them can fail.
-    for (const Sample& sample : samples) {
+  if (extends || listener_ != nullptr) {
+    // An existing series keeps its own buffer, and a listener sees each
+    // sample with the counters as of that sample, which only per-sample
+    // appends reproduce. Ordered and finite, so none of them can fail.
+    for (const Sample& sample : incoming) {
       Append(component, metric, sample.time, sample.value);
     }
     return Status::Ok();
   }
   SeriesData& s = existing != series_.end() ? existing->second : series_[key];
-  ComponentData& c = components_[component];
-  if (s.ordinal == kUnassignedOrdinal) AddSeries(metric, s, c);
-  const size_t n = samples.size();
-  if (s.samples.empty()) {
-    s.samples = std::move(samples);
-  } else {
-    s.samples.insert(s.samples.end(), samples.begin(), samples.end());
-  }
-  s.generation += n;
-  c.generation += n;
-  store_generation_ += n;
-  total_samples_ += n;
+  AddSeries(component, metric, s);
+  total_samples_ += incoming.size();
+  s.generation = pinned.generation_;
+  s.component->generation += pinned.generation_;
+  store_generation_ += pinned.generation_;
+  s.buffer = std::move(pinned.buffer_);
   return Status::Ok();
 }
 
-void TimeSeriesStore::AddSeries(MetricId metric, SeriesData& series,
-                                ComponentData& component) {
+void TimeSeriesStore::AddSeries(ComponentId component, MetricId metric,
+                                SeriesData& series) {
+  ComponentData& data = components_[component];
+  series.component = &data;
   series.ordinal = next_ordinal_++;
-  component.metrics.insert(std::upper_bound(component.metrics.begin(),
-                                            component.metrics.end(), metric),
-                           metric);
+  data.metrics.insert(
+      std::upper_bound(data.metrics.begin(), data.metrics.end(), metric),
+      metric);
+}
+
+std::vector<Sample>& TimeSeriesStore::Writable(SeriesData& series,
+                                               size_t capacity) {
+  if (series.buffer == nullptr ||
+      series.buffer->pinned.load(std::memory_order_relaxed)) {
+    auto own = std::make_shared<SampleBuffer>();
+    if (series.buffer != nullptr) {
+      const std::vector<Sample>& shared = series.buffer->samples;
+      own->samples.reserve(std::max(capacity, shared.capacity()));
+      own->samples.assign(shared.begin(), shared.end());
+    }
+    series.buffer = std::move(own);
+  }
+  series.buffer->samples.reserve(capacity);
+  return series.buffer->samples;
 }
 
 uint64_t TimeSeriesStore::ComponentGeneration(ComponentId component) const {
@@ -135,29 +178,26 @@ SampleSpan TimeSeriesStore::SliceView(ComponentId component, MetricId metric,
   const std::vector<Sample>& s = Series(component, metric);
   auto lo = LowerBoundTime(s.begin(), s.end(), interval.begin);
   auto hi = LowerBoundTime(lo, s.end(), interval.end);
-  if (lo == hi) return SampleSpan();
-  return SampleSpan(&*lo, static_cast<size_t>(hi - lo));
+  return SampleSpan(s, static_cast<size_t>(lo - s.begin()),
+                    static_cast<size_t>(hi - s.begin()));
 }
 
-std::vector<Sample> TimeSeriesStore::Slice(ComponentId component,
-                                           MetricId metric,
-                                           const TimeInterval& interval) const {
-  const SampleSpan view = SliceView(component, metric, interval);
-  return std::vector<Sample>(view.begin(), view.end());
+SampleSpan TimeSeriesStore::CoveringSlice(ComponentId component,
+                                          MetricId metric,
+                                          const TimeInterval& interval) const {
+  return monitor::CoveringSlice(Series(component, metric), interval);
 }
 
-std::vector<Sample> TimeSeriesStore::CoveringSlice(
-    ComponentId component, MetricId metric,
-    const TimeInterval& interval) const {
-  const std::vector<Sample>& s = Series(component, metric);
-  if (s.empty()) return {};
+SampleSpan CoveringSlice(const std::vector<Sample>& series,
+                         const TimeInterval& interval) {
   // [lo, hi) is the in-window range; widen by one sample on each side when
   // one exists (the stale-fallback reading and the tail reading).
-  auto lo = LowerBoundTime(s.begin(), s.end(), interval.begin);
-  auto hi = LowerBoundTime(s.begin(), s.end(), interval.end);
-  if (lo != s.begin()) --lo;
-  if (hi != s.end()) ++hi;
-  return std::vector<Sample>(lo, hi);
+  auto lo = LowerBoundTime(series.begin(), series.end(), interval.begin);
+  auto hi = LowerBoundTime(series.begin(), series.end(), interval.end);
+  if (lo != series.begin()) --lo;
+  if (hi != series.end()) ++hi;
+  return SampleSpan(series, static_cast<size_t>(lo - series.begin()),
+                    static_cast<size_t>(hi - series.begin()));
 }
 
 std::vector<double> TimeSeriesStore::ValuesIn(
@@ -191,8 +231,10 @@ Result<Sample> TimeSeriesStore::LatestAtOrBefore(ComponentId component,
 const std::vector<Sample>& TimeSeriesStore::Series(ComponentId component,
                                                    MetricId metric) const {
   auto it = series_.find(SeriesKey{component, metric});
-  if (it == series_.end()) return EmptySeries();
-  return it->second.samples;
+  if (it == series_.end() || it->second.buffer == nullptr) {
+    return EmptySeries();
+  }
+  return it->second.buffer->samples;
 }
 
 uint64_t TimeSeriesStore::Generation(ComponentId component,
@@ -258,8 +300,8 @@ void TimeSeriesStore::ForEachSeries(
     const std::function<void(ComponentId, MetricId,
                              const std::vector<Sample>&)>& fn) const {
   for (const auto& [key, series] : series_) {
-    if (series.samples.empty()) continue;
-    fn(key.component, key.metric, series.samples);
+    if (series.buffer == nullptr || series.buffer->samples.empty()) continue;
+    fn(key.component, key.metric, series.buffer->samples);
   }
 }
 

@@ -15,15 +15,24 @@
 // searches. SliceView exposes that range as a non-owning SampleSpan —
 // O(log n) and zero copies — and ValuesIn is built on it. MeanIn has one
 // definition over an already-resolved series, so a caller averaging one
-// series over many runs looks the series up once. Slice keeps the copying
-// contract for callers that need ownership (snapshots, cross-thread
-// handoff). A collected snapshot is filled by AppendSamples, one whole
-// time-ordered run per series.
+// series over many runs looks the series up once.
+//
+// Storage: each series lives in one sample buffer held by a
+// std::shared_ptr. A collector that knows how many samples it will write
+// sizes the buffer once (Reserve). A collected snapshot shares buffers
+// instead of copying them: Pin hands out a series' buffer with its
+// generation, and AdoptSeries makes a pinned buffer another store's
+// series. A pinned buffer is never written again — the source's next
+// write to the series copies it first (copy-on-write) — so a snapshot
+// reads the samples as they were at the fetch while the source goes on
+// appending on another thread.
 #ifndef DIADS_MONITOR_TIMESERIES_H_
 #define DIADS_MONITOR_TIMESERIES_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -41,11 +50,16 @@ struct Sample {
 };
 
 /// Non-owning view of a contiguous run of samples inside one series.
-/// Valid until the next append to that series (appends may reallocate).
+/// Valid while the buffer it points into is: for a store's series, until
+/// the next write to that series; for a PinnedSeries, while it is held.
 class SampleSpan {
  public:
   SampleSpan() = default;
   SampleSpan(const Sample* data, size_t size) : data_(data), size_(size) {}
+  /// The samples of `series` in [first, last).
+  SampleSpan(const std::vector<Sample>& series, size_t first, size_t last)
+      : data_(first == last ? nullptr : series.data() + first),
+        size_(last - first) {}
 
   const Sample* begin() const { return data_; }
   const Sample* end() const { return data_ + size_; }
@@ -58,6 +72,36 @@ class SampleSpan {
  private:
   const Sample* data_ = nullptr;
   size_t size_ = 0;
+};
+
+/// One series' samples and whether a PinnedSeries shares them. The store
+/// and every pin own it through std::shared_ptr; once pinned, it is never
+/// written again. The flag is atomic because concurrent fetches pin the
+/// same series from several threads.
+struct SampleBuffer {
+  std::vector<Sample> samples;
+  std::atomic<bool> pinned{false};
+};
+
+/// A series' sample buffer as one TimeSeriesStore::Pin found it, with the
+/// series' generation at that moment. The buffer is immutable from the
+/// pin on (the store copies it before its next write to the series), so
+/// a pin may be read from any thread, without the store's lock or
+/// lifetime, while the store keeps appending.
+class PinnedSeries {
+ public:
+  PinnedSeries() = default;
+
+  /// The pinned samples; empty for a default pin or an empty series.
+  const std::vector<Sample>& samples() const;
+  /// The source's Generation() of the series when it was pinned.
+  uint64_t generation() const { return generation_; }
+  bool empty() const { return buffer_ == nullptr; }
+
+ private:
+  friend class TimeSeriesStore;
+  std::shared_ptr<SampleBuffer> buffer_;
+  uint64_t generation_ = 0;
 };
 
 /// Key of one series.
@@ -108,9 +152,19 @@ class AppendListener {
                         uint32_t series_ordinal) = 0;
 };
 
-/// Append-only store of monitoring samples.
+/// Append-only store of monitoring samples. Not thread-safe against its
+/// own writes: one thread appends, and reads (Pin included) must not race
+/// an append. A PinnedSeries outlives that rule — see Pin.
 class TimeSeriesStore {
  public:
+  TimeSeriesStore() = default;
+  /// Stores share sample buffers only through pins, which mark them
+  /// copy-on-write, so a store is moved, never copied.
+  TimeSeriesStore(TimeSeriesStore&&) = default;
+  TimeSeriesStore& operator=(TimeSeriesStore&&) = default;
+  TimeSeriesStore(const TimeSeriesStore&) = delete;
+  TimeSeriesStore& operator=(const TimeSeriesStore&) = delete;
+
   /// Appends a sample; time must be non-decreasing within a series and
   /// the value finite (NaN and +-inf are InvalidArgument, with the store
   /// unchanged). Bumps the series' generation counter (model-cache
@@ -118,16 +172,34 @@ class TimeSeriesStore {
   Status Append(ComponentId component, MetricId metric, SimTimeMs time,
                 double value);
 
-  /// Appends a whole run of samples to one series, leaving exactly the
-  /// state `samples.size()` single Append calls would: every generation
-  /// counter and total_samples() advance by the run length, and an
-  /// installed listener sees every sample in order. All or nothing: a run
-  /// that is out of order internally, starts before the series' last
-  /// sample, or holds a non-finite value is rejected (InvalidArgument)
-  /// with the store unchanged. A new series adopts the vector without
-  /// copying it.
-  Status AppendSamples(ComponentId component, MetricId metric,
-                       std::vector<Sample> samples);
+  /// Makes room for `additional` more samples in one series, so the
+  /// appends that follow never regrow its buffer. An empty series is sized
+  /// exactly; a non-empty one grows at least to twice its capacity, so
+  /// repeated reservations stay amortized O(1) per sample. A reserved
+  /// series with no sample stays invisible: it is not counted by
+  /// series_count(), listed by MetricsFor or visited by ForEachSeries, and
+  /// takes its ordinal with its first sample. A pinned buffer that must
+  /// grow is copied, never resized in place.
+  void Reserve(ComponentId component, MetricId metric, size_t additional);
+
+  /// Shares the series' buffer with the caller: the returned pin holds the
+  /// samples and generation as they are now, and the store copies the
+  /// buffer before its next write to the series. Empty for an absent or
+  /// empty series. Safe to call from many threads at once, as long as
+  /// none appends to the store meanwhile.
+  PinnedSeries Pin(ComponentId component, MetricId metric) const;
+
+  /// Makes a pinned buffer this store's series without copying it. The
+  /// samples are not re-checked: the store that wrote them validated them.
+  /// A series that already has samples is extended instead, by a copy of
+  /// the pinned samples, and is refused (InvalidArgument, store unchanged)
+  /// if they start before its last sample. Every counter advances as
+  /// single appends of the pinned samples would advance it (a new series
+  /// takes the pin's generation, which counts exactly those appends), and
+  /// an installed listener sees each sample in order, through the copying
+  /// path. An empty pin is a no-op.
+  Status AdoptSeries(ComponentId component, MetricId metric,
+                     PinnedSeries pinned);
 
   /// Installs (or, with nullptr, clears) the append listener. At most one
   /// per store; not owned, must outlive its installation. The store is
@@ -138,22 +210,13 @@ class TimeSeriesStore {
 
   /// All samples of a series with time in [interval.begin, interval.end)
   /// as a non-owning view: two binary searches, no copy. The view is
-  /// invalidated by the next append to the same series.
+  /// invalidated by the next write to the same series.
   SampleSpan SliceView(ComponentId component, MetricId metric,
                        const TimeInterval& interval) const;
 
-  /// Owning copy of SliceView — for callers that outlive appends.
-  std::vector<Sample> Slice(ComponentId component, MetricId metric,
-                            const TimeInterval& interval) const;
-
-  /// The samples a collector must ship so that MeanIn / ValuesIn /
-  /// LatestAtOrBefore over any subinterval of `interval` answer identically
-  /// to this store: the in-window slice, plus the newest sample at or
-  /// before interval.begin (MeanIn's stale fallback), plus the first
-  /// sample at or after interval.end (MeanIn's tail reading). Empty iff
-  /// the series is empty.
-  std::vector<Sample> CoveringSlice(ComponentId component, MetricId metric,
-                                    const TimeInterval& interval) const;
+  /// monitor::CoveringSlice over Series(component, metric).
+  SampleSpan CoveringSlice(ComponentId component, MetricId metric,
+                           const TimeInterval& interval) const;
 
   /// Values (without timestamps) in the interval.
   std::vector<double> ValuesIn(ComponentId component, MetricId metric,
@@ -168,13 +231,16 @@ class TimeSeriesStore {
   Result<Sample> LatestAtOrBefore(ComponentId component, MetricId metric,
                                   SimTimeMs t) const;
 
-  /// Whole series (empty if absent).
+  /// Whole series (empty if absent). Valid until the next write to the
+  /// series.
   const std::vector<Sample>& Series(ComponentId component,
                                     MetricId metric) const;
 
   /// Monotone per-series append counter: 0 for an absent series,
   /// incremented by every Append. Cached models fitted from a series are
-  /// valid exactly while its generation is unchanged.
+  /// valid exactly while its generation is unchanged. A series adopted
+  /// from a pin carries the pin's generation, so a snapshot answers for
+  /// the data it holds without consulting its source.
   uint64_t Generation(ComponentId component, MetricId metric) const;
 
   /// Monotone per-component append counter: the sum of Generation() over
@@ -201,27 +267,36 @@ class TimeSeriesStore {
       const std::function<void(ComponentId, MetricId,
                                const std::vector<Sample>&)>& fn) const;
 
-  size_t series_count() const { return series_.size(); }
+  /// Series with at least one sample.
+  size_t series_count() const { return next_ordinal_; }
   size_t total_samples() const { return total_samples_; }
 
  private:
-  struct SeriesData {
-    std::vector<Sample> samples;
-    uint64_t generation = 0;
-    /// Dense creation-order index (see AppendListener::OnAppend);
-    /// assigned on first Append touching the series.
-    uint32_t ordinal = kUnassignedOrdinal;
-  };
-  static constexpr uint32_t kUnassignedOrdinal = 0xFFFFFFFFu;
   struct ComponentData {
     uint64_t generation = 0;  ///< See ComponentGeneration.
     std::vector<MetricId> metrics;  ///< See MetricsFor.
   };
+  struct SeriesData {
+    /// Null until the series' first write.
+    std::shared_ptr<SampleBuffer> buffer;
+    /// The series' entry in components_, set with its first sample, so an
+    /// append looks up one hash table, not two. Map nodes never move.
+    ComponentData* component = nullptr;
+    uint64_t generation = 0;
+    /// Dense creation-order index (see AppendListener::OnAppend);
+    /// assigned with the series' first sample.
+    uint32_t ordinal = kUnassignedOrdinal;
+  };
+  static constexpr uint32_t kUnassignedOrdinal = 0xFFFFFFFFu;
 
-  /// Creates `series` for `metric` on its first sample: assigns the
-  /// ordinal and lists the metric under its component.
-  void AddSeries(MetricId metric, SeriesData& series,
-                 ComponentData& component);
+  /// Creates `series` on its first sample: links its component, assigns
+  /// the ordinal and lists the metric under the component.
+  void AddSeries(ComponentId component, MetricId metric, SeriesData& series);
+
+  /// The series' samples, ready to write: the buffer is allocated on the
+  /// first write and copied first if it is pinned (the copy keeps the
+  /// buffer's capacity), and holds at least `capacity` samples.
+  static std::vector<Sample>& Writable(SeriesData& series, size_t capacity);
 
   std::unordered_map<SeriesKey, SeriesData, SeriesKeyHash> series_;
   std::unordered_map<ComponentId, ComponentData> components_;
@@ -230,6 +305,15 @@ class TimeSeriesStore {
   uint32_t next_ordinal_ = 0;
   AppendListener* listener_ = nullptr;
 };
+
+/// The samples of `series` a collector must ship so that MeanIn / ValuesIn
+/// / LatestAtOrBefore over any subinterval of `interval` answer
+/// identically to the whole series: the in-window slice, plus the newest
+/// sample at or before interval.begin (MeanIn's stale fallback), plus the
+/// first sample at or after interval.end (MeanIn's tail reading). A view
+/// into `series`; empty iff the series is empty.
+SampleSpan CoveringSlice(const std::vector<Sample>& series,
+                         const TimeInterval& interval);
 
 /// Mean of the samples of `series` in the interval, plus the first sample
 /// at or after interval.end (the reading that covers the window's tail).
@@ -246,7 +330,7 @@ Result<double> MeanIn(const std::vector<Sample>& series,
 /// that begins no earlier than the previous one resumes the search where
 /// the previous window began: per-run means over runs in time order sweep
 /// the series forward once instead of binary-searching all of it per run.
-/// Holds a reference to `series`; valid until the series is appended to.
+/// Holds a reference to `series`; valid until the series is written to.
 class MeanCursor {
  public:
   explicit MeanCursor(const std::vector<Sample>& series)

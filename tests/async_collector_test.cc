@@ -3,17 +3,21 @@
 // scatter/gather layer (overlap, bounded in-flight, timeout/retry, stale
 // degradation, cancellation), and the end-to-end contract — a diagnosis
 // over collected data is ReportDigest-identical to one over the source
-// store, even when a component's fetches always time out. Run under
+// store, even when a component's fetches always time out, and even while
+// the source store is appended to on another thread. Run under
 // -fsanitize=thread alongside engine_test to validate the locking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "diads/model_cache.h"
 #include "diads/report.h"
 #include "diads/symptom_index.h"
 #include "diads/workflow.h"
@@ -52,7 +56,7 @@ class CoveringSliceTest : public ::testing::Test {
 TEST_F(CoveringSliceTest, IncludesBoundarySamples) {
   // Window (250, 650): in-window samples 300..600, plus 200 (stale
   // fallback for MeanIn) and 700 (tail reading).
-  std::vector<Sample> slice =
+  const SampleSpan slice =
       store_.CoveringSlice(Comp(1), MetricId::kVolTotalIos, {250, 650});
   ASSERT_EQ(slice.size(), 6u);
   EXPECT_EQ(slice.front().time, 200);
@@ -60,14 +64,14 @@ TEST_F(CoveringSliceTest, IncludesBoundarySamples) {
 }
 
 TEST_F(CoveringSliceTest, WindowBeforeAllSamplesKeepsTailOnly) {
-  std::vector<Sample> slice =
+  const SampleSpan slice =
       store_.CoveringSlice(Comp(1), MetricId::kVolTotalIos, {-500, -100});
   ASSERT_EQ(slice.size(), 1u);
   EXPECT_EQ(slice.front().time, 0);  // First sample at/after window end.
 }
 
 TEST_F(CoveringSliceTest, WindowAfterAllSamplesKeepsNewestOnly) {
-  std::vector<Sample> slice =
+  const SampleSpan slice =
       store_.CoveringSlice(Comp(1), MetricId::kVolTotalIos, {2000, 3000});
   ASSERT_EQ(slice.size(), 1u);
   EXPECT_EQ(slice.front().time, 900);  // Stale-fallback sample.
@@ -450,6 +454,75 @@ TEST_F(CollectionDiagnosisTest,
   ASSERT_FALSE(scenario_->ground_truth.empty());
   EXPECT_TRUE(MatchesGroundTruth(scenario_->ground_truth.front(), *top,
                                  ctx.topology->registry()));
+}
+
+// The isolation contract: a snapshot never changes after its fetch. One
+// thread appends to the source store — to every series the snapshot
+// pinned and to series it never saw — while another diagnoses over a
+// snapshot gathered before the appends, with a model cache. The report is
+// the one a serial diagnosis gave before the appends. Under TSan this
+// also checks that pinned buffers are shared without a race.
+TEST_F(CollectionDiagnosisTest, AppendsToSourceNeverReachAGatheredSnapshot) {
+  Result<ScenarioOutput> scenario =
+      RunScenario(ScenarioId::kS1SanMisconfiguration, {});
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  TimeSeriesStore& source = scenario->testbed->store;
+  diag::BaselineModelCache cache;
+  diag::DiagnosisContext ctx = scenario->MakeContext();
+  ctx.model_cache = &cache;
+  const diag::Workflow workflow(ctx, diag::WorkflowConfig{}, symptoms_);
+  Result<diag::DiagnosisReport> serial = workflow.Diagnose();
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const std::string serial_digest = diag::ReportDigest(*serial);
+
+  SimulatedLatencyOptions latency;
+  latency.base_latency_ms = 0;
+  latency.connections = 2;
+  SimulatedSanCollector collector(latency);
+  const MetricGatherer gatherer(&collector, GatherOptions{});
+  const diag::CollectionOutcome outcome = workflow.Collect(gatherer);
+  ASSERT_FALSE(outcome.degraded());
+  std::vector<SeriesKey> pinned;
+  outcome.gather.collected.ForEachSeries(
+      [&](ComponentId c, MetricId m, const std::vector<Sample>&) {
+        pinned.push_back(SeriesKey{c, m});
+      });
+  ASSERT_FALSE(pinned.empty());
+  SimTimeMs end = 0;
+  source.ForEachSeries(
+      [&](ComponentId, MetricId, const std::vector<Sample>& samples) {
+        end = std::max(end, samples.back().time);
+      });
+  const uint64_t generation_before = source.StoreGeneration();
+
+  std::atomic<bool> diagnosed{false};
+  int failed_appends = 0;
+  std::thread appender([&] {
+    // At least a few rounds, then on until the diagnosis is done.
+    for (int round = 1; round <= 4 || !diagnosed.load(); ++round) {
+      const SimTimeMs t = end + round * Minutes(5);
+      for (const SeriesKey& key : pinned) {
+        if (!source.Append(key.component, key.metric, t, 1e6 * round).ok()) {
+          ++failed_appends;
+        }
+      }
+      if (!source
+               .Append(ComponentId{1000000u + static_cast<uint32_t>(round)},
+                       MetricId::kVolTotalIos, t, 1.0)
+               .ok()) {
+        ++failed_appends;
+      }
+    }
+  });
+  Result<diag::DiagnosisReport> report = workflow.DiagnoseOverCollection(
+      outcome, diag::ImpactMethod::kInverseDependency);
+  diagnosed.store(true);
+  appender.join();
+
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(diag::ReportDigest(*report), serial_digest);
+  EXPECT_EQ(failed_appends, 0);
+  EXPECT_GT(source.StoreGeneration(), generation_before);
 }
 
 }  // namespace

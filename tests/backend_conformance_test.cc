@@ -27,7 +27,9 @@
 //     a planner refactor cannot move a single estimate bit;
 //   * CollectedDiagnosisMatchesGoldenDigest — the serving path (gather
 //     into a collected snapshot, then diagnose over it) reproduces the
-//     same golden digest per configuration, model cache cold and warm;
+//     same golden digest per configuration, model cache cold and warm,
+//     and so does a store holding only a copy of each planned series'
+//     covering slice;
 //   * cross-backend parity properties — semantically identical testbeds
 //     expose identical SAN component sets and identical
 //     SeriesKeyHash-keyed metric inventories through either backend
@@ -44,6 +46,7 @@
 #include "diads/model_cache.h"
 #include "diads/symptom_index.h"
 #include "monitor/async_collector.h"
+#include "monitor/collection_planner.h"
 #include "monitor/gather.h"
 #include "monitor/timeseries.h"
 #include "support/conformance_util.h"
@@ -159,6 +162,35 @@ TEST_P(ConformanceCaseTest, CollectedDiagnosisMatchesGoldenDigest) {
       EXPECT_GT(cache.TotalCounters().hits, cold.hits);
     }
   }
+
+  // A snapshot shares whole series, but a fetch still ships only each
+  // series' covering slice: a store of copies of those slices must give
+  // the golden digest as well.
+  SCOPED_TRACE("covering-slice copies");
+  diag::DiagnosisContext covering_ctx = d->scenario.MakeContext();
+  const std::vector<monitor::FetchRequest> plan =
+      monitor::CollectionPlanner::Plan(
+          diag::SymptomIndex::CollectMetricKeys(covering_ctx),
+          covering_ctx.AnalysisWindow(), covering_ctx.store);
+  monitor::TimeSeriesStore covering;
+  for (const monitor::FetchRequest& request : plan) {
+    for (monitor::MetricId metric : request.metrics) {
+      for (const monitor::Sample& sample : request.source->CoveringSlice(
+               request.component, metric, request.interval)) {
+        ASSERT_TRUE(covering
+                        .Append(request.component, metric, sample.time,
+                                sample.value)
+                        .ok());
+      }
+    }
+  }
+  ASSERT_LT(covering.total_samples(), covering_ctx.store->total_samples());
+  covering_ctx.store = &covering;
+  Result<diag::DiagnosisReport> report =
+      diag::Workflow(covering_ctx, diag::WorkflowConfig{}, &symptoms)
+          .Diagnose();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(diag::ReportDigestHashHex(*report), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -76,9 +76,12 @@ TEST(DbCollectorTest, EmitsDatabaseColumnMetrics) {
                         Minutes(5));
   ASSERT_TRUE(collector.CollectRange(0, Minutes(10)).ok());
 
-  // Two intervals of samples across the database metric column.
+  // Two intervals of samples across the database metric column, each
+  // series sized for them before its first sample.
   EXPECT_EQ(store.Series(database, monitor::MetricId::kDbBlocksRead).size(),
             2u);
+  EXPECT_EQ(
+      store.Series(database, monitor::MetricId::kDbBlocksRead).capacity(), 2u);
   EXPECT_NEAR(
       store.Series(database, monitor::MetricId::kDbBlocksRead)[0].value, 50,
       1e-9);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/event_log.h"
@@ -86,8 +88,8 @@ TEST(TimeSeriesStoreTest, AppendAndSlice) {
     ASSERT_TRUE(
         store.Append(c, MetricId::kVolTotalIos, t, static_cast<double>(t)).ok());
   }
-  std::vector<Sample> slice =
-      store.Slice(c, MetricId::kVolTotalIos, TimeInterval{150, 350});
+  const SampleSpan slice =
+      store.SliceView(c, MetricId::kVolTotalIos, TimeInterval{150, 350});
   ASSERT_EQ(slice.size(), 2u);
   EXPECT_EQ(slice[0].time, 200);
   EXPECT_EQ(slice[1].time, 300);
@@ -143,7 +145,7 @@ TEST(TimeSeriesStoreTest, MeanInFallsBackToStaleSample) {
           .ok());
 }
 
-TEST(TimeSeriesStoreTest, SliceViewMatchesSliceEverywhere) {
+TEST(TimeSeriesStoreTest, SliceViewMatchesFilterEverywhere) {
   TimeSeriesStore store;
   const ComponentId c{3};
   SeededRng rng(11);
@@ -158,13 +160,15 @@ TEST(TimeSeriesStoreTest, SliceViewMatchesSliceEverywhere) {
     const SimTimeMs end =
         begin + static_cast<SimTimeMs>(rng.UniformInt(0, 2000));
     const TimeInterval interval{begin, end};
-    const std::vector<Sample> copy =
-        store.Slice(c, MetricId::kVolBytesRead, interval);
+    std::vector<Sample> expected;
+    for (const Sample& s : store.Series(c, MetricId::kVolBytesRead)) {
+      if (s.time >= begin && s.time < end) expected.push_back(s);
+    }
     const SampleSpan view = store.SliceView(c, MetricId::kVolBytesRead, interval);
-    ASSERT_EQ(copy.size(), view.size());
-    for (size_t i = 0; i < copy.size(); ++i) {
-      EXPECT_EQ(copy[i].time, view[i].time);
-      EXPECT_EQ(copy[i].value, view[i].value);
+    ASSERT_EQ(expected.size(), view.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].time, view[i].time);
+      EXPECT_EQ(expected[i].value, view[i].value);
     }
   }
   // Absent series and empty windows produce empty views, not UB.
@@ -190,7 +194,7 @@ TEST(TimeSeriesStoreTest, GenerationCountsAppendsPerSeries) {
   EXPECT_EQ(store.Generation(a, MetricId::kVolBytesRead), 2u);
 }
 
-// --- AppendSamples (bulk append) ---------------------------------------------
+// --- AdoptSeries (bulk adoption of a pinned series) --------------------------
 
 const ComponentId kBulkComponents[] = {ComponentId{1}, ComponentId{2},
                                        ComponentId{3}};
@@ -198,8 +202,18 @@ const MetricId kBulkMetrics[] = {MetricId::kVolTotalIos,
                                  MetricId::kVolBytesRead,
                                  MetricId::kVolBytesWritten};
 
-/// Everything a TimeSeriesStore exposes about the series a bulk-append
-/// test can touch, as text (doubles in hex, so equal text is equal bits).
+/// Samples as text (doubles in hex, so equal text is equal bits).
+std::string DumpSamples(const std::vector<Sample>& samples) {
+  std::string out;
+  for (const Sample& sample : samples) {
+    out += StrFormat(" %lld=%a", static_cast<long long>(sample.time),
+                     sample.value);
+  }
+  return out;
+}
+
+/// Everything a TimeSeriesStore exposes about the series an adoption
+/// test can touch, as text.
 std::string DumpStore(const TimeSeriesStore& store) {
   std::string out = StrFormat(
       "store_gen=%llu total=%zu series=%zu\n",
@@ -217,11 +231,7 @@ std::string DumpStore(const TimeSeriesStore& store) {
       out += StrFormat(" m%d gen=%llu:", static_cast<int>(m),
                        static_cast<unsigned long long>(
                            store.Generation(c, m)));
-      for (const Sample& sample : store.Series(c, m)) {
-        out += StrFormat(" %lld=%a", static_cast<long long>(sample.time),
-                         sample.value);
-      }
-      out += "\n";
+      out += DumpSamples(store.Series(c, m)) + "\n";
     }
   }
   return out;
@@ -289,7 +299,20 @@ std::vector<SampleRun> RandomRuns(SeededRng& rng) {
   return out;
 }
 
-TEST(TimeSeriesStoreTest, AppendSamplesMatchesPerSampleAppends) {
+/// A run as a pinned series: written into a store of its own (which
+/// validates it, as any source does) and pinned there. The pin outlives
+/// that store.
+PinnedSeries PinRun(const SampleRun& run) {
+  TimeSeriesStore source;
+  for (const Sample& sample : run.samples) {
+    EXPECT_TRUE(
+        source.Append(run.component, run.metric, sample.time, sample.value)
+            .ok());
+  }
+  return source.Pin(run.component, run.metric);
+}
+
+TEST(TimeSeriesStoreTest, AdoptSeriesMatchesPerSampleAppends) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE(seed);
     SeededRng rng(seed);
@@ -297,12 +320,12 @@ TEST(TimeSeriesStoreTest, AppendSamplesMatchesPerSampleAppends) {
     // Half the seeds run with listeners installed: per-sample delivery is
     // then part of what must match.
     const bool listen = seed % 2 == 0;
-    TimeSeriesStore per_sample, bulk;
+    TimeSeriesStore per_sample, adopted;
     RecordingListener per_sample_listener(&per_sample);
-    RecordingListener bulk_listener(&bulk);
+    RecordingListener adopted_listener(&adopted);
     if (listen) {
       per_sample.SetAppendListener(&per_sample_listener);
-      bulk.SetAppendListener(&bulk_listener);
+      adopted.SetAppendListener(&adopted_listener);
     }
     for (const SampleRun& run : runs) {
       for (const Sample& sample : run.samples) {
@@ -312,52 +335,251 @@ TEST(TimeSeriesStoreTest, AppendSamplesMatchesPerSampleAppends) {
                         .ok());
       }
       ASSERT_TRUE(
-          bulk.AppendSamples(run.component, run.metric, run.samples).ok());
-      ASSERT_EQ(DumpStore(per_sample), DumpStore(bulk));
+          adopted.AdoptSeries(run.component, run.metric, PinRun(run)).ok());
+      ASSERT_EQ(DumpStore(per_sample), DumpStore(adopted));
 
-      // A rejected run leaves the store exactly as it was.
-      const std::vector<Sample>& series = bulk.Series(run.component,
-                                                      run.metric);
+      // A pinned run that starts before the series' last sample is
+      // refused and leaves the store exactly as it was.
+      const std::vector<Sample>& series = adopted.Series(run.component,
+                                                         run.metric);
       if (series.empty()) continue;
       const Sample tail = series.back();
-      const std::vector<Sample> out_of_order = {
-          {tail.time + 10, 1.0}, {tail.time + 5, 2.0}};
-      const std::vector<Sample> older_than_tail = {{tail.time - 1, 3.0},
-                                                   {tail.time + 1, 4.0}};
-      const std::string before = DumpStore(bulk);
-      const size_t calls_before = bulk_listener.calls.size();
-      for (const std::vector<Sample>& bad : {out_of_order, older_than_tail}) {
-        const Status status =
-            bulk.AppendSamples(run.component, run.metric, bad);
-        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-        EXPECT_EQ(DumpStore(bulk), before);
-        EXPECT_EQ(bulk_listener.calls.size(), calls_before);
-      }
+      const SampleRun older_than_tail{
+          run.component,
+          run.metric,
+          {{tail.time - 1, 3.0}, {tail.time + 1, 4.0}}};
+      const std::string before = DumpStore(adopted);
+      const size_t calls_before = adopted_listener.calls.size();
+      EXPECT_EQ(adopted
+                    .AdoptSeries(run.component, run.metric,
+                                 PinRun(older_than_tail))
+                    .code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(DumpStore(adopted), before);
+      EXPECT_EQ(adopted_listener.calls.size(), calls_before);
     }
-    EXPECT_EQ(per_sample_listener.calls, bulk_listener.calls);
+    EXPECT_EQ(per_sample_listener.calls, adopted_listener.calls);
     if (listen) {
-      EXPECT_EQ(bulk_listener.calls.size(), bulk.total_samples());
+      EXPECT_EQ(adopted_listener.calls.size(), adopted.total_samples());
     }
   }
 }
 
-TEST(TimeSeriesStoreTest, AppendSamplesRejectsDisorderedNewSeries) {
+TEST(TimeSeriesStoreTest, EmptyPinsAdoptNothing) {
   TimeSeriesStore store;
   RecordingListener listener(&store);
   store.SetAppendListener(&listener);
   const ComponentId c{1};
-  EXPECT_EQ(store
-                .AppendSamples(c, MetricId::kVolTotalIos,
-                               {{200, 1.0}, {100, 2.0}})
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Absent and reserved-but-empty series pin as empty, and an empty pin
+  // is a no-op that creates no series.
+  store.Reserve(c, MetricId::kVolBytesRead, 4);
+  EXPECT_TRUE(store.Pin(c, MetricId::kVolTotalIos).empty());
+  EXPECT_TRUE(store.Pin(c, MetricId::kVolBytesRead).empty());
+  EXPECT_TRUE(store.AdoptSeries(c, MetricId::kVolTotalIos, PinnedSeries())
+                  .ok());
+  EXPECT_TRUE(store
+                  .AdoptSeries(c, MetricId::kVolTotalIos,
+                               store.Pin(c, MetricId::kVolBytesRead))
+                  .ok());
   EXPECT_EQ(store.series_count(), 0u);
   EXPECT_EQ(store.StoreGeneration(), 0u);
   EXPECT_TRUE(store.MetricsFor(c).empty());
   EXPECT_TRUE(listener.calls.empty());
-  // An empty run is a no-op that creates no series.
-  EXPECT_TRUE(store.AppendSamples(c, MetricId::kVolTotalIos, {}).ok());
+}
+
+// --- Pinned series: copy-on-write, and Reserve -------------------------------
+
+// A pin is a snapshot. Whatever the store writes afterwards — to the
+// pinned series, to another pinned series, to series it creates later,
+// with or without a listener — and whatever a store that adopted the pin
+// writes, the pinned buffer keeps its samples, address and generation.
+TEST(TimeSeriesStoreTest, PinnedSeriesNeverChangesAfterWrites) {
+  const ComponentId a{1}, b{2};
+  const MetricId m1 = MetricId::kVolTotalIos, m2 = MetricId::kVolBytesRead;
+  for (const bool listen : {false, true}) {
+    SCOPED_TRACE(listen ? "with listener" : "without listener");
+    TimeSeriesStore store;
+    RecordingListener listener(&store);
+    if (listen) store.SetAppendListener(&listener);
+    for (SimTimeMs t = 100; t <= 500; t += 100) {
+      ASSERT_TRUE(store.Append(a, m1, t, static_cast<double>(t)).ok());
+    }
+    ASSERT_TRUE(store.Append(a, m2, 100, 1.0).ok());
+    const PinnedSeries pinned = store.Pin(a, m1);
+    const PinnedSeries other = store.Pin(a, m2);
+    const std::string contents = DumpSamples(pinned.samples());
+    const Sample* data = pinned.samples().data();
+    EXPECT_EQ(pinned.generation(), 5u);
+    EXPECT_EQ(data, store.Series(a, m1).data());  // Shared, not copied.
+
+    TimeSeriesStore snapshot;
+    ASSERT_TRUE(snapshot.AdoptSeries(a, m1, pinned).ok());
+    EXPECT_EQ(snapshot.Series(a, m1).data(), data);
+    EXPECT_EQ(snapshot.Generation(a, m1), 5u);
+    EXPECT_EQ(snapshot.StoreGeneration(), 5u);
+
+    for (SimTimeMs t = 600; t <= 2000; t += 100) {
+      ASSERT_TRUE(store.Append(a, m1, t, 1.0).ok());
+      ASSERT_TRUE(store.Append(a, m2, t, 2.0).ok());
+      ASSERT_TRUE(store.Append(b, m1, t, 3.0).ok());
+    }
+    store.Reserve(a, m1, 1000);
+    ASSERT_TRUE(snapshot.Append(a, m1, 600, 4.0).ok());
+
+    EXPECT_EQ(DumpSamples(pinned.samples()), contents);
+    EXPECT_EQ(pinned.samples().data(), data);
+    EXPECT_EQ(pinned.generation(), 5u);
+    EXPECT_EQ(other.samples().size(), 1u);
+    EXPECT_EQ(store.Series(a, m1).size(), 20u);
+    EXPECT_EQ(DumpSamples(store.Series(a, m1)).substr(0, contents.size()),
+              contents);
+    EXPECT_EQ(snapshot.Series(a, m1).size(), 6u);
+
+    // A series created after the first pins behaves the same.
+    const PinnedSeries later = store.Pin(b, m1);
+    const std::string later_contents = DumpSamples(later.samples());
+    ASSERT_TRUE(store.Append(b, m1, 5000, 9.0).ok());
+    EXPECT_EQ(DumpSamples(later.samples()), later_contents);
+    EXPECT_EQ(store.Series(b, m1).size(), later.samples().size() + 1);
+    if (listen) {
+      EXPECT_EQ(listener.calls.size(), store.total_samples());
+    }
+  }
+}
+
+// Pins are read on other threads while the store writes: four readers
+// pin two series at once (the pinned flag is shared), then walk their
+// pins while the owning thread appends to those series, to other series
+// and to new ones. Every reader keeps seeing what it pinned. CI runs this
+// under TSan, which also checks that no pinned buffer is written.
+TEST(TimeSeriesStoreTest, PinnedSeriesAreReadSafelyWhileTheStoreWrites) {
+  TimeSeriesStore store;
+  const ComponentId c{1};
+  const MetricId metrics[] = {MetricId::kVolTotalIos, MetricId::kVolBytesRead};
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(store.Append(c, metrics[0], i * 100, i).ok());
+    ASSERT_TRUE(store.Append(c, metrics[1], i * 100, 2.0 * i).ok());
+  }
+  const std::string expected[] = {DumpSamples(store.Series(c, metrics[0])),
+                                  DumpSamples(store.Series(c, metrics[1]))};
+
+  constexpr int kReaders = 4;
+  std::atomic<int> pinned{0};
+  std::atomic<bool> written{false};
+  int mismatches[kReaders] = {};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const PinnedSeries pin = store.Pin(c, metrics[r % 2]);
+      pinned.fetch_add(1);
+      do {
+        if (DumpSamples(pin.samples()) != expected[r % 2]) ++mismatches[r];
+      } while (!written.load());
+    });
+  }
+  while (pinned.load() < kReaders) std::this_thread::yield();
+  for (int i = 256; i < 1256; ++i) {
+    EXPECT_TRUE(store.Append(c, metrics[0], i * 100, i).ok());
+    EXPECT_TRUE(store.Append(c, metrics[1], i * 100, 2.0 * i).ok());
+    EXPECT_TRUE(store
+                    .Append(ComponentId{static_cast<uint32_t>(2 + i)},
+                            metrics[0], i * 100, 1.0)
+                    .ok());
+  }
+  written.store(true);
+  for (std::thread& reader : readers) reader.join();
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(mismatches[r], 0) << r;
+  EXPECT_EQ(store.Series(c, metrics[0]).size(), 1256u);
+}
+
+// Copy-on-write copies a pinned buffer once, on the first write after the
+// pin, and keeps its capacity; later writes go to the copy in place, also
+// once the pin is released. The next pin starts the cycle again.
+TEST(TimeSeriesStoreTest, FirstWriteAfterPinCopiesOnce) {
+  TimeSeriesStore store;
+  const ComponentId c{1};
+  const MetricId m = MetricId::kVolTotalIos;
+  store.Reserve(c, m, 16);
+  for (SimTimeMs t : {100, 200, 300}) {
+    ASSERT_TRUE(store.Append(c, m, t, 1.0).ok());
+  }
+  const Sample* original = store.Series(c, m).data();
+  const Sample* copy = nullptr;
+  {
+    const PinnedSeries pinned = store.Pin(c, m);
+    ASSERT_TRUE(store.Append(c, m, 400, 2.0).ok());
+    copy = store.Series(c, m).data();
+    EXPECT_NE(copy, original);
+    EXPECT_EQ(pinned.samples().data(), original);
+    EXPECT_EQ(pinned.samples().size(), 3u);
+    EXPECT_EQ(store.Series(c, m).capacity(), 16u);
+    for (SimTimeMs t : {500, 600, 700}) {
+      ASSERT_TRUE(store.Append(c, m, t, 3.0).ok());
+      EXPECT_EQ(store.Series(c, m).data(), copy);
+    }
+  }
+  ASSERT_TRUE(store.Append(c, m, 800, 4.0).ok());
+  EXPECT_EQ(store.Series(c, m).data(), copy);
+
+  const PinnedSeries again = store.Pin(c, m);
+  ASSERT_TRUE(store.Append(c, m, 900, 5.0).ok());
+  EXPECT_NE(store.Series(c, m).data(), copy);
+  const Sample* second_copy = store.Series(c, m).data();
+  ASSERT_TRUE(store.Append(c, m, 1000, 6.0).ok());
+  EXPECT_EQ(store.Series(c, m).data(), second_copy);
+  EXPECT_EQ(again.samples().size(), 8u);
+  EXPECT_EQ(store.Series(c, m).size(), 10u);
+}
+
+// Reserve sizes an empty series once, exactly, and a reserved series that
+// has no sample yet is invisible: no count, no metric listing, no visit,
+// no generation, no pin. Ordinals follow first samples, not reservations.
+TEST(TimeSeriesStoreTest, ReserveSizesOnceAndStaysInvisible) {
+  TimeSeriesStore store;
+  RecordingListener listener(&store);
+  store.SetAppendListener(&listener);
+  const ComponentId c{1};
+  const MetricId m1 = MetricId::kVolTotalIos, m2 = MetricId::kVolBytesRead;
+  store.Reserve(c, m1, 7);
+  store.Reserve(c, m2, 3);
   EXPECT_EQ(store.series_count(), 0u);
+  EXPECT_TRUE(store.MetricsFor(c).empty());
+  int visited = 0;
+  store.ForEachSeries(
+      [&](ComponentId, MetricId, const std::vector<Sample>&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_EQ(store.Generation(c, m1), 0u);
+  EXPECT_EQ(store.ComponentGeneration(c), 0u);
+  EXPECT_EQ(store.StoreGeneration(), 0u);
+  EXPECT_EQ(store.total_samples(), 0u);
+  EXPECT_TRUE(store.Pin(c, m1).empty());
+  EXPECT_TRUE(store.Series(c, m1).empty());
+  EXPECT_EQ(store.Series(c, m1).capacity(), 7u);
+
+  ASSERT_TRUE(store.Append(c, m2, 100, 1.0).ok());
+  ASSERT_TRUE(store.Append(c, m1, 100, 1.0).ok());
+  ASSERT_EQ(listener.calls.size(), 2u);
+  EXPECT_NE(listener.calls[0].find("ordinal=0"), std::string::npos);
+  EXPECT_NE(listener.calls[1].find("ordinal=1"), std::string::npos);
+  EXPECT_EQ(store.series_count(), 2u);
+
+  const Sample* data = store.Series(c, m1).data();
+  for (SimTimeMs t = 200; t <= 700; t += 100) {
+    ASSERT_TRUE(store.Append(c, m1, t, 2.0).ok());
+    EXPECT_EQ(store.Series(c, m1).data(), data);
+  }
+  EXPECT_EQ(store.Series(c, m1).size(), 7u);
+  EXPECT_EQ(store.Series(c, m1).capacity(), 7u);
+
+  // On a series with samples, a reservation it has room for changes
+  // nothing, and one it has not grows it at least geometrically.
+  store.Reserve(c, m2, 2);
+  const Sample* m2_data = store.Series(c, m2).data();
+  store.Reserve(c, m2, 1);
+  EXPECT_EQ(store.Series(c, m2).data(), m2_data);
+  store.Reserve(c, m1, 1);
+  EXPECT_GE(store.Series(c, m1).capacity(), 14u);
+  EXPECT_EQ(store.Series(c, m1).size(), 7u);
 }
 
 // --- MeanIn -------------------------------------------------------------------
@@ -476,8 +698,9 @@ TEST(TimeSeriesStoreTest, MeanInMatchesNaiveReference) {
 }
 
 // A NaN sample would break every sort over the data (KDE fits, midranks),
-// an infinity every mean. Both entry points refuse them and leave the
-// store, its counters and a listener untouched.
+// an infinity every mean. Append refuses them and leaves the store, its
+// counters and a listener untouched. (AdoptSeries takes only samples a
+// store already accepted.)
 TEST(TimeSeriesStoreTest, RejectsNonFiniteSamples) {
   const ComponentId c{1};
   const MetricId m = MetricId::kVolTotalIos;
@@ -491,25 +714,19 @@ TEST(TimeSeriesStoreTest, RejectsNonFiniteSamples) {
     for (double bad : kBad) {
       EXPECT_EQ(store.Append(c, m, 100, bad).code(),
                 StatusCode::kInvalidArgument);
-      EXPECT_EQ(store.AppendSamples(c, m, {{100, 1.0}, {200, bad}}).code(),
-                StatusCode::kInvalidArgument);
     }
     EXPECT_EQ(store.series_count(), 0u);
     EXPECT_EQ(store.StoreGeneration(), 0u);
     EXPECT_TRUE(store.MetricsFor(c).empty());
     EXPECT_TRUE(listener.calls.empty());
 
-    // An existing series: the whole run is refused, its finite prefix too.
+    // An existing series.
     ASSERT_TRUE(store.Append(c, m, 50, 2.0).ok());
     const std::string before = DumpStore(store);
     const uint64_t generation = store.Generation(c, m);
     const size_t calls = listener.calls.size();
     for (double bad : kBad) {
       EXPECT_EQ(store.Append(c, m, 100, bad).code(),
-                StatusCode::kInvalidArgument);
-      EXPECT_EQ(store
-                    .AppendSamples(c, m, {{100, 1.0}, {200, bad}, {300, 3.0}})
-                    .code(),
                 StatusCode::kInvalidArgument);
     }
     EXPECT_EQ(DumpStore(store), before);
@@ -601,7 +818,7 @@ TEST(TimeSeriesStoreTest, MetricsForMatchesScanOfRandomStore) {
     SCOPED_TRACE(seed);
     SeededRng rng(seed);
     TimeSeriesStore store;
-    // Odd seeds route AppendSamples through its per-sample listener path.
+    // Odd seeds route AdoptSeries through its per-sample listener path.
     RecordingListener listener(&store);
     if (seed % 2 == 1) store.SetAppendListener(&listener);
     for (int op = 0; op < 300; ++op) {
@@ -611,7 +828,8 @@ TEST(TimeSeriesStoreTest, MetricsForMatchesScanOfRandomStore) {
                       0, static_cast<int64_t>(catalog.size()) - 1))]
               .id;
       const std::vector<Sample>& series = store.Series(c, m);
-      const SimTimeMs last = series.empty() ? 0 : series.back().time;
+      const bool empty = series.empty();
+      const SimTimeMs last = empty ? 0 : series.back().time;
       const double kind = rng.Uniform();
       if (kind < 0.35) {
         // A single sample; one in five lands before the series' end, which
@@ -619,22 +837,24 @@ TEST(TimeSeriesStoreTest, MetricsForMatchesScanOfRandomStore) {
         const SimTimeMs t =
             rng.Bernoulli(0.2) ? last - 1 : last + rng.UniformInt(0, 300);
         (void)store.Append(c, m, t, rng.Normal(10, 3));
-      } else if (kind < 0.75) {
-        // A time-ordered run of 0-5 samples (an empty run creates nothing).
-        std::vector<Sample> run;
+      } else if (kind < 0.65) {
+        // A pinned time-ordered run of 0-5 samples (an empty run creates
+        // nothing).
+        SampleRun run{c, m, {}};
         SimTimeMs t = last;
         for (int64_t i = rng.UniformInt(0, 5); i > 0; --i) {
           t += rng.UniformInt(0, 300);
-          run.push_back(Sample{t, rng.Normal(10, 3)});
+          run.samples.push_back(Sample{t, rng.Normal(10, 3)});
         }
-        ASSERT_TRUE(store.AppendSamples(c, m, std::move(run)).ok());
+        ASSERT_TRUE(store.AdoptSeries(c, m, PinRun(run)).ok());
+      } else if (kind < 0.85) {
+        // A pinned run starting before the series' last sample: refused
+        // by an existing series, taken by a new one.
+        const SampleRun run{c, m, {{last - 1, 1.0}, {last + 100, 2.0}}};
+        EXPECT_EQ(store.AdoptSeries(c, m, PinRun(run)).ok(), empty);
       } else {
-        // A run out of order internally: rejected, and its metric must
-        // not appear if the series did not exist.
-        const SimTimeMs t = last + 500;
-        EXPECT_EQ(store.AppendSamples(c, m, {{t, 1.0}, {t - 100, 2.0}})
-                      .code(),
-                  StatusCode::kInvalidArgument);
+        // A reservation: invisible until the series' first sample.
+        store.Reserve(c, m, static_cast<size_t>(rng.UniformInt(1, 8)));
       }
       for (uint32_t v = 0; v <= 6; ++v) {
         const ComponentId component{v};
@@ -751,6 +971,25 @@ TEST(SanCollectorTest, EmitsAllVolumeMetricsPerInterval) {
   EXPECT_EQ(volume_samples, 3 * 12);
   // Server and disk series exist too.
   EXPECT_FALSE(f.store.MetricsFor(f.server).empty());
+}
+
+// Each series is sized for the range's interval count before its first
+// sample, so it is allocated once: a 12-minute range at 5-minute sampling
+// has 3 intervals, the last one short.
+TEST(SanCollectorTest, CollectRangeSizesEachSeriesOnce) {
+  CollectorFixture f;
+  SanCollector collector(&f.topology, &f.model, &f.store, &f.noise, &f.events,
+                         SanCollectorConfig{Minutes(5), 0, 0});
+  ASSERT_TRUE(collector.CollectRange(0, Minutes(12)).ok());
+  size_t series = 0;
+  f.store.ForEachSeries(
+      [&](ComponentId, MetricId, const std::vector<Sample>& samples) {
+        EXPECT_EQ(samples.size(), 3u);
+        EXPECT_EQ(samples.capacity(), 3u);
+        ++series;
+      });
+  EXPECT_EQ(series, f.store.series_count());
+  EXPECT_GT(series, 12u);
 }
 
 TEST(SanCollectorTest, SamplesReflectLoad) {

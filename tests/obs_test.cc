@@ -519,9 +519,9 @@ TEST(SelfMonitorTest, AppendSnapshotFillsDedicatedStore) {
   window.begin = 0;
   window.end = 10 * 60 * 1000;
   EXPECT_EQ(store
-                .Slice(self,
-                       engine::ToMetricId(engine::EngineMetric::kCompleted),
-                       window)
+                .SliceView(self,
+                           engine::ToMetricId(engine::EngineMetric::kCompleted),
+                           window)
                 .size(),
             2u);
 }
