@@ -11,8 +11,9 @@
 //
 // Workers pay off because a deployed diagnosis blocks on SAN-collector
 // round-trips while pulling monitoring intervals; the in-memory testbed
-// has no wire, so the engine's collector_stall_ms knob restores it
-// (default 100ms per diagnosis; tune with --collector-ms=N). Repeats
+// has no wire, so these rows gather through a SimulatedSanCollector that
+// answers each component fetch after --fetch-ms (default 25ms), with a
+// connection for every fetch the workers can have in flight. Repeats
 // served from the warm cache skip collection entirely.
 //
 // Output: a human-readable table plus one JSON line per configuration
@@ -21,8 +22,8 @@
 // A second experiment compares collection modes on a skewed backend
 // (every SAN component answers in --async-base-ms, except each tenant's
 // V1 at 10x): "blocking" serializes the per-component round-trips of a
-// diagnosis (max_in_flight=1 — the old collector_stall_ms reality),
-// "async" overlaps them through the scatter/gather layer. Both modes run
+// diagnosis (max_in_flight=1, one fetch at a time), "async" overlaps
+// them through the scatter/gather layer. Both modes run
 // the same fresh-only stream with the cache off and verify every report
 // digest against the serial ground truth; the headline is the p99
 // diagnosis latency ratio.
@@ -36,14 +37,15 @@
 // digest-verified against the serial ground truth.
 //
 // A fourth experiment measures the span tracer's overhead: the same
-// fresh-only compute-bound stream (no collector stall, result cache off)
+// fresh-only compute-bound stream (zero-latency collection, result cache
+// off)
 // with the tracer attached vs detached, alternated passes, min-of-N wall
 // time per mode. The summary row prints overhead_pct; nothing gates it,
 // because a pass of a few milliseconds (CI's flags give about 7 ms) is
 // too short to resolve a few percent. The run fails only if tracing
 // changes a report's digest.
 //
-//   $ ./bench_engine_throughput [--collector-ms=N] [--fresh=N]
+//   $ ./bench_engine_throughput [--fetch-ms=N] [--fresh=N]
 //                               [--repeats=N] [--tenants=N] [--seed=N]
 //                               [--async-base-ms=N] [--async-slow-factor=N]
 //                               [--async-timeout-ms=N] [--async-fresh=N]
@@ -75,7 +77,7 @@ using namespace diads;
 namespace {
 
 struct BenchOptions {
-  double collector_ms = 100;  ///< Simulated SAN-collector round-trip.
+  double fetch_ms = 25;  ///< Simulated round-trip per component fetch.
   int tenants = 4;
   int fresh_per_tenant = 2;    ///< Distinct incidents per tenant (misses).
   int repeats_per_tenant = 10; ///< Repeat questions per tenant (hits).
@@ -146,8 +148,12 @@ ConfigResult RunConfig(const workload::FleetWorkload& fleet,
   engine::EngineOptions options;
   options.workers = workers;
   options.enable_cache = cache_on;
-  options.collector_stall_ms = bench.collector_ms;
-  engine::DiagnosisEngine engine(options, &symptoms);
+  monitor::SimulatedLatencyOptions latency;
+  latency.base_latency_ms = bench.fetch_ms;
+  latency.connections = workers * options.gather.max_in_flight;
+  engine::DiagnosisEngine engine(
+      options, &symptoms,
+      std::make_shared<monitor::SimulatedSanCollector>(latency));
 
   // Warm: diagnose each tenant's incident 0 once (not measured).
   std::vector<engine::DiagnosisRequest> warm =
@@ -220,8 +226,8 @@ struct AsyncModeResult {
 };
 
 /// One collection mode of the skewed-backend experiment. `overlapped`
-/// false serializes the per-component round-trips (the blocking-stall
-/// baseline); true overlaps them (max_in_flight = 8). Every response's
+/// false serializes the per-component round-trips (one fetch in flight);
+/// true overlaps them (max_in_flight = 8). Every response's
 /// digest is checked against the tenant's serial ground truth.
 AsyncModeResult RunAsyncMode(const workload::FleetWorkload& fleet,
                              const std::vector<std::string>& serial_digests,
@@ -359,9 +365,8 @@ ModelCacheModeResult RunModelCachePass(
 
 int main(int argc, char** argv) {
   BenchOptions bench;
-  bench.collector_ms = static_cast<double>(
-      FlagValue(argc, argv, "collector-ms",
-                static_cast<int64_t>(bench.collector_ms)));
+  bench.fetch_ms = static_cast<double>(FlagValue(
+      argc, argv, "fetch-ms", static_cast<int64_t>(bench.fetch_ms)));
   bench.tenants =
       static_cast<int>(FlagValue(argc, argv, "tenants", bench.tenants));
   bench.fresh_per_tenant = static_cast<int>(
@@ -411,9 +416,9 @@ int main(int argc, char** argv) {
       bench.tenants * (bench.fresh_per_tenant + bench.repeats_per_tenant);
   std::printf(
       "Stream: %d requests (%d fresh incidents + %d repeats per tenant), "
-      "simulated collector round-trip %.0fms.\n\n",
+      "simulated round-trip %.0fms per component fetch.\n\n",
       stream_size, bench.fresh_per_tenant, bench.repeats_per_tenant,
-      bench.collector_ms);
+      bench.fetch_ms);
 
   TablePrinter table({"Workers", "Cache", "Requests", "Wall (s)",
                       "Diagnoses/s", "Hit rate", "Coalesced", "p95 (ms)"});
@@ -439,7 +444,7 @@ int main(int argc, char** argv) {
           .Num("cache_hit_rate", r.hit_rate, 3)
           .Uint("coalesced", r.coalesced)
           .Num("p95_ms", r.p95_ms, 2)
-          .Num("collector_ms", bench.collector_ms, 0)
+          .Num("fetch_ms", bench.fetch_ms, 0)
           .Emit();
     }
   }
@@ -611,7 +616,7 @@ int main(int argc, char** argv) {
   // --- Tracing-overhead experiment: tracer attached vs detached -----------
   std::printf(
       "\nSpan tracer overhead on a compute-bound stream (%d fresh "
-      "incidents per tenant, no collector stall, result cache off, "
+      "incidents per tenant, zero-latency collection, result cache off, "
       "min of %d alternated passes per mode):\n",
       bench.trace_fresh, bench.trace_passes);
   engine::EngineOptions trace_options;

@@ -6,11 +6,16 @@
 // bursts --flood-requests identical diagnosis requests, then 4 victim
 // tenants each submit a few questions of their own (result cache and
 // coalescing OFF, so the flood genuinely occupies the queue; admission
-// shares opened to 1.0, so only the dispatch discipline differs). The
-// same stream runs twice:
+// shares opened to 1.0, so only the dispatch discipline differs). Each
+// diagnosis waits on its collection: a SimulatedSanCollector answers
+// every component fetch after --fetch-ms, with a connection for every
+// fetch the workers can have in flight. The same stream runs twice:
 //
-//   fifo — fairness disabled, the engine's original single bounded FIFO:
-//          every victim request waits behind the whole remaining flood.
+//   fifo — every request of the pass carries one tag, so the fair queue
+//          has one sub-queue and dispatches in arrival order: every
+//          victim request waits behind the whole remaining flood. With
+//          the cache, coalescing and the fleet store off, the tag
+//          reaches nothing but the queue.
 //   wfq  — deficit-round-robin over per-tenant sub-queues: victims'
 //          requests overtake the flood's tail at their weighted rate.
 //
@@ -35,7 +40,7 @@
 // injection lives in fleet_log_test).
 //
 //   $ ./bench_fairness [--workers=N] [--flood-requests=N] [--victims=N]
-//                      [--requests-per-victim=N] [--stall-ms=N]
+//                      [--requests-per-victim=N] [--fetch-ms=N]
 //                      [--shed-deadline-ms=N] [--seed=N]
 #include <sys/stat.h>
 #include <unistd.h>
@@ -57,6 +62,7 @@
 #include "fleet/log.h"
 #include "fleet/query.h"
 #include "fleet/store.h"
+#include "monitor/async_collector.h"
 #include "support/bench_json.h"
 #include "workload/fleet.h"
 
@@ -69,7 +75,7 @@ struct BenchOptions {
   int flood_requests = 48;
   int victims = 4;
   int requests_per_victim = 3;
-  double stall_ms = 4;          ///< Simulated collector round-trip.
+  double fetch_ms = 1;          ///< Simulated round-trip per fetch.
   double shed_deadline_ms = 8;  ///< Flood deadline in the shed pass.
   uint64_t seed = 42;
 };
@@ -105,13 +111,14 @@ struct ModeResult {
 };
 
 /// One pass of the flooding stream through an engine. `serial_digests`
-/// holds the per-tenant ground truth; `flood_deadline_ms` > 0 stamps a
-/// deadline on every flood (tenant 0) request. `store` (may be null)
-/// attaches the fleet store for the recovery experiment.
+/// holds the per-tenant ground truth; `one_tenant` tags every request
+/// alike (the FIFO baseline); `flood_deadline_ms` > 0 stamps a deadline
+/// on every flood (tenant 0) request. `store` (may be null) attaches the
+/// fleet store for the recovery experiment.
 ModeResult RunMode(const workload::FleetWorkload& fleet,
                    const diag::SymptomsDb& symptoms,
                    const std::vector<std::string>& serial_digests,
-                   const BenchOptions& bench, bool fairness_on,
+                   const BenchOptions& bench, bool one_tenant,
                    double flood_deadline_ms, fleet::FleetStore* store,
                    const char* mode_name) {
   engine::EngineOptions options;
@@ -122,20 +129,22 @@ ModeResult RunMode(const workload::FleetWorkload& fleet,
   // would collapse them and nothing would flood.
   options.enable_cache = false;
   options.coalesce_identical = false;
-  options.collector_stall_ms = bench.stall_ms;
-  options.fairness.enabled = fairness_on;
   // Shares wide open: this experiment isolates the dispatch discipline
   // (DRR vs FIFO); admission refusals are engine_serving --flood's demo.
   options.fairness.tenant_share_fraction = 1.0;
   options.fleet_store = store;
-  engine::DiagnosisEngine engine(options, &symptoms);
+  monitor::SimulatedLatencyOptions latency;
+  latency.base_latency_ms = bench.fetch_ms;
+  latency.connections = bench.workers * options.gather.max_in_flight;
+  engine::DiagnosisEngine engine(
+      options, &symptoms,
+      std::make_shared<monitor::SimulatedSanCollector>(latency));
 
   std::vector<engine::DiagnosisRequest> stream = fleet.requests;
-  if (flood_deadline_ms > 0) {
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (fleet.tenant_of_request[i] == 0) {
-        stream[i].deadline_ms = flood_deadline_ms;
-      }
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (one_tenant) stream[i].tag = "fifo";
+    if (flood_deadline_ms > 0 && fleet.tenant_of_request[i] == 0) {
+      stream[i].deadline_ms = flood_deadline_ms;
     }
   }
 
@@ -230,8 +239,8 @@ int main(int argc, char** argv) {
       static_cast<int>(FlagValue(argc, argv, "victims", bench.victims));
   bench.requests_per_victim = static_cast<int>(FlagValue(
       argc, argv, "requests-per-victim", bench.requests_per_victim));
-  bench.stall_ms = static_cast<double>(FlagValue(
-      argc, argv, "stall-ms", static_cast<int64_t>(bench.stall_ms)));
+  bench.fetch_ms = static_cast<double>(FlagValue(
+      argc, argv, "fetch-ms", static_cast<int64_t>(bench.fetch_ms)));
   bench.shed_deadline_ms = static_cast<double>(
       FlagValue(argc, argv, "shed-deadline-ms",
                 static_cast<int64_t>(bench.shed_deadline_ms)));
@@ -271,9 +280,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Stream: %zu requests, %d workers, %.0fms simulated collection per "
-      "diagnosis, cache/coalescing off.\n\n",
-      fleet->requests.size(), bench.workers, bench.stall_ms);
+      "Stream: %zu requests, %d workers, %.0fms simulated round-trip per "
+      "component fetch, cache/coalescing off.\n\n",
+      fleet->requests.size(), bench.workers, bench.fetch_ms);
 
   // --- Experiment 1+3: fifo vs wfq; the wfq pass feeds the durability
   // round trip (publish through an attached segment log).
@@ -296,10 +305,10 @@ int main(int argc, char** argv) {
   oracle_store.AttachLog(log->get());
 
   ModeResult fifo = RunMode(*fleet, symptoms, serial_digests, bench,
-                            /*fairness_on=*/false, /*flood_deadline_ms=*/0,
+                            /*one_tenant=*/true, /*flood_deadline_ms=*/0,
                             /*store=*/nullptr, "fifo");
   ModeResult wfq = RunMode(*fleet, symptoms, serial_digests, bench,
-                           /*fairness_on=*/true, /*flood_deadline_ms=*/0,
+                           /*one_tenant=*/false, /*flood_deadline_ms=*/0,
                            &oracle_store, "wfq");
   oracle_store.DetachLog();
   (*log)->Flush();
@@ -309,7 +318,7 @@ int main(int argc, char** argv) {
   // --- Experiment 2: deadline shedding under wfq (no store: shed floods
   // publish nothing, and the recovery oracle is already written).
   ModeResult shed = RunMode(*fleet, symptoms, serial_digests, bench,
-                            /*fairness_on=*/true, bench.shed_deadline_ms,
+                            /*one_tenant=*/false, bench.shed_deadline_ms,
                             /*store=*/nullptr, "wfq_shed");
 
   // --- Experiment 3: crash the store, recover from the log, compare the

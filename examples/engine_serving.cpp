@@ -290,8 +290,8 @@ int main(int argc, char** argv) {
 
   // Where did the first computed diagnosis spend its time?
   for (const engine::DiagnosisResponse& response : responses) {
-    if (response.ok() && response.cost != nullptr &&
-        !response.cost->result_cache_hit && !response.cost->coalesced) {
+    if (response.ok() && response.cost != nullptr && !response.cache_hit &&
+        !response.coalesced) {
       std::printf("\nCost profile of one cold diagnosis:\n%s",
                   response.cost->Render().c_str());
       break;

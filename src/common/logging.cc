@@ -83,17 +83,6 @@ void LogRecordTo(LogLevel level, const std::string& component,
   (g_sink != nullptr ? g_sink : &DefaultSink())->Write(record);
 }
 
-void Log(LogLevel level, const std::string& message) {
-  LogRecordTo(level, "", message);
-}
-
-void LogDebug(const std::string& message) { Log(LogLevel::kDebug, message); }
-void LogInfo(const std::string& message) { Log(LogLevel::kInfo, message); }
-void LogWarning(const std::string& message) {
-  Log(LogLevel::kWarning, message);
-}
-void LogError(const std::string& message) { Log(LogLevel::kError, message); }
-
 void LogDebug(const std::string& component, const std::string& message) {
   LogRecordTo(LogLevel::kDebug, component, message);
 }

@@ -30,8 +30,7 @@ const char* LogLevelName(LogLevel level);
 /// One structured log line.
 struct LogRecord {
   LogLevel level = LogLevel::kInfo;
-  /// Dotted source component, e.g. "monitor.gather", "engine". Empty for
-  /// legacy Log() calls that carry no component.
+  /// Dotted source component, e.g. "monitor.gather", "engine".
   std::string component;
   std::string message;
   /// Simulated-time stamp of the event being logged; < 0 when the caller
@@ -68,14 +67,6 @@ LogSink* SetLogSink(LogSink* sink);
 /// Emits a structured record if `level` passes the global threshold.
 void LogRecordTo(LogLevel level, const std::string& component,
                  const std::string& message, SimTimeMs sim_time = -1);
-
-/// Emits a log line with no component prefix (legacy entry point).
-void Log(LogLevel level, const std::string& message);
-
-void LogDebug(const std::string& message);
-void LogInfo(const std::string& message);
-void LogWarning(const std::string& message);
-void LogError(const std::string& message);
 
 /// Component-prefixed conveniences.
 void LogDebug(const std::string& component, const std::string& message);

@@ -51,9 +51,8 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
 }
 
 std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
-    const CacheKey& key,
-    std::shared_ptr<const CollectionSummary>* collection,
-    const void* authority, uint64_t store_generation) {
+    const CacheKey& key, const void* authority, uint64_t store_generation,
+    std::shared_ptr<const CollectionSummary>* collection) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -61,9 +60,8 @@ std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
     ++shard.misses;
     return nullptr;
   }
-  if (authority != nullptr &&
-      (it->second->authority != authority ||
-       it->second->store_generation != store_generation)) {
+  if (it->second->authority != authority ||
+      it->second->store_generation != store_generation) {
     // The report predates the store's current data (or was computed from a
     // different store entirely): drop it so it can never be served stale.
     shard.lru.erase(it->second);
@@ -78,10 +76,10 @@ std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
   return it->second->report;
 }
 
-void ResultCache::Put(const CacheKey& key,
+void ResultCache::Put(const CacheKey& key, const void* authority,
+                      uint64_t store_generation,
                       std::shared_ptr<const diag::DiagnosisReport> report,
                       std::shared_ptr<const CollectionSummary> collection,
-                      const void* authority, uint64_t store_generation,
                       std::vector<ComponentId> components) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -149,14 +147,6 @@ ResultCache::Counters ResultCache::TotalCounters() const {
     out.entries += shard->lru.size();
   }
   return out;
-}
-
-void ResultCache::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
 }
 
 }  // namespace diads::engine

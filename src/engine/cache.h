@@ -27,13 +27,12 @@
 
 namespace diads::engine {
 
-/// What one diagnosis's async metric collection did — the stale-data
+/// What one diagnosis's metric collection did — the stale-data
 /// annotation a dashboard must show next to a root cause diagnosed on
 /// degraded data. Defined here (not engine.h) so cached entries can carry
 /// the summary recorded when they were computed: a cache hit for a
 /// degraded diagnosis must still say so.
 struct CollectionSummary {
-  bool used_async = false;  ///< False on the legacy blocking-stall path.
   /// Components whose fetches timed out (or were cancelled) and were
   /// served from locally cached series instead. Sorted.
   std::vector<ComponentId> stale_components;
@@ -87,30 +86,26 @@ class ResultCache {
 
   explicit ResultCache(Options options);
 
-  /// Returns the cached report (refreshing its recency) or nullptr. When
-  /// `collection` is non-null it receives the entry's collection summary
-  /// (possibly null for entries computed without async collection).
-  ///
-  /// When `authority` is non-null, a hit additionally requires the
-  /// entry's recorded (authority, store_generation) stamp to equal the
-  /// caller's — the entry was computed from exactly the data the caller
-  /// sees now. A mismatch erases the entry (Append-driven invalidation)
-  /// and misses: a query after new monitoring data arrives is never
-  /// served the stale report.
+  /// Returns the cached report (refreshing its recency) or nullptr. A
+  /// hit requires the entry's (authority, store_generation) stamp to
+  /// equal the caller's — the entry was computed from exactly the data
+  /// the caller sees now. A mismatch erases the entry (Append-driven
+  /// invalidation) and misses: a query after new monitoring data arrives
+  /// is never served the stale report. When `collection` is non-null it
+  /// receives the entry's collection summary.
   std::shared_ptr<const diag::DiagnosisReport> Get(
-      const CacheKey& key,
-      std::shared_ptr<const CollectionSummary>* collection = nullptr,
-      const void* authority = nullptr, uint64_t store_generation = 0);
+      const CacheKey& key, const void* authority, uint64_t store_generation,
+      std::shared_ptr<const CollectionSummary>* collection = nullptr);
 
   /// Inserts or replaces; evicts the shard's least-recently-used entry when
   /// the shard is at capacity. `authority` / `store_generation` stamp the
   /// monitoring data the report was computed from (see Get); `components`
   /// lists the components the report touched (scored metrics + cause
   /// subjects), the index InvalidateTagComponent matches against.
-  void Put(const CacheKey& key,
+  void Put(const CacheKey& key, const void* authority,
+           uint64_t store_generation,
            std::shared_ptr<const diag::DiagnosisReport> report,
            std::shared_ptr<const CollectionSummary> collection = nullptr,
-           const void* authority = nullptr, uint64_t store_generation = 0,
            std::vector<ComponentId> components = {});
 
   /// Explicit invalidation: drops every entry of a tenant tag, or only
@@ -123,11 +118,6 @@ class ResultCache {
   /// Aggregated counters across shards.
   Counters TotalCounters() const;
 
-  void Clear();
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  size_t capacity_per_shard() const { return shard_capacity_; }
-
  private:
   struct Entry {
     CacheKey key;
@@ -136,8 +126,7 @@ class ResultCache {
     /// The monitoring-data identity the report was computed from: the
     /// authoritative TimeSeriesStore (pointer as pure identity, never
     /// dereferenced) and its store-wide append generation at compute
-    /// time. Null authority = unstamped (legacy Put); such entries always
-    /// fail validation when the caller requests it.
+    /// time.
     const void* authority = nullptr;
     uint64_t store_generation = 0;
     std::vector<ComponentId> components;  ///< Sorted, deduped.

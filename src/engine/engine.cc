@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "common/strings.h"
@@ -81,6 +80,32 @@ const char* OutcomeNote(const Status& status) {
   }
 }
 
+/// The collector of an engine constructed without one: the testbed
+/// backend with no wire latency, serving each request's own store, one
+/// connection per worker.
+std::shared_ptr<monitor::AsyncCollector> InProcessCollector(int workers) {
+  monitor::SimulatedLatencyOptions latency;
+  latency.base_latency_ms = 0;
+  latency.connections = std::max(1, workers);
+  return std::make_shared<monitor::SimulatedSanCollector>(latency);
+}
+
+/// The counter a terminal status books into.
+uint64_t EngineStatsSnapshot::*TerminalCounter(const Status& status) {
+  if (status.ok()) return &EngineStatsSnapshot::completed;
+  switch (status.code()) {
+    // Refusals of the serving layer, not workflow failures: shutdown,
+    // admission. (Deadline sheds count as failed — the caller asked and
+    // was never answered — and are separately visible as shed_deadline.)
+    case StatusCode::kFailedPrecondition:
+    case StatusCode::kShutdown:
+    case StatusCode::kResourceExhausted:
+      return &EngineStatsSnapshot::rejected;
+    default:
+      return &EngineStatsSnapshot::failed;
+  }
+}
+
 Status ValidateContext(const diag::DiagnosisContext& ctx) {
   if (ctx.runs == nullptr || ctx.store == nullptr || ctx.events == nullptr ||
       ctx.apg == nullptr || ctx.topology == nullptr ||
@@ -107,7 +132,7 @@ uint64_t ConfigFingerprint(const diag::WorkflowConfig& config) {
 }
 
 struct DiagnosisEngine::Waiter {
-  std::shared_ptr<std::promise<DiagnosisResponse>> promise;
+  std::promise<DiagnosisResponse> promise;
   Clock::time_point submitted;
   bool coalesced = false;
   /// The waiter's "diagnosis" root span; closed when the waiter resolves
@@ -115,8 +140,12 @@ struct DiagnosisEngine::Waiter {
   obs::SpanHandle span;
 };
 
+/// One computation and every Submit waiting on it: the one that opened
+/// it, plus (coalescing on) the identical ones that joined while it was
+/// in inflight_.
 struct DiagnosisEngine::Inflight {
-  std::vector<Waiter> waiters;
+  CacheKey key;
+  std::vector<Waiter> waiters;  ///< Guarded by inflight_mu_.
 };
 
 DiagnosisEngine::DiagnosisEngine(
@@ -124,7 +153,8 @@ DiagnosisEngine::DiagnosisEngine(
     std::shared_ptr<monitor::AsyncCollector> collector)
     : options_(options),
       symptoms_db_(symptoms_db),
-      collector_(std::move(collector)),
+      collector_(collector != nullptr ? std::move(collector)
+                                      : InProcessCollector(options.workers)),
       gatherer_(collector_.get(), options.gather),
       stats_(&metrics_, &pool_, &cache_, &model_cache_),
       cache_(ResultCache::Options{options.cache_capacity,
@@ -156,35 +186,28 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     stats_.Add(&EngineStatsSnapshot::auto_submitted);
   }
   const Clock::time_point submitted = Clock::now();
+  Waiter waiter;
+  waiter.submitted = submitted;
+  std::future<DiagnosisResponse> future = waiter.promise.get_future();
   // One root span per Submit. The request's TraceContext parents every
   // serving-path child (cache lookup, queue wait, gather, modules,
-  // publish); the handle itself travels to whichever path resolves this
-  // request and is closed there.
-  obs::SpanHandle root;
+  // publish); the handle itself travels with the waiter to whichever
+  // path answers this request and is closed there.
   if (options_.tracer != nullptr) {
-    root = options_.tracer->Root().StartSpan("diagnosis", "engine");
-    root.Note("tag", request.tag);
-    root.Note("query", request.ctx.query);
-    request.ctx.trace = obs::TraceContext(options_.tracer, root.id());
+    waiter.span = options_.tracer->Root().StartSpan("diagnosis", "engine");
+    waiter.span.Note("tag", request.tag);
+    waiter.span.Note("query", request.ctx.query);
+    request.ctx.trace = obs::TraceContext(options_.tracer, waiter.span.id());
   }
-  auto promise = std::make_shared<std::promise<DiagnosisResponse>>();
-  std::future<DiagnosisResponse> future = promise->get_future();
-
-  auto fulfill_now = [&](Status status, bool failed_counts) {
-    DiagnosisResponse response;
-    response.status = std::move(status);
-    response.latency_ms = ElapsedMs(submitted);
-    if (failed_counts) stats_.Add(&EngineStatsSnapshot::failed);
-    promise->set_value(std::move(response));
-  };
 
   Status valid = ValidateContext(request.ctx);
   if (valid.ok() && request.cost <= 0) {
     valid = Status::InvalidArgument("DiagnosisRequest cost must be > 0");
   }
   if (!valid.ok()) {
-    root.Note("outcome", "invalid");
-    fulfill_now(valid, /*failed_counts=*/true);
+    DiagnosisResponse response;
+    response.status = std::move(valid);
+    Answer(waiter, std::move(response), "invalid");
     return future;
   }
 
@@ -197,7 +220,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     const monitor::TimeSeriesStore* authority = AuthorityOf(request);
     const uint64_t generation = authority->StoreGeneration();
     if (std::shared_ptr<const diag::DiagnosisReport> report =
-            cache_.Get(key, &cached_collection, authority, generation)) {
+            cache_.Get(key, authority, generation, &cached_collection)) {
       cache_span.Note("outcome", "hit");
       cache_span.End();
       // Normally the computation that filled this entry already
@@ -226,132 +249,60 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
       response.report = std::move(report);
       response.collection = std::move(cached_collection);
       response.cache_hit = true;
-      response.latency_ms = ElapsedMs(submitted);
       auto profile = std::make_shared<obs::CostProfile>();
       profile->result_cache_hit = true;
-      profile->total_ms = response.latency_ms;
+      profile->total_ms = ElapsedMs(submitted);
       response.cost = std::move(profile);
-      root.Note("outcome", "cache_hit");
-      stats_.Add(&EngineStatsSnapshot::completed);
-      stats_.Observe(&EngineStatsSnapshot::request_latency,
-                     response.latency_ms);
-      promise->set_value(std::move(response));
+      Answer(waiter, std::move(response), "cache_hit");
       return future;
     }
     cache_span.Note("outcome", "miss");
     cache_span.End();
   }
 
-  if (options_.coalesce_identical) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        root.Note("outcome", "coalesced");
-        it->second->waiters.push_back(Waiter{std::move(promise), submitted,
-                                             /*coalesced=*/true,
-                                             std::move(root)});
+  auto entry = std::make_shared<Inflight>();
+  entry->key = key;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (options_.coalesce_identical) {
+      std::shared_ptr<Inflight>& slot = inflight_[key];
+      if (slot != nullptr) {
+        waiter.coalesced = true;
+        waiter.span.Note("outcome", "coalesced");
+        slot->waiters.push_back(std::move(waiter));
         stats_.Add(&EngineStatsSnapshot::coalesced);
         return future;
       }
-      auto entry = std::make_unique<Inflight>();
-      entry->waiters.push_back(
-          Waiter{promise, submitted, /*coalesced=*/false, std::move(root)});
-      inflight_.emplace(key, std::move(entry));
+      slot = entry;
     }
-    // The queue-wait span lives in a shared_ptr because the pool's task
-    // type (std::function) requires copyable callables. It closes at
-    // worker pickup; the measured wait feeds the cost profile.
-    auto queue_span = std::make_shared<obs::SpanHandle>(
-        request.ctx.trace.StartSpan("queue_wait", "engine"));
-    const Clock::time_point enqueued = Clock::now();
-    QueueTask task = TaskSpecFor(request, submitted);
-    // Deadline shedding / shutdown cancellation reaches every waiter that
-    // piled onto this key; later identical Submits opened a fresh
-    // computation (the inflight entry is erased by Resolve).
-    task.cancel = [this, key, queue_span](const Status& status) {
-      queue_span->Note("outcome", OutcomeNote(status));
-      queue_span->End();
-      Resolve(key, status, nullptr, nullptr, nullptr);
-    };
-    task.run = [this, key, queue_span, enqueued,
-                request = std::move(request)]() mutable {
-      queue_span->End();
-      Execute(key, std::move(request), ElapsedMs(enqueued));
-    };
-    const Status submitted_status = pool_.Submit(std::move(task));
-    stats_.RaiseTo(&EngineStatsSnapshot::max_queue_depth, pool_.QueueDepth());
-    if (!submitted_status.ok()) {
-      // The pool refused the enqueue (admission share, or it shut down
-      // between the inflight insert and the enqueue): fail every waiter
-      // that piled onto this key.
-      Resolve(key, submitted_status, nullptr, nullptr, nullptr);
-    }
-    return future;
+    entry->waiters.push_back(std::move(waiter));
   }
 
-  // No coalescing: the task owns its promise directly (and its root span,
-  // boxed for the same copyability reason as the queue span).
-  auto root_holder = std::make_shared<obs::SpanHandle>(std::move(root));
+  // The queue-wait span lives in a shared_ptr because the pool's task
+  // type (std::function) requires copyable callables. It closes at
+  // worker pickup; the measured wait feeds the cost profile.
   auto queue_span = std::make_shared<obs::SpanHandle>(
       request.ctx.trace.StartSpan("queue_wait", "engine"));
   const Clock::time_point enqueued = Clock::now();
   QueueTask task = TaskSpecFor(request, submitted);
-  task.cancel = [this, promise, submitted, queue_span,
-                 root_holder](const Status& status) {
+  // Deadline shedding / shutdown cancellation reaches every waiter that
+  // piled onto this computation.
+  task.cancel = [this, entry, queue_span](const Status& status) {
     queue_span->Note("outcome", OutcomeNote(status));
     queue_span->End();
-    DiagnosisResponse response;
-    response.status = status;
-    response.latency_ms = ElapsedMs(submitted);
-    RecordTerminal(status);
-    root_holder->Note("outcome", OutcomeNote(status));
-    root_holder->End();
-    stats_.Observe(&EngineStatsSnapshot::request_latency,
-                   response.latency_ms);
-    promise->set_value(std::move(response));
+    Resolve(*entry, status, nullptr, nullptr, nullptr);
   };
-  task.run =
-      [this, key, promise, submitted, enqueued, queue_span, root_holder,
-       request = std::move(request)]() mutable {
-        queue_span->End();
-        const double queue_wait_ms = ElapsedMs(enqueued);
-        DiagnosisRequest local = std::move(request);
-        const monitor::TimeSeriesStore* authority = AuthorityOf(local);
-        const uint64_t generation = authority->StoreGeneration();
-        Status status;
-        std::shared_ptr<const diag::DiagnosisReport> report;
-        std::shared_ptr<const CollectionSummary> collection;
-        auto profile = std::make_shared<obs::CostProfile>();
-        profile->queue_wait_ms = queue_wait_ms;
-        Compute(&local, &status, &report, &collection, profile.get());
-        DiagnosisResponse response;
-        response.latency_ms = ElapsedMs(submitted);
-        profile->total_ms = response.latency_ms;
-        std::shared_ptr<const obs::CostProfile> cost = std::move(profile);
-        if (status.ok()) {
-          AfterCompute(key, local, report, collection, authority, generation,
-                       cost);
-        }
-        response.status = status;
-        response.report = std::move(report);
-        response.collection = std::move(collection);
-        response.cost = std::move(cost);
-        stats_.Add(status.ok() ? &EngineStatsSnapshot::completed
-                               : &EngineStatsSnapshot::failed);
-        root_holder->Note("outcome", status.ok() ? "ok" : "error");
-        root_holder->End();
-        stats_.Observe(&EngineStatsSnapshot::request_latency,
-                       response.latency_ms);
-        promise->set_value(std::move(response));
-      };
-  const Status submitted_status = pool_.Submit(std::move(task));
+  task.run = [this, entry, queue_span, enqueued,
+              request = std::move(request)]() mutable {
+    queue_span->End();
+    Execute(*entry, std::move(request), ElapsedMs(enqueued));
+  };
+  const Status accepted = pool_.Submit(std::move(task));
   stats_.RaiseTo(&EngineStatsSnapshot::max_queue_depth, pool_.QueueDepth());
-  if (!submitted_status.ok()) {
-    stats_.Add(&EngineStatsSnapshot::rejected);
-    root_holder->Note("outcome", OutcomeNote(submitted_status));
-    root_holder->End();
-    fulfill_now(submitted_status, /*failed_counts=*/false);
+  if (!accepted.ok()) {
+    // The pool refused the enqueue (admission share, or it shut down
+    // after the inflight insert): fail every waiter of this computation.
+    Resolve(*entry, accepted, nullptr, nullptr, nullptr);
   }
   return future;
 }
@@ -372,36 +323,11 @@ QueueTask DiagnosisEngine::TaskSpecFor(const DiagnosisRequest& request,
   return task;
 }
 
-void DiagnosisEngine::RecordTerminal(const Status& status) {
-  if (status.ok()) {
-    stats_.Add(&EngineStatsSnapshot::completed);
-    return;
-  }
-  switch (status.code()) {
-    // Refusals of the serving layer, not workflow failures: shutdown,
-    // admission. (Deadline sheds count as failed — the caller asked and
-    // was never answered — and are separately visible as shed_deadline.)
-    case StatusCode::kFailedPrecondition:
-    case StatusCode::kShutdown:
-    case StatusCode::kResourceExhausted:
-      stats_.Add(&EngineStatsSnapshot::rejected);
-      break;
-    default:
-      stats_.Add(&EngineStatsSnapshot::failed);
-      break;
-  }
-}
-
 void DiagnosisEngine::Compute(
     DiagnosisRequest* request, Status* status,
     std::shared_ptr<const diag::DiagnosisReport>* report,
     std::shared_ptr<const CollectionSummary>* collection,
     obs::CostProfile* profile) {
-  if (collector_ == nullptr && options_.collector_stall_ms > 0) {
-    // Legacy blocking baseline: one serialized stall per diagnosis.
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.collector_stall_ms));
-  }
   if (options_.enable_model_cache) {
     // Share fitted baseline models across all diagnoses served by this
     // engine, keyed on the request's own (authoritative) store.
@@ -414,38 +340,31 @@ void DiagnosisEngine::Compute(
   obs::ModelLookupCounters model_lookups;
   request->ctx.model_lookups = &model_lookups;
   diag::Workflow workflow(request->ctx, request->config, symptoms_db_);
-  diag::CollectionOutcome outcome;
-  if (collector_ != nullptr) {
-    // One overlapped scatter/gather for this diagnosis's whole metric
-    // plan. Collection only reads the tenant's store, so it runs before
-    // the catalog lock below — a slow component must not serialize
-    // same-tenant diagnoses behind wire latency.
-    outcome = workflow.Collect(gatherer_);
-    stats_.RecordCollection(outcome.gather);
-    auto summary = std::make_shared<CollectionSummary>();
-    summary->used_async = true;
-    summary->stale_components = std::move(outcome.gather.stale_components);
-    summary->fetches = outcome.gather.counters.fetches;
-    summary->timeouts = outcome.gather.counters.timeouts;
-    summary->retries = outcome.gather.counters.retries;
-    summary->gather_ms = outcome.gather.counters.gather_ms;
-    if (profile != nullptr) {
-      profile->gather_ms = outcome.gather.counters.gather_ms;
-      profile->fetches_issued = outcome.gather.counters.fetches;
-      profile->fetch_timeouts = outcome.gather.counters.timeouts;
-      profile->fetch_retries = outcome.gather.counters.retries;
-      profile->samples_collected = outcome.gather.counters.samples_collected;
-      profile->bytes_collected = outcome.gather.counters.bytes_collected;
-      const ComponentRegistry& registry =
-          request->ctx.topology->registry();
-      for (ComponentId component : summary->stale_components) {
-        profile->stale_components.push_back(
-            registry.Contains(component) ? registry.NameOf(component)
-                                         : "?");
-      }
-    }
-    *collection = std::move(summary);
+  // One overlapped scatter/gather for this diagnosis's whole metric plan.
+  // Collection only reads the tenant's store, so it runs before the
+  // catalog lock below — a slow component must not serialize same-tenant
+  // diagnoses behind wire latency.
+  diag::CollectionOutcome outcome = workflow.Collect(gatherer_);
+  stats_.RecordCollection(outcome.gather);
+  const monitor::GatherCounters& gathered = outcome.gather.counters;
+  auto summary = std::make_shared<CollectionSummary>();
+  summary->stale_components = std::move(outcome.gather.stale_components);
+  summary->fetches = gathered.fetches;
+  summary->timeouts = gathered.timeouts;
+  summary->retries = gathered.retries;
+  summary->gather_ms = gathered.gather_ms;
+  profile->gather_ms = gathered.gather_ms;
+  profile->fetches_issued = gathered.fetches;
+  profile->fetch_timeouts = gathered.timeouts;
+  profile->fetch_retries = gathered.retries;
+  profile->samples_collected = gathered.samples_collected;
+  profile->bytes_collected = gathered.bytes_collected;
+  const ComponentRegistry& registry = request->ctx.topology->registry();
+  for (ComponentId component : summary->stale_components) {
+    profile->stale_components.push_back(
+        registry.Contains(component) ? registry.NameOf(component) : "?");
   }
+  *collection = std::move(summary);
   // The deployment what-if probe temporarily mutates the deployment's
   // catalog (it re-optimizes with an event reverted), which would race
   // every other worker reading that catalog mid-diagnosis. Hold the
@@ -468,19 +387,14 @@ void DiagnosisEngine::Compute(
     read_lock = std::shared_lock<std::shared_mutex>(*catalog_lock);
   }
   diag::ModuleTimings timings;
-  Result<diag::DiagnosisReport> result =
-      collector_ != nullptr
-          ? workflow.DiagnoseOverCollection(outcome, request->impact_method,
-                                            &timings)
-          : workflow.Diagnose(request->impact_method, &timings);
+  Result<diag::DiagnosisReport> result = workflow.DiagnoseOverCollection(
+      outcome, request->impact_method, &timings);
   stats_.RecordModuleLatencies(timings);
-  if (profile != nullptr) {
-    profile->module_ms = {{"PD", timings.pd_ms}, {"CO", timings.co_ms},
-                          {"DA", timings.da_ms}, {"CR", timings.cr_ms},
-                          {"SD", timings.sd_ms}, {"IA", timings.ia_ms}};
-    profile->model_cache_hits = model_lookups.hits;
-    profile->model_cache_misses = model_lookups.misses;
-  }
+  profile->module_ms = {{"PD", timings.pd_ms}, {"CO", timings.co_ms},
+                        {"DA", timings.da_ms}, {"CR", timings.cr_ms},
+                        {"SD", timings.sd_ms}, {"IA", timings.ia_ms}};
+  profile->model_cache_hits = model_lookups.hits;
+  profile->model_cache_misses = model_lookups.misses;
   // The per-diagnosis model-cache verdict as a zero-duration marker (the
   // lookups themselves are interleaved through CO/DA/CR).
   request->ctx.trace.Instant(
@@ -497,7 +411,7 @@ void DiagnosisEngine::Compute(
       std::move(result).value());
 }
 
-void DiagnosisEngine::Execute(CacheKey key, DiagnosisRequest request,
+void DiagnosisEngine::Execute(Inflight& entry, DiagnosisRequest request,
                               double queue_wait_ms) {
   const Clock::time_point started = Clock::now();
   const monitor::TimeSeriesStore* authority = AuthorityOf(request);
@@ -514,10 +428,10 @@ void DiagnosisEngine::Execute(CacheKey key, DiagnosisRequest request,
   profile->total_ms = queue_wait_ms + ElapsedMs(started);
   std::shared_ptr<const obs::CostProfile> cost = std::move(profile);
   if (status.ok()) {
-    AfterCompute(key, request, report, collection, authority, generation,
-                 cost);
+    AfterCompute(entry.key, request, report, collection, authority,
+                 generation, cost);
   }
-  Resolve(key, status, std::move(report), std::move(collection),
+  Resolve(entry, status, std::move(report), std::move(collection),
           std::move(cost));
 }
 
@@ -531,7 +445,7 @@ void DiagnosisEngine::AfterCompute(
     // The generation stamp was read *before* the workflow ran: if samples
     // arrived mid-computation the entry is conservatively already stale
     // and the next generation-validated Get recomputes.
-    cache_.Put(key, report, collection, authority, generation,
+    cache_.Put(key, authority, generation, report, collection,
                ComponentsOf(*report));
   }
   if (options_.fleet_store != nullptr) {
@@ -565,17 +479,16 @@ size_t DiagnosisEngine::InvalidateComponentResults(const std::string& tag,
 }
 
 void DiagnosisEngine::Resolve(
-    const CacheKey& key, const Status& status,
+    Inflight& entry, const Status& status,
     std::shared_ptr<const diag::DiagnosisReport> report,
     std::shared_ptr<const CollectionSummary> collection,
     std::shared_ptr<const obs::CostProfile> cost) {
   std::vector<Waiter> waiters;
   {
+    // Once erased, the next identical Submit opens a fresh computation.
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(key);
-    if (it == inflight_.end()) return;
-    waiters = std::move(it->second->waiters);
-    inflight_.erase(it);
+    if (options_.coalesce_identical) inflight_.erase(entry.key);
+    waiters = std::move(entry.waiters);
   }
   for (Waiter& waiter : waiters) {
     DiagnosisResponse response;
@@ -584,14 +497,18 @@ void DiagnosisEngine::Resolve(
     response.collection = collection;
     response.cost = cost;
     response.coalesced = waiter.coalesced;
-    response.latency_ms = ElapsedMs(waiter.submitted);
-    RecordTerminal(status);
-    waiter.span.Note("outcome", OutcomeNote(status));
-    waiter.span.End();
-    stats_.Observe(&EngineStatsSnapshot::request_latency,
-                   response.latency_ms);
-    waiter.promise->set_value(std::move(response));
+    Answer(waiter, std::move(response), OutcomeNote(status));
   }
+}
+
+void DiagnosisEngine::Answer(Waiter& waiter, DiagnosisResponse response,
+                             const char* outcome) {
+  response.latency_ms = ElapsedMs(waiter.submitted);
+  stats_.Add(TerminalCounter(response.status));
+  stats_.Observe(&EngineStatsSnapshot::request_latency, response.latency_ms);
+  waiter.span.Note("outcome", outcome);
+  waiter.span.End();
+  waiter.promise.set_value(std::move(response));
 }
 
 std::vector<DiagnosisResponse> DiagnosisEngine::BatchDiagnose(
@@ -617,7 +534,7 @@ void DiagnosisEngine::Shutdown() {
   // collector's connection threads so nothing leaks and no fetch future
   // is left unresolved.
   pool_.Shutdown();
-  if (collector_ != nullptr) collector_->Shutdown();
+  collector_->Shutdown();
 }
 
 std::vector<TenantAdmissionRow> DiagnosisEngine::TenantAdmission() const {

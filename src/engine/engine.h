@@ -8,7 +8,10 @@
 // Workflow::Diagnose into that service:
 //
 //   * requests are accepted into a bounded queue (backpressure instead of
-//     unbounded memory growth) and executed by a worker pool;
+//     unbounded memory growth) and executed by a worker pool; every
+//     computed diagnosis first gathers its window's metrics through an
+//     AsyncCollector (monitor/async_collector.h), then runs the module
+//     chain over that snapshot;
 //   * the queue is tenant-fair (see fair_queue.h): per-tenant sub-queues
 //     with deficit-round-robin dispatch, share-based admission control
 //     (a flooding tenant is refused with kResourceExhausted instead of
@@ -121,10 +124,10 @@ struct DiagnosisResponse {
   Status status;  ///< Ok unless the workflow failed or the engine refused.
   std::shared_ptr<const diag::DiagnosisReport> report;  ///< Null on error.
   /// Shared with every response for the same computation (coalesced
-  /// waiters, cache hits). Null when the engine has no collector (the
-  /// legacy stall path) and on responses that never reached a worker
-  /// (validation/shutdown rejections); present — with its staleness
-  /// annotation — even when the workflow itself failed after collecting.
+  /// waiters, cache hits). Null only on responses that never reached a
+  /// worker (validation, admission, shed and shutdown refusals); present —
+  /// with its staleness annotation — even when the workflow itself failed
+  /// after collecting.
   std::shared_ptr<const CollectionSummary> collection;
   bool cache_hit = false;
   bool coalesced = false;   ///< Waited on an identical in-flight request.
@@ -150,17 +153,13 @@ struct EngineOptions {
   bool enable_cache = true;
   size_t cache_capacity = 1024;
   int cache_shards = 8;
-  /// Join identical in-flight requests instead of recomputing.
+  /// Join identical in-flight requests instead of recomputing. Off, every
+  /// request computes on its own (bench_fairness floods with identical
+  /// requests that must each occupy the queue).
   bool coalesce_identical = true;
-  /// Legacy blocking-collection baseline: a single per-diagnosis sleep
-  /// (milliseconds) standing in for serialized SAN-collector round-trips.
-  /// Ignored when the engine is constructed with an AsyncCollector — the
-  /// per-component scatter/gather replaces it. 0 disables (tests use 0;
-  /// the blocking rows of bench_engine_throughput set it). Applied only on
-  /// the compute path — cache hits skip collection entirely.
-  double collector_stall_ms = 0;
-  /// Scatter/gather policy when an AsyncCollector is installed: bounded
-  /// in-flight fetches, per-component timeout, bounded retries.
+  /// Scatter/gather policy of every computed diagnosis's collection:
+  /// bounded in-flight fetches, per-component timeout, bounded retries.
+  /// Cache hits and coalesced waiters collect nothing.
   monitor::GatherOptions gather;
   /// Memoize fitted baseline KDEs (Modules CO/DA/CR) across diagnoses in
   /// a shared BaselineModelCache. Distinct from the *result* cache: the
@@ -189,10 +188,9 @@ struct EngineOptions {
   /// (ReportDigest is identical with the store attached or not).
   fleet::FleetStore* fleet_store = nullptr;
   /// Tenant-fair admission + dispatch discipline for the work queue
-  /// (weights, share fractions, DRR quantum — see fair_queue.h). Enabled
-  /// by default; disable for the legacy single-FIFO behavior that
-  /// bench_fairness uses as its baseline. Scheduling never changes report
-  /// bytes, only which requests run when (and which are refused or shed).
+  /// (weights, share fractions, priority headroom — see fair_queue.h).
+  /// Scheduling never changes report bytes, only which requests run when
+  /// (and which are refused or shed).
   FairnessOptions fairness;
   /// End-to-end span tracer (may be null = tracing off, the default).
   /// When set, every Submit opens a "diagnosis" root span and the serving
@@ -208,12 +206,13 @@ class DiagnosisEngine {
  public:
   /// `symptoms_db` may be null (fallback causes, as in Workflow); when
   /// non-null it must outlive the engine and is shared read-only by all
-  /// workers. `collector` (may be null) switches the compute path from the
-  /// blocking collector_stall_ms sleep to one async scatter/gather per
-  /// diagnosis; the engine co-owns it and shuts it down — after the worker
-  /// pool, so in-flight gathers resolve first — when the engine shuts
-  /// down. Sharing one collector across engines is fine (Shutdown is
-  /// idempotent); just shut the engines down before dropping it.
+  /// workers. `collector` is the backend every computed diagnosis gathers
+  /// through; null means an in-process SimulatedSanCollector with no
+  /// latency, serving each request's own store. The engine co-owns it and
+  /// shuts it down — after the worker pool, so in-flight gathers resolve
+  /// first — when the engine shuts down. Sharing one collector across
+  /// engines is fine (Shutdown is idempotent); just shut the engines down
+  /// before dropping it.
   DiagnosisEngine(EngineOptions options, const diag::SymptomsDb* symptoms_db,
                   std::shared_ptr<monitor::AsyncCollector> collector = nullptr);
   ~DiagnosisEngine();  ///< Graceful: drains accepted work, then joins.
@@ -279,16 +278,19 @@ class DiagnosisEngine {
   struct Waiter;
   struct Inflight;
 
-  /// Runs the workflow for one request on a worker thread: collects the
-  /// diagnosis window's metrics (async gather, or the legacy stall), wraps
-  /// the what-if probe with the engine-wide probe lock, records module and
-  /// collection latencies. Fills `profile` (may be null) with the gather
-  /// volume, module breakdown, and model-cache outcomes as it goes.
+  /// Runs the workflow for one request on a worker thread: gathers the
+  /// diagnosis window's metrics through the collector, wraps the what-if
+  /// probe with the engine-wide probe lock, records module and collection
+  /// latencies. Fills `profile` with the gather volume, module breakdown,
+  /// and model-cache outcomes as it goes.
   void Compute(DiagnosisRequest* request, Status* status,
                std::shared_ptr<const diag::DiagnosisReport>* report,
                std::shared_ptr<const CollectionSummary>* collection,
                obs::CostProfile* profile);
-  void Execute(CacheKey key, DiagnosisRequest request, double queue_wait_ms);
+  /// A worker's run of `entry`'s computation: Compute, AfterCompute on
+  /// success, then Resolve.
+  void Execute(Inflight& entry, DiagnosisRequest request,
+               double queue_wait_ms);
   /// Post-compute bookkeeping for a successful diagnosis: cache insert
   /// (stamped with the tenant store's pre-compute generation and the
   /// report's touched components) and fleet-store publish (the verdict
@@ -299,13 +301,18 @@ class DiagnosisEngine {
                     const monitor::TimeSeriesStore* authority,
                     uint64_t generation,
                     const std::shared_ptr<const obs::CostProfile>& cost);
-  void Resolve(const CacheKey& key, const Status& status,
+  /// Answers every waiter of `entry` (run, shed, cancelled or refused by
+  /// the pool) and, with coalescing on, removes it from inflight_.
+  void Resolve(Inflight& entry, const Status& status,
                std::shared_ptr<const diag::DiagnosisReport> report,
                std::shared_ptr<const CollectionSummary> collection,
                std::shared_ptr<const obs::CostProfile> cost);
-  /// Books a terminal status into the completed / rejected / failed
-  /// counters (rejected covers shutdown and admission refusals).
-  void RecordTerminal(const Status& status);
+  /// The one exit of every Submit: books the terminal status into the
+  /// completed / rejected / failed counters (rejected covers shutdown and
+  /// admission refusals) and the request-latency histogram, closes the
+  /// root span with `outcome`, and fulfils the promise.
+  void Answer(Waiter& waiter, DiagnosisResponse response,
+              const char* outcome);
   /// Scheduling metadata (tenant, cost, priority, deadline) for the
   /// pool task carrying `request`, with the deadline anchored at
   /// `submitted`.
@@ -314,16 +321,19 @@ class DiagnosisEngine {
 
   EngineOptions options_;
   const diag::SymptomsDb* symptoms_db_;
-  std::shared_ptr<monitor::AsyncCollector> collector_;  ///< May be null.
-  monitor::MetricGatherer gatherer_;  ///< Valid only when collector_ set.
+  std::shared_ptr<monitor::AsyncCollector> collector_;  ///< Never null.
+  monitor::MetricGatherer gatherer_;  ///< Over collector_.
   obs::MetricsRegistry metrics_;  ///< Before stats_, which registers into it.
   EngineStats stats_;
   ResultCache cache_;
   /// Fitted baseline models shared by all workers (see
   /// EngineOptions::enable_model_cache).
   diag::BaselineModelCache model_cache_;
+  /// Computations identical Submits may join (coalescing on only); an
+  /// entry leaves when its computation resolves. Uncoalesced computations
+  /// are owned by their pool task alone.
   std::mutex inflight_mu_;
-  std::unordered_map<CacheKey, std::unique_ptr<Inflight>, CacheKeyHash>
+  std::unordered_map<CacheKey, std::shared_ptr<Inflight>, CacheKeyHash>
       inflight_;
   /// Per-deployment-catalog locks (see the class comment): keyed by the
   /// catalog pointer, created on first use. Keys are never dereferenced.

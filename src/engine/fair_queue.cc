@@ -5,6 +5,12 @@
 #include <utility>
 
 namespace diads::engine {
+namespace {
+
+/// Weight of a tenant absent from FairnessOptions::tenant_weights.
+constexpr double kDefaultWeight = 1.0;
+
+}  // namespace
 
 const char* RequestPriorityName(RequestPriority priority) {
   switch (priority) {
@@ -20,8 +26,6 @@ const char* RequestPriorityName(RequestPriority priority) {
 
 FairQueue::FairQueue(FairnessOptions options, double cost_capacity)
     : options_(std::move(options)), cost_capacity_(cost_capacity) {
-  if (options_.quantum <= 0) options_.quantum = 1.0;
-  if (options_.default_weight <= 0) options_.default_weight = 1.0;
   if (options_.tenant_share_fraction <= 0) options_.tenant_share_fraction = 1.0;
   if (cost_capacity_ <= 0) cost_capacity_ = 1.0;
 }
@@ -29,12 +33,12 @@ FairQueue::FairQueue(FairnessOptions options, double cost_capacity)
 double FairQueue::WeightOf(const std::string& tenant) const {
   auto it = options_.tenant_weights.find(tenant);
   if (it != options_.tenant_weights.end() && it->second > 0) return it->second;
-  return options_.default_weight;
+  return kDefaultWeight;
 }
 
 double FairQueue::ShareCapFor(const QueueTask& task) const {
-  double cap = cost_capacity_ * options_.tenant_share_fraction *
-               WeightOf(task.tenant) / options_.default_weight;
+  double cap =
+      cost_capacity_ * options_.tenant_share_fraction * WeightOf(task.tenant);
   // Even a tiny queue must admit one request per tenant, or small-capacity
   // configurations (unit tests, constrained deployments) deadlock tenants
   // out entirely.
@@ -52,11 +56,10 @@ double FairQueue::ShareCapFor(const QueueTask& task) const {
 
 AdmissionResult FairQueue::Admit(const QueueTask& task) const {
   // Untagged work shares the "" sub-queue and is exempt from share caps:
-  // it has no tenant to be fair *to*, and internal/legacy callers must
-  // keep plain bounded-queue semantics.
-  if (!options_.enabled || task.tenant.empty()) {
-    return AdmissionResult::kAdmitted;
-  }
+  // it has no tenant to be fair *to*, and an untagged single-tenant
+  // deployment must keep the whole queue rather than be refused once its
+  // requests fill one tenant's share.
+  if (task.tenant.empty()) return AdmissionResult::kAdmitted;
   auto it = tenants_.find(task.tenant);
   double queued = (it == tenants_.end()) ? 0.0 : it->second.queued_cost;
   if (queued + task.cost > ShareCapFor(task)) {
@@ -78,18 +81,17 @@ void FairQueue::RecordAdmission(const QueueTask& task, AdmissionResult result) {
 }
 
 void FairQueue::Push(QueueTask task) {
-  const std::string key = options_.enabled ? task.tenant : std::string();
-  Tenant& tenant = TenantState(key);
+  Tenant& tenant = TenantState(task.tenant);
   double cost = std::max(task.cost, 0.0);
   tenant.queued_cost += cost;
   total_cost_ += cost;
   ++size_;
-  tenant.items.push_back(Item{std::move(task), next_arrival_++});
   if (!tenant.in_ring) {
     tenant.in_ring = true;
     tenant.deficit = 0;
-    ring_.push_back(key);
+    ring_.push_back(task.tenant);
   }
+  tenant.items.push_back(Item{std::move(task), next_arrival_++});
 }
 
 void FairQueue::ShedExpiredHead(Tenant* tenant,
@@ -122,9 +124,7 @@ uint64_t FairQueue::MinQueuedArrival() const {
   return min_arrival;
 }
 
-void FairQueue::Dispatched(const std::string& tenant_tag, Tenant* tenant,
-                           Item item, QueueTask* out) {
-  (void)tenant_tag;
+void FairQueue::Dispatched(Tenant* tenant, Item item, QueueTask* out) {
   double cost = std::max(item.task.cost, 0.0);
   tenant->queued_cost -= cost;
   total_cost_ -= cost;
@@ -136,14 +136,14 @@ void FairQueue::Dispatched(const std::string& tenant_tag, Tenant* tenant,
 
 bool FairQueue::Pop(QueueTask* out, std::chrono::steady_clock::time_point now,
                     std::vector<QueueTask>* shed) {
-  // Classic DRR, one dispatch per call: the front tenant is granted
-  // quantum * weight ONCE per visit (front_granted_) and keeps the front
+  // Classic DRR, one dispatch per call: the front tenant is granted its
+  // weight in deficit ONCE per visit (front_granted_) and keeps the front
   // while its deficit covers its head cost — so a weight-3 tenant drains
   // three unit-cost requests per turn to a weight-1 tenant's one — then
   // rotates to the back with any remainder banked. Terminates: every
   // iteration either sheds an item, removes an emptied tenant from the
-  // ring, or rotates after growing a tenant's deficit by quantum * weight
-  // (> 0), so some deficit eventually covers its head cost and dispatches.
+  // ring, or rotates after growing a tenant's deficit by its weight (> 0),
+  // so some deficit eventually covers its head cost and dispatches.
   while (!ring_.empty()) {
     const std::string key = ring_.front();
     Tenant& tenant = tenants_[key];
@@ -156,7 +156,7 @@ bool FairQueue::Pop(QueueTask* out, std::chrono::steady_clock::time_point now,
       continue;
     }
     if (!front_granted_) {
-      tenant.deficit += options_.quantum * WeightOf(key);
+      tenant.deficit += WeightOf(key);
       front_granted_ = true;
     }
     Item& head = tenant.items.front();
@@ -181,7 +181,7 @@ bool FairQueue::Pop(QueueTask* out, std::chrono::steady_clock::time_point now,
       tenant.in_ring = false;
       tenant.deficit = 0;
     }
-    Dispatched(key, &tenant, std::move(item), out);
+    Dispatched(&tenant, std::move(item), out);
     if (size_ > 0 && dispatched_arrival > MinQueuedArrival()) {
       ++counters_.starvation_avoided;
     }

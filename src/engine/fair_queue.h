@@ -1,13 +1,12 @@
 // Per-tenant weighted fair queueing for the diagnosis engine.
 //
-// The engine's original work queue was a single bounded FIFO: admission
-// was first-come-first-served and dispatch was arrival order, so one
-// flooding tenant (a dashboard stuck in a retry loop, an alerting storm)
-// could fill the queue and starve every other tenant's diagnosis behind
-// its burst — exactly the snowball regime where slowdown begets retry
-// load and the diagnosis service amplifies the incident it should be
-// explaining. FairQueue replaces the FIFO with the three standard
-// defenses, in dispatch order:
+// Under a single FIFO, admission is first-come-first-served and dispatch
+// is arrival order, so one flooding tenant (a dashboard stuck in a retry
+// loop, an alerting storm) can fill the queue and starve every other
+// tenant's diagnosis behind its burst — exactly the snowball regime where
+// slowdown begets retry load and the diagnosis service amplifies the
+// incident it should be explaining. FairQueue is the engine's only queue
+// discipline, with the three standard defenses, in dispatch order:
 //
 //   * admission control — each tenant owns a bounded share of the queue's
 //     cost budget (weight-scaled fraction of capacity, stretched or
@@ -16,11 +15,11 @@
 //     (kResourceExhausted) instead of crowding out other tenants; the
 //     global capacity bound keeps plain backpressure semantics.
 //   * deficit-round-robin dispatch — tenants with queued work are served
-//     in a round-robin ring; each visit grants quantum * weight deficit
-//     and a tenant dispatches while its deficit covers the head request's
-//     cost. A flooding tenant therefore drains at its weighted rate while
-//     light tenants' requests overtake the flood's tail (each such
-//     overtake is counted as starvation_avoided).
+//     in a round-robin ring; each visit grants one unit of deficit per
+//     unit of weight, and a tenant dispatches while its deficit covers the
+//     head request's cost. A flooding tenant therefore drains at its
+//     weighted rate while light tenants' requests overtake the flood's
+//     tail (each such overtake is counted as starvation_avoided).
 //   * deadline shedding — a request may carry a deadline; once it
 //     expires, the dispatcher drops it at pop time (cancel callback, no
 //     worker time spent) rather than wasting a full diagnosis on an
@@ -28,9 +27,9 @@
 //
 // FairQueue itself is NOT thread-safe: it is the queueing discipline
 // owned by ThreadPool, which already serializes access under its queue
-// mutex. With fairness disabled the queue degrades to the original
-// single FIFO (the baseline bench_fairness measures against); deadline
-// shedding stays active in both modes.
+// mutex. A queue whose requests all carry one tag has one sub-queue and
+// dispatches in arrival order: that is the FIFO baseline bench_fairness
+// measures against.
 #ifndef DIADS_ENGINE_FAIR_QUEUE_H_
 #define DIADS_ENGINE_FAIR_QUEUE_H_
 
@@ -56,21 +55,14 @@ enum class RequestPriority { kLow = 0, kNormal = 1, kHigh = 2 };
 const char* RequestPriorityName(RequestPriority priority);
 
 struct FairnessOptions {
-  /// Per-tenant weighted fair queueing + share admission. When false the
-  /// queue is the original single FIFO with no per-tenant admission (the
-  /// fairness-blind baseline); deadline shedding works either way.
-  bool enabled = true;
-  /// Deficit granted per round-robin visit, scaled by the tenant weight.
-  /// Larger quanta approach per-tenant FIFO bursts; 1.0 (one default-cost
-  /// request per visit) gives the finest interleaving.
-  double quantum = 1.0;
-  /// Weight for tenants absent from `tenant_weights`.
-  double default_weight = 1.0;
-  /// Per-tenant dispatch/admission weights (tenant tag -> weight).
+  /// Per-tenant dispatch/admission weights (tenant tag -> weight); a
+  /// tenant absent here weighs 1. Each round-robin visit grants a tenant
+  /// deficit equal to its weight: one unit-cost request per visit at
+  /// weight 1, the finest interleaving.
   std::unordered_map<std::string, double> tenant_weights;
   /// Fraction of the queue's cost capacity one tenant may occupy at
-  /// normal priority and default weight. The per-tenant cap is
-  ///   max(1, capacity * tenant_share_fraction * weight / default_weight)
+  /// normal priority and weight 1. The per-tenant cap is
+  ///   max(1, capacity * tenant_share_fraction * weight)
   ///     * priority headroom,
   /// so even a tiny queue admits at least one request per tenant.
   double tenant_share_fraction = 0.5;
@@ -88,7 +80,9 @@ struct FairnessOptions {
 struct QueueTask {
   std::function<void()> run;
   std::function<void(const Status&)> cancel;  ///< May be null (no-op).
-  std::string tenant;  ///< "" = untagged: shared sub-queue, no share cap.
+  /// "" = untagged: one shared sub-queue, exempt from the share cap, so
+  /// an untagged single-tenant deployment keeps the whole queue.
+  std::string tenant;
   double cost = 1.0;   ///< Admission + deficit units; must be > 0.
   RequestPriority priority = RequestPriority::kNormal;
   bool has_deadline = false;
@@ -187,8 +181,7 @@ class FairQueue {
                        std::vector<QueueTask>* shed);
   /// Smallest arrival sequence across all queued items (starvation stat).
   uint64_t MinQueuedArrival() const;
-  void Dispatched(const std::string& tenant_tag, Tenant* tenant,
-                  Item item, QueueTask* out);
+  void Dispatched(Tenant* tenant, Item item, QueueTask* out);
 
   FairnessOptions options_;
   double cost_capacity_;
@@ -197,7 +190,7 @@ class FairQueue {
   /// stable because unordered_map never invalidates references).
   std::list<std::string> ring_;
   /// Whether the current ring front has already received this visit's
-  /// quantum grant (cleared whenever the front rotates or empties).
+  /// deficit grant (cleared whenever the front rotates or empties).
   bool front_granted_ = false;
   uint64_t next_arrival_ = 0;
   size_t size_ = 0;

@@ -79,7 +79,7 @@ std::vector<EngineMetricRow> MakeRows() {
       Recorded("diads_engine_completed_total", "Requests completed ok",
                &S::completed),
       Latency("diads_engine_request_latency_ms",
-              "Submit to report ready, milliseconds", &S::request_latency),
+              "Submit to response, milliseconds", &S::request_latency),
       Recorded("diads_engine_failed_total", "Requests failed", &S::failed),
       Recorded("diads_engine_rejected_total",
                "Requests refused (shutdown, admission)", &S::rejected),

@@ -58,7 +58,7 @@ struct EngineStatsSnapshot {
   uint64_t submitted = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
-  uint64_t rejected = 0;       ///< Submitted after shutdown began.
+  uint64_t rejected = 0;  ///< Refused: shutdown or tenant share full.
   // Fair-queue admission/dispatch outcomes (from the engine's ThreadPool;
   // all zero for a queue that never rejected or shed).
   uint64_t admitted = 0;            ///< Tasks accepted past admission.
@@ -96,13 +96,13 @@ struct EngineStatsSnapshot {
   uint64_t max_queue_depth = 0;
   double elapsed_sec = 0;         ///< Since engine start.
   double throughput_per_sec = 0;  ///< completed / elapsed.
-  // Async SAN collection (zero when the engine has no collector).
+  // SAN metric collection of computed diagnoses.
   uint64_t collection_fetches = 0;   ///< Fetch attempts issued.
   uint64_t collection_timeouts = 0;  ///< Attempts past their deadline.
   uint64_t collection_retries = 0;   ///< Re-issued fetches.
   uint64_t collection_stale = 0;     ///< Components served stale.
   uint64_t degraded_diagnoses = 0;   ///< Diagnoses with >= 1 stale component.
-  LatencySummary request_latency;  ///< Submit -> report ready.
+  LatencySummary request_latency;  ///< Submit -> response, any status.
   LatencySummary fetch_latency;    ///< Per successful fetch.
   LatencySummary gather_latency;   ///< Per diagnosis gather.
   LatencySummary pd, co, da, cr, sd, ia;  ///< Per module.

@@ -66,15 +66,6 @@ Status ThreadPool::Submit(QueueTask task) {
   return Status::Ok();
 }
 
-Status ThreadPool::Submit(std::function<void()> task) {
-  if (task == nullptr) {
-    return Status::InvalidArgument("ThreadPool::Submit: null task");
-  }
-  QueueTask spec;
-  spec.run = std::move(task);
-  return Submit(std::move(spec));
-}
-
 void ThreadPool::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return queue_.empty() && running_ == 0; });

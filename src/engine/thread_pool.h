@@ -1,10 +1,10 @@
 // Tenant-fair bounded work queue and worker pool for the diagnosis engine.
 //
-// The pool keeps the original boring synchronization (one mutex, three
-// condition variables) but replaces the single FIFO deque with a
+// Boring synchronization (one mutex, three condition variables) around a
 // FairQueue: per-tenant sub-queues with share-based admission control,
 // deficit-round-robin dispatch, and deadline shedding (see fair_queue.h
-// for the discipline). Lifecycle:
+// for the discipline). Every task is a QueueTask carrying its tenant,
+// cost, priority, deadline and cancel callback. Lifecycle:
 //
 //   accepting  -> Submit admits or rejects (kResourceExhausted when the
 //                 tenant's share is full; blocking backpressure when the
@@ -25,7 +25,6 @@
 #define DIADS_ENGINE_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,8 +40,7 @@ class ThreadPool {
     int workers = 4;
     /// Maximum queued (not yet running) tasks; Submit blocks beyond this.
     size_t queue_capacity = 128;
-    /// Tenant fairness discipline (weights, shares, quantum). Disabled =
-    /// the original single-FIFO, admission-free behavior.
+    /// Tenant fairness discipline (weights, shares, priority headroom).
     FairnessOptions fairness;
   };
 
@@ -63,11 +61,6 @@ class ThreadPool {
   /// return means the task was never accepted.
   Status Submit(QueueTask task);
 
-  /// Legacy closure submission: untagged tenant, unit cost, normal
-  /// priority, no deadline, no cancel callback (queued-at-shutdown work
-  /// is dropped without notification — prefer the QueueTask overload).
-  Status Submit(std::function<void()> task);
-
   /// Blocks until every accepted task has finished (run, shed, or
   /// cancelled). Does not stop intake; tasks submitted concurrently with
   /// Drain extend the wait.
@@ -81,7 +74,6 @@ class ThreadPool {
   size_t QueueDepth() const;
   /// Total cost currently enqueued (queued tasks weighted by their cost).
   double QueuedCost() const;
-  int worker_count() const { return static_cast<int>(workers_.size()); }
 
   /// Fair-queue counters (admitted / rejected / shed / cancelled /
   /// starvation_avoided / dispatched) accumulated since construction.

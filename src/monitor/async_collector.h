@@ -2,26 +2,25 @@
 // pulls monitoring data from IBM TPC; a diagnosis touches many SAN
 // components, each behind its own collector round-trip).
 //
-// The old serving model charged every diagnosis one blocking
-// `collector_stall_ms` sleep — a stand-in that serializes all of a
-// diagnosis's component pulls behind a single wait and cannot express a
-// skewed fleet (one wedged switch slowing every diagnosis that touches
-// it). This interface replaces it with real per-component fetches:
+// Every diagnosis the engine computes collects through this interface,
+// one fetch per component:
 //
 //   Fetch(component, interval, metrics) -> std::future<MetricBatch>
 //
 // so a gather layer (monitor/gather.h) can overlap every component pull
 // belonging to one diagnosis and degrade per component (timeout -> stale
-// local data) instead of per diagnosis.
+// local data) instead of per diagnosis, and a skewed fleet (one wedged
+// switch slowing every diagnosis that touches it) is expressible.
 //
 // SimulatedSanCollector is the testbed backend: it serves the tenant's
 // own TimeSeriesStore (the request names its source store, so one
 // collector serves a whole multi-tenant fleet) after a configurable
 // per-component latency, imposed by a small pool of connection threads —
-// the shape of a TPC/SMI-S agent fan-out without the wire. In-process,
-// the "wire" carries no copy: a fetch pins the source's series buffers
-// (copy-on-write, see TimeSeriesStore::Pin) and reports the covering
-// slice inside each as what a real collector would ship.
+// the shape of a TPC/SMI-S agent fan-out without the wire. With a zero
+// latency it is the in-process collector of an engine built without
+// one. In-process, the "wire" carries no copy: a fetch pins the source's
+// series buffers (copy-on-write, see TimeSeriesStore::Pin) and reports
+// the covering slice inside each as what a real collector would ship.
 #ifndef DIADS_MONITOR_ASYNC_COLLECTOR_H_
 #define DIADS_MONITOR_ASYNC_COLLECTOR_H_
 

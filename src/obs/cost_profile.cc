@@ -22,11 +22,11 @@ std::string CostProfile::ToJson() const {
                      module_ms[i].second);
   }
   out += StrFormat(
-      "},\"result_cache_hit\":%s,\"coalesced\":%s,"
+      "},\"result_cache_hit\":%s,"
       "\"model_cache\":{\"hits\":%llu,\"misses\":%llu},"
       "\"gather\":{\"fetches\":%llu,\"timeouts\":%llu,\"retries\":%llu,"
       "\"samples\":%llu,\"bytes\":%llu,\"stale_components\":[",
-      result_cache_hit ? "true" : "false", coalesced ? "true" : "false",
+      result_cache_hit ? "true" : "false",
       (unsigned long long)model_cache_hits,
       (unsigned long long)model_cache_misses,
       (unsigned long long)fetches_issued, (unsigned long long)fetch_timeouts,
@@ -45,7 +45,6 @@ std::string CostProfile::Render() const {
       "cost: total=%.2fms queue=%.2fms gather=%.2fms modules=%.2fms",
       total_ms, queue_wait_ms, gather_ms, ModuleTotalMs());
   if (result_cache_hit) out += " [result-cache hit]";
-  if (coalesced) out += " [coalesced]";
   out += StrFormat(" model-cache=%llu/%llu hit",
                    (unsigned long long)model_cache_hits,
                    (unsigned long long)(model_cache_hits +

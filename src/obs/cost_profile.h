@@ -39,7 +39,6 @@ struct CostProfile {
 
   // --- cache outcomes ---
   bool result_cache_hit = false;
-  bool coalesced = false;  ///< Rode on another request's computation.
   uint64_t model_cache_hits = 0;
   uint64_t model_cache_misses = 0;
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -46,11 +47,18 @@ using workload::SerialDiagnosis;
 
 // --- ThreadPool -------------------------------------------------------------
 
+/// An untagged task that runs `run` and has no cancel callback.
+QueueTask Running(std::function<void()> run) {
+  QueueTask task;
+  task.run = std::move(run);
+  return task;
+}
+
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool({/*workers=*/3, /*queue_capacity=*/16, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
+    ASSERT_TRUE(pool.Submit(Running([&count] { ++count; })).ok());
   }
   pool.Drain();
   EXPECT_EQ(count.load(), 50);
@@ -62,11 +70,11 @@ TEST(ThreadPoolTest, BackpressureBlocksThenCompletes) {
   ThreadPool pool({/*workers=*/1, /*queue_capacity=*/2, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pool.Submit([&count] {
+    ASSERT_TRUE(pool.Submit(Running([&count] {
                       std::this_thread::sleep_for(
                           std::chrono::milliseconds(1));
                       ++count;
-                    })
+                    }))
                     .ok());
     EXPECT_LE(pool.QueueDepth(), 2u);
   }
@@ -96,7 +104,7 @@ TEST(ThreadPoolTest, ShutdownCancelsQueuedAndRejectsNew) {
   // How many ran vs were cancelled is a scheduling race; the contract is
   // that every accepted task resolved exactly one way.
   EXPECT_EQ(ran.load() + cancelled.load(), 20);
-  Status status = pool.Submit([] {});
+  Status status = pool.Submit(Running([] {}));
   EXPECT_EQ(status.code(), StatusCode::kShutdown);
 }
 
@@ -104,7 +112,7 @@ TEST(ThreadPoolTest, DrainThenShutdownRunsEverything) {
   ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
+    ASSERT_TRUE(pool.Submit(Running([&count] { ++count; })).ok());
   }
   pool.Drain();  // Graceful completion point: everything accepted runs.
   pool.Shutdown();
@@ -132,9 +140,10 @@ TEST(EngineStatsTest, SnapshotAndJson) {
   // Result-cache counters stay with the cache; the snapshot reads them.
   CacheKey key;
   key.query = "Q2";
-  EXPECT_EQ(cache.Get(key), nullptr);
-  cache.Put(key, std::make_shared<diag::DiagnosisReport>());
-  EXPECT_NE(cache.Get(key), nullptr);
+  const int store = 0;  // Stands in for the authoritative store.
+  EXPECT_EQ(cache.Get(key, &store, 1), nullptr);
+  cache.Put(key, &store, 1, std::make_shared<diag::DiagnosisReport>());
+  EXPECT_NE(cache.Get(key, &store, 1), nullptr);
 
   EngineStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.submitted, 2u);
@@ -188,11 +197,27 @@ std::shared_ptr<const diag::DiagnosisReport> ReportStub(
   return report;
 }
 
+/// The stamp of every entry in the LRU tests: one store (its address is
+/// pure identity) at one generation.
+const int kStore = 0;
+constexpr uint64_t kGeneration = 7;
+
+std::shared_ptr<const diag::DiagnosisReport> Lookup(ResultCache& cache,
+                                                    const CacheKey& key) {
+  return cache.Get(key, &kStore, kGeneration);
+}
+
+void Insert(ResultCache& cache, const CacheKey& key,
+            const std::string& summary) {
+  cache.Put(key, &kStore, kGeneration, ReportStub(summary));
+}
+
 TEST(ResultCacheTest, HitMissAccounting) {
   ResultCache cache({/*capacity=*/8, /*shards=*/2});
-  EXPECT_EQ(cache.Get(KeyNamed("Q2")), nullptr);
-  cache.Put(KeyNamed("Q2"), ReportStub("a"));
-  std::shared_ptr<const diag::DiagnosisReport> hit = cache.Get(KeyNamed("Q2"));
+  EXPECT_EQ(Lookup(cache, KeyNamed("Q2")), nullptr);
+  Insert(cache, KeyNamed("Q2"), "a");
+  std::shared_ptr<const diag::DiagnosisReport> hit =
+      Lookup(cache, KeyNamed("Q2"));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->summary, "a");
   ResultCache::Counters counters = cache.TotalCounters();
@@ -204,25 +229,43 @@ TEST(ResultCacheTest, HitMissAccounting) {
 
 TEST(ResultCacheTest, DistinctWindowsAreDistinctEntries) {
   ResultCache cache({8, 2});
-  cache.Put(KeyNamed("Q2", 0, 100), ReportStub("early"));
-  cache.Put(KeyNamed("Q2", 100, 200), ReportStub("late"));
-  ASSERT_NE(cache.Get(KeyNamed("Q2", 0, 100)), nullptr);
-  EXPECT_EQ(cache.Get(KeyNamed("Q2", 0, 100))->summary, "early");
-  EXPECT_EQ(cache.Get(KeyNamed("Q2", 100, 200))->summary, "late");
+  Insert(cache, KeyNamed("Q2", 0, 100), "early");
+  Insert(cache, KeyNamed("Q2", 100, 200), "late");
+  ASSERT_NE(Lookup(cache, KeyNamed("Q2", 0, 100)), nullptr);
+  EXPECT_EQ(Lookup(cache, KeyNamed("Q2", 0, 100))->summary, "early");
+  EXPECT_EQ(Lookup(cache, KeyNamed("Q2", 100, 200))->summary, "late");
 }
 
 TEST(ResultCacheTest, LruEvictionWithinShard) {
   // Single shard, capacity 2: inserting a third entry evicts the least
   // recently used one.
   ResultCache cache({/*capacity=*/2, /*shards=*/1});
-  cache.Put(KeyNamed("a"), ReportStub("a"));
-  cache.Put(KeyNamed("b"), ReportStub("b"));
-  ASSERT_NE(cache.Get(KeyNamed("a")), nullptr);  // Refresh "a".
-  cache.Put(KeyNamed("c"), ReportStub("c"));     // Evicts "b".
-  EXPECT_NE(cache.Get(KeyNamed("a")), nullptr);
-  EXPECT_EQ(cache.Get(KeyNamed("b")), nullptr);
-  EXPECT_NE(cache.Get(KeyNamed("c")), nullptr);
+  Insert(cache, KeyNamed("a"), "a");
+  Insert(cache, KeyNamed("b"), "b");
+  ASSERT_NE(Lookup(cache, KeyNamed("a")), nullptr);  // Refresh "a".
+  Insert(cache, KeyNamed("c"), "c");                 // Evicts "b".
+  EXPECT_NE(Lookup(cache, KeyNamed("a")), nullptr);
+  EXPECT_EQ(Lookup(cache, KeyNamed("b")), nullptr);
+  EXPECT_NE(Lookup(cache, KeyNamed("c")), nullptr);
   EXPECT_EQ(cache.TotalCounters().evictions, 1u);
+}
+
+TEST(ResultCacheTest, StampMismatchMissesAndDropsTheEntry) {
+  ResultCache cache({8, 2});
+  const int other_store = 0;
+  Insert(cache, KeyNamed("Q2"), "a");
+  // Another store's question with the same key never sees this report.
+  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &other_store, kGeneration), nullptr);
+  EXPECT_EQ(cache.TotalCounters().invalidations, 1u);
+  // The entry was dropped, so even the original stamp misses now.
+  EXPECT_EQ(Lookup(cache, KeyNamed("Q2")), nullptr);
+  Insert(cache, KeyNamed("Q2"), "a");
+  // New data arrived (the generation moved on): a miss, and a drop.
+  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &kStore, kGeneration + 1), nullptr);
+  ResultCache::Counters counters = cache.TotalCounters();
+  EXPECT_EQ(counters.invalidations, 2u);
+  EXPECT_EQ(counters.entries, 0u);
+  EXPECT_EQ(counters.hits, 0u);
 }
 
 TEST(ResultCacheTest, ConcurrentMixedAccess) {
@@ -234,9 +277,9 @@ TEST(ResultCacheTest, ConcurrentMixedAccess) {
       for (int i = 0; i < 200; ++i) {
         const CacheKey key = KeyNamed("Q" + std::to_string(i % 16));
         if ((i + t) % 3 == 0) {
-          cache.Put(key, ReportStub("r"));
+          Insert(cache, key, "r");
         } else {
-          cache.Get(key);
+          Lookup(cache, key);
           ++gets;
         }
       }
@@ -290,6 +333,8 @@ ScenarioOutput* EngineScenarioTest::scenario_ = nullptr;
 std::string* EngineScenarioTest::serial_digest_ = nullptr;
 
 TEST_F(EngineScenarioTest, ReportIdenticalToSerialWorkflow) {
+  // No collector given: the engine still answers through the gather, from
+  // an in-process collector over the request's own store.
   EngineOptions options;
   options.workers = 4;
   DiagnosisEngine engine(options, symptoms_);
@@ -299,6 +344,13 @@ TEST_F(EngineScenarioTest, ReportIdenticalToSerialWorkflow) {
   ASSERT_NE(response.report, nullptr);
   EXPECT_FALSE(response.cache_hit);
   EXPECT_EQ(diag::ReportDigest(*response.report), *serial_digest_);
+  ASSERT_NE(response.collection, nullptr);
+  EXPECT_GT(response.collection->fetches, 0u);
+  EXPECT_FALSE(response.stale_data());
+  const EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_GT(stats.collection_fetches, 0u);
+  EXPECT_EQ(stats.collection_fetches, response.collection->fetches);
+  EXPECT_EQ(stats.gather_latency.count, 1u);
 }
 
 TEST_F(EngineScenarioTest, RepeatIsServedFromCacheAndIdentical) {
@@ -438,6 +490,45 @@ TEST_F(EngineScenarioTest, SubmitAfterShutdownResolvesRejected) {
   DiagnosisResponse response = engine.Submit(RequestForScenario()).get();
   EXPECT_EQ(response.status.code(), StatusCode::kShutdown);
   EXPECT_EQ(engine.Stats().rejected, 1u);
+}
+
+TEST_F(EngineScenarioTest, UncoalescedRefusalsAreBookedAndMeasured) {
+  // Coalescing off, one tenant flooding identical requests past its queue
+  // share: every request ends in exactly one terminal counter and one
+  // request-latency observation, refusals included.
+  EngineOptions options;
+  options.workers = 1;
+  options.queue_capacity = 4;  // Tenant share: 2 queued requests.
+  options.enable_cache = false;
+  options.coalesce_identical = false;
+  DiagnosisEngine engine(options, symptoms_);
+  constexpr int kFlood = 12;
+  std::vector<std::future<DiagnosisResponse>> futures;
+  for (int i = 0; i < kFlood; ++i) {
+    futures.push_back(engine.Submit(RequestForScenario()));
+  }
+  int refused = 0;
+  for (std::future<DiagnosisResponse>& future : futures) {
+    DiagnosisResponse response = future.get();
+    if (response.ok()) {
+      EXPECT_FALSE(response.coalesced);
+      EXPECT_EQ(diag::ReportDigest(*response.report), *serial_digest_);
+    } else {
+      EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
+          << response.status.ToString();
+      EXPECT_EQ(response.report, nullptr);
+      ++refused;
+    }
+  }
+  // Submits take microseconds and a diagnosis milliseconds, so the flood
+  // overruns its share of 2 queued requests.
+  EXPECT_GT(refused, 0);
+  const EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kFlood));
+  EXPECT_EQ(stats.rejected, static_cast<uint64_t>(refused));
+  EXPECT_EQ(stats.rejected_share, static_cast<uint64_t>(refused));
+  EXPECT_EQ(stats.completed + stats.failed + stats.rejected, stats.submitted);
+  EXPECT_EQ(stats.request_latency.count, stats.submitted);
 }
 
 TEST_F(EngineScenarioTest, ModuleLatenciesAreRecorded) {
@@ -585,7 +676,6 @@ TEST_F(EngineScenarioTest, AsyncCollectionIsDigestIdenticalAndMeasured) {
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   EXPECT_EQ(diag::ReportDigest(*response.report), *serial_digest_);
   ASSERT_NE(response.collection, nullptr);
-  EXPECT_TRUE(response.collection->used_async);
   EXPECT_FALSE(response.stale_data());
   EXPECT_GT(response.collection->fetches, 0u);
   EngineStatsSnapshot stats = engine.Stats();
@@ -746,8 +836,9 @@ TEST_F(EngineScenarioTest, ColdAndCachedResponsesCarryCostProfiles) {
   DiagnosisResponse cold = engine.Submit(RequestForScenario()).get();
   ASSERT_TRUE(cold.ok()) << cold.status.ToString();
   ASSERT_NE(cold.cost, nullptr);
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_FALSE(cold.coalesced);
   EXPECT_FALSE(cold.cost->result_cache_hit);
-  EXPECT_FALSE(cold.cost->coalesced);
   ASSERT_EQ(cold.cost->module_ms.size(), 6u);
   EXPECT_EQ(cold.cost->module_ms[0].first, "PD");
   EXPECT_EQ(cold.cost->module_ms[5].first, "IA");

@@ -1,7 +1,7 @@
 // Unit tests for the engine's per-tenant weighted fair queue: DRR
 // dispatch order, share-based admission, priority headroom, deadline
-// shedding, shutdown draining, and the FIFO fallback the fairness bench
-// compares against. FairQueue is exercised directly (single-threaded, as
+// shedding, shutdown draining, and the one-tenant queue the fairness
+// bench uses as its FIFO baseline. FairQueue is exercised directly (single-threaded, as
 // ThreadPool drives it under its lock) plus through ThreadPool for the
 // cross-thread admission/backpressure contract. Run under TSan to vet
 // the pool-level tests.
@@ -91,7 +91,7 @@ TEST(FairQueueTest, WeightsScaleDispatchRate) {
 }
 
 TEST(FairQueueTest, LargeCostTaskEventuallyDispatches) {
-  // A head task costing far more than quantum * weight must accumulate
+  // A head task costing far more than its per-visit grant must accumulate
   // deficit over multiple ring visits and still come out; Pop must never
   // report empty-with-work-queued (that would strand a worker).
   FairQueue queue(FairnessOptions{}, /*cost_capacity=*/100);
@@ -158,18 +158,25 @@ TEST(FairQueueTest, UntaggedRequestsBypassShareAdmission) {
   }
 }
 
-TEST(FairQueueTest, FifoModeAdmitsAndDispatchesInArrivalOrder) {
+TEST(FairQueueTest, OneTenantQueueDispatchesInArrivalOrder) {
+  // bench_fairness's FIFO baseline: every request carries one tag, so the
+  // ring holds one sub-queue and a victim's request waits out the entire
+  // flood queued before it.
   FairnessOptions options;
-  options.enabled = false;
-  FairQueue queue(options, /*cost_capacity=*/4);
-  // No share admission in FIFO mode...
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(PushThrough(queue, Task("flood")));
-  ASSERT_TRUE(PushThrough(queue, Task("victim")));
-  // ...and dispatch is strict arrival order: the victim waits out the
-  // entire flood (the regime bench_fairness quantifies).
-  const std::vector<std::string> order = DrainOrder(queue);
-  ASSERT_EQ(order.size(), 7u);
-  EXPECT_EQ(order.back(), "victim");
+  options.tenant_share_fraction = 1.0;
+  FairQueue queue(options, /*cost_capacity=*/8);
+  std::vector<int> ran;
+  for (int i = 0; i < 8; ++i) {
+    QueueTask task = Task("fleet", /*cost=*/i % 3 == 0 ? 0.5 : 1.0);
+    task.run = [&ran, i] { ran.push_back(i); };
+    ASSERT_TRUE(PushThrough(queue, std::move(task)));
+  }
+  QueueTask task;
+  std::vector<QueueTask> shed;
+  while (queue.Pop(&task, Clock::now(), &shed)) task.run();
+  EXPECT_TRUE(shed.empty());
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(queue.counters().dispatched, 8u);
   EXPECT_EQ(queue.counters().starvation_avoided, 0u);
 }
 
@@ -307,10 +314,11 @@ TEST(FairQueueThreadPoolTest, ShareRejectionIsImmediateAndTyped) {
   // Wedge the single worker so queued work stays queued.
   std::atomic<bool> release{false};
   std::atomic<int> ran{0};
-  ASSERT_TRUE(pool.Submit([&] {
-                    while (!release.load()) std::this_thread::yield();
-                  })
-                  .ok());
+  QueueTask wedge = Task("wedge");
+  wedge.run = [&release] {
+    while (!release.load()) std::this_thread::yield();
+  };
+  ASSERT_TRUE(pool.Submit(std::move(wedge)).ok());
 
   // The flood fills its share; the next submit is refused immediately
   // (no blocking on global capacity, which still has room).
@@ -348,10 +356,11 @@ TEST(FairQueueThreadPoolTest, ExpiredWorkIsCancelledNotRun) {
   ThreadPool pool(options);
 
   std::atomic<bool> release{false};
-  ASSERT_TRUE(pool.Submit([&] {
-                    while (!release.load()) std::this_thread::yield();
-                  })
-                  .ok());
+  QueueTask wedge = Task("wedge");
+  wedge.run = [&release] {
+    while (!release.load()) std::this_thread::yield();
+  };
+  ASSERT_TRUE(pool.Submit(std::move(wedge)).ok());
 
   // Queued behind the wedge with an already-tight deadline.
   std::atomic<int> ran{0}, shed{0};
@@ -382,11 +391,12 @@ TEST(FairQueueThreadPoolTest, ShutdownCancelsWithTypedStatus) {
   ThreadPool pool(options);
 
   std::atomic<bool> wedged{false}, release{false};
-  ASSERT_TRUE(pool.Submit([&] {
-                    wedged = true;
-                    while (!release.load()) std::this_thread::yield();
-                  })
-                  .ok());
+  QueueTask wedge = Task("wedge");
+  wedge.run = [&wedged, &release] {
+    wedged = true;
+    while (!release.load()) std::this_thread::yield();
+  };
+  ASSERT_TRUE(pool.Submit(std::move(wedge)).ok());
   // Wait until the worker actually holds the wedge — otherwise it may
   // still be queued when Shutdown drains, and would count as a sixth
   // shutdown cancel.

@@ -447,7 +447,6 @@ TEST(CostProfileTest, ToJsonIsStrictlyParseable) {
   profile.module_ms = {{"PD", 0.1}, {"CO", 2.0}, {"DA", 5.5}};
   profile.total_ms = 30.0;
   profile.result_cache_hit = false;
-  profile.coalesced = true;
   profile.model_cache_hits = 10;
   profile.model_cache_misses = 3;
   profile.fetches_issued = 25;
