@@ -1,5 +1,7 @@
 #include "db/run_record.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace diads::db {
@@ -30,11 +32,38 @@ int RunCatalog::AddRun(QueryRunRecord record) {
   return runs_.back().run_id;
 }
 
+template <typename NewLabel>
+void RunCatalog::Relabel(const std::string& query, NewLabel new_label) {
+  TimeInterval window{0, 0};
+  bool labelled = false;
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    if (runs_[i].query_name != query) continue;
+    labels_[i] = new_label(i, labels_[i]);
+    if (labels_[i] == RunLabel::kUnlabeled) continue;
+    const TimeInterval& run = runs_[i].interval;
+    if (!labelled) {
+      window = run;
+      labelled = true;
+    } else {
+      window.begin = std::min(window.begin, run.begin);
+      window.end = std::max(window.end, run.end);
+    }
+  }
+  if (labelled) {
+    windows_[query] = window;
+  } else {
+    windows_.erase(query);
+  }
+}
+
 Status RunCatalog::SetLabel(int run_id, RunLabel label) {
   if (run_id < 0 || run_id >= static_cast<int>(runs_.size())) {
     return Status::NotFound(StrFormat("no run with id %d", run_id));
   }
-  labels_[static_cast<size_t>(run_id)] = label;
+  const size_t target = static_cast<size_t>(run_id);
+  Relabel(runs_[target].query_name, [&](size_t i, RunLabel old) {
+    return i == target ? label : old;
+  });
   return Status::Ok();
 }
 
@@ -43,12 +72,10 @@ Status RunCatalog::LabelByDurationThreshold(const std::string& query,
   if (threshold_ms <= 0) {
     return Status::InvalidArgument("threshold must be positive");
   }
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].query_name != query) continue;
-    labels_[i] = runs_[i].duration_ms() > threshold_ms
-                     ? RunLabel::kUnsatisfactory
-                     : RunLabel::kSatisfactory;
-  }
+  Relabel(query, [&](size_t i, RunLabel) {
+    return runs_[i].duration_ms() > threshold_ms ? RunLabel::kUnsatisfactory
+                                                 : RunLabel::kSatisfactory;
+  });
   return Status::Ok();
 }
 
@@ -58,10 +85,9 @@ Status RunCatalog::LabelByTimeWindow(const std::string& query,
   if (window.empty()) {
     return Status::InvalidArgument("labeling window is empty");
   }
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].query_name != query) continue;
-    if (window.Contains(runs_[i].interval.begin)) labels_[i] = label;
-  }
+  Relabel(query, [&](size_t i, RunLabel old) {
+    return window.Contains(runs_[i].interval.begin) ? label : old;
+  });
   return Status::Ok();
 }
 
@@ -77,6 +103,11 @@ RunLabel RunCatalog::LabelOf(int run_id) const {
     return RunLabel::kUnlabeled;
   }
   return labels_[static_cast<size_t>(run_id)];
+}
+
+TimeInterval RunCatalog::LabelledWindow(const std::string& query) const {
+  auto it = windows_.find(query);
+  return it == windows_.end() ? TimeInterval{0, 0} : it->second;
 }
 
 std::vector<const QueryRunRecord*> RunCatalog::RunsWithLabel(

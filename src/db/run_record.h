@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -61,9 +62,16 @@ enum class RunLabel { kUnlabeled, kSatisfactory, kUnsatisfactory };
 const char* RunLabelName(RunLabel label);
 
 /// The run history with labels — DIADS's primary input.
+///
+/// The catalog also keeps each query's labelled window (LabelledWindow),
+/// the span every diagnosis of the query analyses, so that reading it is
+/// one hash lookup however long the history grows. It is maintained as
+/// runs are labelled: AddRun adds an unlabelled run and leaves every
+/// window alone, and each labelling call rebuilds only its own query's
+/// window, in the pass that relabels that query's runs.
 class RunCatalog {
  public:
-  /// Adds a run; assigns and returns its run_id.
+  /// Adds an unlabelled run; assigns and returns its run_id.
   int AddRun(QueryRunRecord record);
 
   Status SetLabel(int run_id, RunLabel label);
@@ -85,11 +93,23 @@ class RunCatalog {
   std::vector<const QueryRunRecord*> RunsWithLabel(const std::string& query,
                                                    RunLabel label) const;
 
+  /// The earliest start to the latest end over `query`'s labelled runs
+  /// (satisfactory or unsatisfactory); {0, 0} when none is labelled.
+  /// Maintained, not scanned (see the class comment).
+  TimeInterval LabelledWindow(const std::string& query) const;
+
   size_t size() const { return runs_.size(); }
 
  private:
+  /// Sets the label of every run of `query` to new_label(run index, old
+  /// label) and rebuilds the query's labelled window in the same pass.
+  template <typename NewLabel>
+  void Relabel(const std::string& query, NewLabel new_label);
+
   std::vector<QueryRunRecord> runs_;
   std::vector<RunLabel> labels_;
+  /// LabelledWindow of each query with a labelled run.
+  std::unordered_map<std::string, TimeInterval> windows_;
 };
 
 }  // namespace diads::db

@@ -7,20 +7,7 @@
 namespace diads::diag {
 
 TimeInterval DiagnosisContext::AnalysisWindow() const {
-  TimeInterval out{0, 0};
-  bool first = true;
-  for (const db::QueryRunRecord& run : runs->runs()) {
-    if (run.query_name != query) continue;
-    if (runs->LabelOf(run.run_id) == db::RunLabel::kUnlabeled) continue;
-    if (first) {
-      out = run.interval;
-      first = false;
-    } else {
-      out.begin = std::min(out.begin, run.interval.begin);
-      out.end = std::max(out.end, run.interval.end);
-    }
-  }
-  return out;
+  return runs->LabelledWindow(query);
 }
 
 TimeInterval DiagnosisContext::TransitionWindow() const {

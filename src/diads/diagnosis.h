@@ -100,7 +100,9 @@ struct DiagnosisContext {
   }
 
   /// The diagnosis window: first labelled run start to last labelled run
-  /// end.
+  /// end ({0, 0} when no run of the query is labelled). The run catalog
+  /// maintains it as runs are labelled (db::RunCatalog::LabelledWindow),
+  /// so this is one lookup, not a scan of the run history.
   TimeInterval AnalysisWindow() const;
   /// Window between the last satisfactory and first unsatisfactory run —
   /// where Module PD looks for the change that broke things.

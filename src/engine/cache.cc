@@ -50,37 +50,45 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
   return *shards_[CacheKeyHash()(key) % shards_.size()];
 }
 
-std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
-    const CacheKey& key, const void* authority, uint64_t store_generation,
-    std::shared_ptr<const CollectionSummary>* collection) {
+ResultCache::Hit ResultCache::Get(const CacheKey& key, const void* authority,
+                                  uint64_t store_generation,
+                                  uint64_t fleet_epoch) {
+  Hit hit;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     ++shard.misses;
-    return nullptr;
+    return hit;
   }
-  if (it->second->authority != authority ||
-      it->second->store_generation != store_generation) {
+  Entry& entry = *it->second;
+  if (entry.authority != authority ||
+      entry.store_generation != store_generation) {
     // The report predates the store's current data (or was computed from a
     // different store entirely): drop it so it can never be served stale.
     shard.lru.erase(it->second);
     shard.index.erase(it);
     ++shard.invalidations;
     ++shard.misses;
-    return nullptr;
+    return hit;
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (collection != nullptr) *collection = it->second->collection;
-  return it->second->report;
+  if (entry.fleet_epoch != fleet_epoch) {
+    entry.fleet_epoch = fleet_epoch;
+    hit.fleet_epoch_moved = true;
+  }
+  hit.report = entry.report;
+  hit.collection = entry.collection;
+  return hit;
 }
 
 void ResultCache::Put(const CacheKey& key, const void* authority,
                       uint64_t store_generation,
                       std::shared_ptr<const diag::DiagnosisReport> report,
                       std::shared_ptr<const CollectionSummary> collection,
-                      std::vector<ComponentId> components) {
+                      std::vector<ComponentId> components,
+                      uint64_t fleet_epoch) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -90,6 +98,7 @@ void ResultCache::Put(const CacheKey& key, const void* authority,
     it->second->authority = authority;
     it->second->store_generation = store_generation;
     it->second->components = std::move(components);
+    it->second->fleet_epoch = fleet_epoch;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -100,7 +109,7 @@ void ResultCache::Put(const CacheKey& key, const void* authority,
   }
   shard.lru.push_front(Entry{key, std::move(report), std::move(collection),
                              authority, store_generation,
-                             std::move(components)});
+                             std::move(components), fleet_epoch});
   shard.index[key] = shard.lru.begin();
 }
 

@@ -86,27 +86,41 @@ class ResultCache {
 
   explicit ResultCache(Options options);
 
-  /// Returns the cached report (refreshing its recency) or nullptr. A
-  /// hit requires the entry's (authority, store_generation) stamp to
+  /// What Get found.
+  struct Hit {
+    std::shared_ptr<const diag::DiagnosisReport> report;  ///< Null: miss.
+    std::shared_ptr<const CollectionSummary> collection;
+    /// The entry had recorded another fleet epoch than the caller's: a
+    /// fleet-store removal ran since the entry last knew its tenant row
+    /// present, so the caller must look at the store. The entry now
+    /// records the caller's epoch.
+    bool fleet_epoch_moved = false;
+  };
+
+  /// Returns the cached report (refreshing its recency), or a null report.
+  /// A hit requires the entry's (authority, store_generation) stamp to
   /// equal the caller's — the entry was computed from exactly the data
   /// the caller sees now. A mismatch erases the entry (Append-driven
   /// invalidation) and misses: a query after new monitoring data arrives
-  /// is never served the stale report. When `collection` is non-null it
-  /// receives the entry's collection summary.
-  std::shared_ptr<const diag::DiagnosisReport> Get(
-      const CacheKey& key, const void* authority, uint64_t store_generation,
-      std::shared_ptr<const CollectionSummary>* collection = nullptr);
+  /// is never served the stale report. `fleet_epoch` is the caller's read
+  /// of the fleet store's invalidation epoch (0 without a store), taken
+  /// before it looks at the store; see Hit::fleet_epoch_moved.
+  Hit Get(const CacheKey& key, const void* authority,
+          uint64_t store_generation, uint64_t fleet_epoch = 0);
 
   /// Inserts or replaces; evicts the shard's least-recently-used entry when
   /// the shard is at capacity. `authority` / `store_generation` stamp the
   /// monitoring data the report was computed from (see Get); `components`
   /// lists the components the report touched (scored metrics + cause
   /// subjects), the index InvalidateTagComponent matches against.
+  /// `fleet_epoch` is the fleet store's invalidation epoch read before
+  /// the report's verdict was published there.
   void Put(const CacheKey& key, const void* authority,
            uint64_t store_generation,
            std::shared_ptr<const diag::DiagnosisReport> report,
            std::shared_ptr<const CollectionSummary> collection = nullptr,
-           std::vector<ComponentId> components = {});
+           std::vector<ComponentId> components = {},
+           uint64_t fleet_epoch = 0);
 
   /// Explicit invalidation: drops every entry of a tenant tag, or only
   /// the tag's entries whose report touched `component`. Returns the
@@ -130,6 +144,9 @@ class ResultCache {
     const void* authority = nullptr;
     uint64_t store_generation = 0;
     std::vector<ComponentId> components;  ///< Sorted, deduped.
+    /// The fleet store's invalidation epoch at which the report's tenant
+    /// row was last known present (fleet::FleetStore::invalidation_epoch).
+    uint64_t fleet_epoch = 0;
   };
   struct Shard {
     std::mutex mu;

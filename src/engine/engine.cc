@@ -14,9 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double MsBetween(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
 double ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - since)
-      .count();
+  return MsBetween(since, Clock::now());
 }
 
 uint64_t MixBits(uint64_t h, uint64_t v) {
@@ -216,44 +219,51 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
   if (options_.enable_cache) {
     obs::SpanHandle cache_span =
         request.ctx.trace.StartSpan("result_cache", "cache");
-    std::shared_ptr<const CollectionSummary> cached_collection;
     const monitor::TimeSeriesStore* authority = AuthorityOf(request);
     const uint64_t generation = authority->StoreGeneration();
-    if (std::shared_ptr<const diag::DiagnosisReport> report =
-            cache_.Get(key, authority, generation, &cached_collection)) {
+    fleet::FleetStore* fleet = options_.fleet_store;
+    // Read before the fleet-store probe below (see there).
+    const uint64_t fleet_epoch =
+        fleet != nullptr ? fleet->invalidation_epoch() : 0;
+    ResultCache::Hit hit = cache_.Get(key, authority, generation, fleet_epoch);
+    if (hit.report != nullptr) {
       cache_span.Note("outcome", "hit");
       cache_span.End();
-      // Normally the computation that filled this entry already
-      // published its verdict, but an explicit FleetStore invalidation
-      // (with no new monitoring data) leaves the store empty while the
-      // cache keeps hitting — so repopulate when the tenant-level row is
-      // missing or older. Checking the tenant row alone suffices because
-      // every store invalidation path (InvalidateTenant,
-      // InvalidateComponent, DropStale) drops it along with the targeted
-      // rows. Safe because hits are generation-validated: this report
-      // reflects the store's current data, so the fresh stamps are
-      // truthful.
-      if (options_.fleet_store != nullptr) {
-        const fleet::FleetStore::Row row = options_.fleet_store->Get(
-            fleet::FleetKey{request.tag, "", key.window_begin,
-                            key.window_end});
+      // The computation that filled this entry published its verdict,
+      // and Publish never removes a row. Only a removal call
+      // (InvalidateTenant, InvalidateComponent, DropStale or Clear) does,
+      // and each one takes the tenant-level row with whatever it targets,
+      // then bumps the store's invalidation epoch *after* its erase. So
+      // the tenant row is still there while the epoch equals the one this
+      // entry recorded, and the hit looks at the store only when it
+      // moved: it republishes when the tenant row is missing or older,
+      // and the entry records the epoch read *before* that probe. A
+      // removal racing the probe then bumps past the recorded epoch, and
+      // the next hit looks again. Republishing is safe because hits are
+      // generation-validated: this report reflects the store's current
+      // data, so the fresh stamps are truthful.
+      if (fleet != nullptr && hit.fleet_epoch_moved) {
+        const fleet::FleetStore::Row row = fleet->Get(fleet::FleetKey{
+            request.tag, "", key.window_begin, key.window_end});
         if (row.record == nullptr || row.generation < generation) {
           fleet::TenantVerdict verdict =
-              fleet::ExtractVerdict(request.ctx, *report, request.tag);
+              fleet::ExtractVerdict(request.ctx, *hit.report, request.tag);
           verdict.incident = request.incident;
-          options_.fleet_store->Publish(verdict);
+          fleet->Publish(verdict);
           stats_.Add(&EngineStatsSnapshot::fleet_publishes);
         }
       }
       DiagnosisResponse response;
-      response.report = std::move(report);
-      response.collection = std::move(cached_collection);
+      response.report = std::move(hit.report);
+      response.collection = std::move(hit.collection);
       response.cache_hit = true;
       auto profile = std::make_shared<obs::CostProfile>();
       profile->result_cache_hit = true;
-      profile->total_ms = ElapsedMs(submitted);
+      // One clock read serves the profile's total and the latency.
+      const Clock::time_point answered = Clock::now();
+      profile->total_ms = MsBetween(submitted, answered);
       response.cost = std::move(profile);
-      Answer(waiter, std::move(response), "cache_hit");
+      Answer(waiter, std::move(response), "cache_hit", answered);
       return future;
     }
     cache_span.Note("outcome", "miss");
@@ -441,14 +451,20 @@ void DiagnosisEngine::AfterCompute(
     const std::shared_ptr<const CollectionSummary>& collection,
     const monitor::TimeSeriesStore* authority, uint64_t generation,
     const std::shared_ptr<const obs::CostProfile>& cost) {
+  fleet::FleetStore* fleet = options_.fleet_store;
+  // Read before the publish below, so a removal that drops the published
+  // rows bumps past the epoch the entry records (see Submit's hit path).
+  const uint64_t fleet_epoch =
+      fleet != nullptr ? fleet->invalidation_epoch() : 0;
   if (options_.enable_cache) {
     // The generation stamp was read *before* the workflow ran: if samples
     // arrived mid-computation the entry is conservatively already stale
-    // and the next generation-validated Get recomputes.
+    // and the next generation-validated Get recomputes. (So an entry
+    // whose publish below is skipped never hits.)
     cache_.Put(key, authority, generation, report, collection,
-               ComponentsOf(*report));
+               ComponentsOf(*report), fleet_epoch);
   }
-  if (options_.fleet_store != nullptr) {
+  if (fleet != nullptr) {
     // ExtractVerdict stamps rows with the authority's *current*
     // generations, so publish only while the store still sits at the
     // pre-compute generation — otherwise a verdict derived from old data
@@ -463,7 +479,7 @@ void DiagnosisEngine::AfterCompute(
           fleet::ExtractVerdict(request.ctx, *report, request.tag);
       verdict.cost = cost;
       verdict.incident = request.incident;
-      options_.fleet_store->Publish(verdict);
+      fleet->Publish(verdict);
       stats_.Add(&EngineStatsSnapshot::fleet_publishes);
     }
   }
@@ -502,8 +518,9 @@ void DiagnosisEngine::Resolve(
 }
 
 void DiagnosisEngine::Answer(Waiter& waiter, DiagnosisResponse response,
-                             const char* outcome) {
-  response.latency_ms = ElapsedMs(waiter.submitted);
+                             const char* outcome,
+                             Clock::time_point answered) {
+  response.latency_ms = MsBetween(waiter.submitted, answered);
   stats_.Add(TerminalCounter(response.status));
   stats_.Observe(&EngineStatsSnapshot::request_latency, response.latency_ms);
   waiter.span.Note("outcome", outcome);

@@ -56,6 +56,7 @@
 #ifndef DIADS_ENGINE_ENGINE_H_
 #define DIADS_ENGINE_ENGINE_H_
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -183,7 +184,9 @@ struct EngineOptions {
   /// completion; coalesced waiters were already published by the
   /// computation they joined, and a generation-validated cache hit
   /// republishes only when the store's tenant row is missing or older
-  /// (repopulation after an explicit fleet-store invalidation). Not
+  /// (repopulation after an explicit fleet-store invalidation). A hit
+  /// looks at the store only when its invalidation epoch moved since the
+  /// entry was stamped (fleet::FleetStore::invalidation_epoch). Not
   /// owned; must outlive the engine. Publishing never changes the report
   /// (ReportDigest is identical with the store attached or not).
   fleet::FleetStore* fleet_store = nullptr;
@@ -309,10 +312,12 @@ class DiagnosisEngine {
                std::shared_ptr<const obs::CostProfile> cost);
   /// The one exit of every Submit: books the terminal status into the
   /// completed / rejected / failed counters (rejected covers shutdown and
-  /// admission refusals) and the request-latency histogram, closes the
-  /// root span with `outcome`, and fulfils the promise.
-  void Answer(Waiter& waiter, DiagnosisResponse response,
-              const char* outcome);
+  /// admission refusals) and the request-latency histogram (Submit to
+  /// `answered`), closes the root span with `outcome`, and fulfils the
+  /// promise.
+  void Answer(Waiter& waiter, DiagnosisResponse response, const char* outcome,
+              std::chrono::steady_clock::time_point answered =
+                  std::chrono::steady_clock::now());
   /// Scheduling metadata (tenant, cost, priority, deadline) for the
   /// pool task carrying `request`, with the deadline anchored at
   /// `submitted`.

@@ -141,10 +141,17 @@ size_t FleetStore::EraseIf(Pred pred) {
   return erased;
 }
 
+size_t FleetStore::BumpEpoch(size_t erased) {
+  // A reader that sees the new epoch also sees the erase, which the shard
+  // locks ordered before this bump.
+  if (erased > 0) epoch_.fetch_add(1);
+  return erased;
+}
+
 size_t FleetStore::InvalidateTenant(const std::string& tenant) {
-  return EraseIf([&](const FleetKey& key, const Entry&) {
+  return BumpEpoch(EraseIf([&](const FleetKey& key, const Entry&) {
     return key.tenant == tenant;
-  });
+  }));
 }
 
 size_t FleetStore::InvalidateComponent(const std::string& tenant,
@@ -154,10 +161,10 @@ size_t FleetStore::InvalidateComponent(const std::string& tenant,
   // is what tells the engine's cache-hit repopulation check that this
   // tenant needs republishing (a component row alone would go unnoticed
   // while the result cache keeps hitting).
-  return EraseIf([&](const FleetKey& key, const Entry&) {
+  return BumpEpoch(EraseIf([&](const FleetKey& key, const Entry&) {
     return key.tenant == tenant &&
            (key.component == component || key.component.empty());
-  });
+  }));
 }
 
 size_t FleetStore::DropStale(const std::string& tenant,
@@ -172,9 +179,9 @@ size_t FleetStore::DropStale(const std::string& tenant,
   // Same reasoning as InvalidateComponent: stale component rows mean the
   // tenant's diagnosis records predate the data too — dropping them lets
   // the next engine response (cache hit or compute) republish everything.
-  return dropped + EraseIf([&](const FleetKey& key, const Entry&) {
+  return BumpEpoch(dropped + EraseIf([&](const FleetKey& key, const Entry&) {
     return key.tenant == tenant && key.component.empty();
-  });
+  }));
 }
 
 FleetStore::Counters FleetStore::TotalCounters() const {
@@ -203,13 +210,16 @@ std::vector<uint64_t> FleetStore::ShardPublishCounts() const {
 }
 
 void FleetStore::Clear() {
+  size_t erased = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     // Cleared rows count as invalidations so the exact-accounting
     // invariant (entries == rows_inserted - invalidations) survives.
     shard->invalidations += shard->rows.size();
+    erased += shard->rows.size();
     shard->rows.clear();
   }
+  BumpEpoch(erased);
 }
 
 std::string FleetStore::Counters::Render() const {

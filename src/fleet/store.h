@@ -23,6 +23,12 @@
 //     backwards in time), an equal-or-newer one supersedes, and explicit
 //     invalidation drops a tenant's (or one component's) rows the moment
 //     new monitoring data makes them stale;
+//   * every call that removes rows (InvalidateTenant, InvalidateComponent,
+//     DropStale, Clear) bumps an invalidation epoch once its rows are
+//     erased, so a reader that knew a row present at epoch E knows it is
+//     still present while the epoch reads E (publishes never remove a
+//     row) — the engine's result-cache hits probe the store only when it
+//     moved;
 //   * everything is counted (publishes, upserts, supersedes, stale drops,
 //     invalidations, queries, per-shard publish distribution) — the
 //     EngineStats-style block a fleet dashboard watches.
@@ -162,7 +168,8 @@ class FleetStore {
   /// drops the tenant-level rows: the diagnosis record that produced the
   /// invalidated verdict is equally suspect, and its absence is what the
   /// engine's cache-hit repopulation check keys on — so the tenant
-  /// reappears in fleet queries on the very next response.
+  /// reappears in fleet queries on the very next response. Bumps the
+  /// invalidation epoch when it erased anything.
   size_t InvalidateTenant(const std::string& tenant);
   size_t InvalidateComponent(const std::string& tenant,
                              const std::string& component);
@@ -171,7 +178,7 @@ class FleetStore {
   /// `current_generation` (TimeSeriesStore::ComponentGeneration of the
   /// tenant's live store) — generation-driven staleness without a TTL.
   /// When anything is dropped, the tenant-level rows go with it (see
-  /// InvalidateComponent).
+  /// InvalidateComponent) and the invalidation epoch is bumped.
   size_t DropStale(const std::string& tenant, const std::string& component,
                    uint64_t current_generation);
 
@@ -187,8 +194,20 @@ class FleetStore {
   std::vector<uint64_t> ShardPublishCounts() const;
 
   /// Drops every row; the drops count as invalidations (the exact-
-  /// accounting invariant on Counters keeps holding).
+  /// accounting invariant on Counters keeps holding). Bumps the
+  /// invalidation epoch when it erased anything.
   void Clear();
+
+  /// The invalidation epoch: how many removal calls (InvalidateTenant,
+  /// InvalidateComponent, DropStale, Clear) have erased rows. Each bumps
+  /// it *after* its erase, and Publish never removes a row. So a caller
+  /// that reads epoch E, then finds a row present (or publishes it), knows
+  /// the row is still there while the epoch reads E: a removal that could
+  /// have dropped it has either finished before the read, and the probe
+  /// saw its effect, or bumps past E when it finishes. Bumping before the
+  /// erase would break this — a probe could read the new epoch, still see
+  /// the row, and the erase then remove it unnoticed.
+  uint64_t invalidation_epoch() const { return epoch_.load(); }
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
@@ -213,8 +232,12 @@ class FleetStore {
               std::shared_ptr<const TenantRecord> record);
   template <typename Pred>
   size_t EraseIf(Pred pred);
+  /// Ends a removal call that erased `erased` rows: bumps the epoch when
+  /// anything went (see invalidation_epoch). Returns `erased`.
+  size_t BumpEpoch(size_t erased);
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<uint64_t> epoch_{0};  ///< See invalidation_epoch.
   std::atomic<uint64_t> publishes_{0};
   mutable std::atomic<uint64_t> queries_{0};
   /// Attached durability log (null = in-memory only). Atomic so Publish

@@ -74,6 +74,14 @@ GatherResult MetricGatherer::Gather(const std::vector<FetchRequest>& plan,
 
   GatherResult result;
   const Clock::time_point start = Clock::now();
+  // The plan names every series the snapshot can receive (each component
+  // is fetched once): size the snapshot before adopting a single pin.
+  std::vector<std::pair<ComponentId, size_t>> layout;
+  layout.reserve(plan.size());
+  for (const FetchRequest& request : plan) {
+    layout.emplace_back(request.component, request.metrics.size());
+  }
+  result.collected.ReserveComponents(layout);
   const bool timeouts_enabled = options_.timeout_ms > 0;
   const auto timeout =
       std::chrono::duration<double, std::milli>(options_.timeout_ms);

@@ -92,6 +92,18 @@ void TimeSeriesStore::Reserve(ComponentId component, MetricId metric,
                               : std::max(needed, 2 * samples.capacity()));
 }
 
+void TimeSeriesStore::ReserveComponents(
+    const std::vector<std::pair<ComponentId, size_t>>& series_per_component) {
+  size_t series = 0;
+  for (const auto& [component, count] : series_per_component) series += count;
+  series_.reserve(series_.size() + series);
+  components_.reserve(components_.size() + series_per_component.size());
+  for (const auto& [component, count] : series_per_component) {
+    std::vector<MetricId>& metrics = components_[component].metrics;
+    metrics.reserve(metrics.size() + count);
+  }
+}
+
 PinnedSeries TimeSeriesStore::Pin(ComponentId component,
                                   MetricId metric) const {
   PinnedSeries pinned;

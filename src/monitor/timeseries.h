@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -181,6 +182,15 @@ class TimeSeriesStore {
   /// takes its ordinal with its first sample. A pinned buffer that must
   /// grow is copied, never resized in place.
   void Reserve(ComponentId component, MetricId metric, size_t additional);
+
+  /// Sizes the store for the series about to arrive, given as (component,
+  /// at most how many of its series) pairs: the series table and the
+  /// component table take room for all of them at once, and each listed
+  /// component's metric list (MetricsFor) its full length, so adopting or
+  /// appending them rehashes and regrows neither. Creates no series, and
+  /// changes no answer of the store.
+  void ReserveComponents(
+      const std::vector<std::pair<ComponentId, size_t>>& series_per_component);
 
   /// Shares the series' buffer with the caller: the returned pin holds the
   /// samples and generation as they are now, and the store copies the

@@ -3,10 +3,15 @@
 // scaling under data drift, and load registration back into the SAN model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "db/paper_plan.h"
+#include "diads/diagnosis.h"
 #include "workload/testbed.h"
 
 namespace diads::db {
@@ -249,6 +254,87 @@ TEST_F(ExecutorTest, DurationThresholdLabelling) {
             1u);
   EXPECT_EQ(tb_->runs.RunsWithLabel("Q2", RunLabel::kUnsatisfactory).size(),
             1u);
+}
+
+/// The analysis window by brute force, as DiagnosisContext computed it
+/// before the catalog kept it: a scan of the whole run history.
+TimeInterval ScannedWindow(const RunCatalog& catalog,
+                           const std::string& query) {
+  TimeInterval out{0, 0};
+  bool first = true;
+  for (const QueryRunRecord& run : catalog.runs()) {
+    if (run.query_name != query) continue;
+    if (catalog.LabelOf(run.run_id) == RunLabel::kUnlabeled) continue;
+    if (first) {
+      out = run.interval;
+      first = false;
+    } else {
+      out.begin = std::min(out.begin, run.interval.begin);
+      out.end = std::max(out.end, run.interval.end);
+    }
+  }
+  return out;
+}
+
+TEST(RunCatalogWindowTest, MaintainedWindowMatchesScan) {
+  // Random mutation sequences over two query names. After every mutation
+  // the window a diagnosis reads equals the scan, for both queries —
+  // including {0, 0} while a query has no labelled run.
+  const std::vector<std::string> queries = {"Q2", "Q5"};
+  const RunLabel labels[] = {RunLabel::kUnlabeled, RunLabel::kSatisfactory,
+                             RunLabel::kUnsatisfactory};
+  SeededRng rng(20091);
+  int checks = 0;
+  int empty_windows = 0;
+  for (int history = 0; history < 40; ++history) {
+    RunCatalog catalog;
+    for (int step = 0; step < 80; ++step) {
+      const std::string& query = queries[rng.UniformInt(0, 1)];
+      const RunLabel label = labels[rng.UniformInt(0, 2)];
+      const SimTimeMs at = Minutes(rng.UniformInt(0, 24 * 60));
+      switch (rng.UniformInt(0, 3)) {
+        case 0: {
+          QueryRunRecord record;
+          record.query_name = query;
+          record.interval =
+              TimeInterval{at, at + Minutes(rng.UniformInt(0, 90))};
+          catalog.AddRun(std::move(record));
+          break;
+        }
+        case 1: {
+          // Ids one past either end exercise the NotFound path.
+          const int64_t size = static_cast<int64_t>(catalog.size());
+          const int run_id = static_cast<int>(rng.UniformInt(-1, size));
+          EXPECT_EQ(catalog.SetLabel(run_id, label).ok(),
+                    run_id >= 0 && run_id < size);
+          break;
+        }
+        case 2:
+          (void)catalog.LabelByDurationThreshold(
+              query, Minutes(rng.UniformInt(0, 90)));
+          break;
+        default:
+          (void)catalog.LabelByTimeWindow(
+              query, TimeInterval{at, at + Minutes(rng.UniformInt(0, 600))},
+              label);
+          break;
+      }
+      for (const std::string& name : queries) {
+        diag::DiagnosisContext ctx;
+        ctx.runs = &catalog;
+        ctx.query = name;
+        const TimeInterval scanned = ScannedWindow(catalog, name);
+        ASSERT_EQ(ctx.AnalysisWindow(), scanned)
+            << "history " << history << " step " << step << " query "
+            << name;
+        ++checks;
+        if (scanned == TimeInterval{0, 0}) ++empty_windows;
+      }
+    }
+  }
+  // The sequences reach both answers often.
+  EXPECT_GT(empty_windows, checks / 20);
+  EXPECT_LT(empty_windows, checks / 2);
 }
 
 }  // namespace

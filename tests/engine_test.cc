@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/strings.h"
 #include "diads/report.h"
 #include "diads/workflow.h"
 #include "engine/cache.h"
@@ -141,9 +142,9 @@ TEST(EngineStatsTest, SnapshotAndJson) {
   CacheKey key;
   key.query = "Q2";
   const int store = 0;  // Stands in for the authoritative store.
-  EXPECT_EQ(cache.Get(key, &store, 1), nullptr);
+  EXPECT_EQ(cache.Get(key, &store, 1).report, nullptr);
   cache.Put(key, &store, 1, std::make_shared<diag::DiagnosisReport>());
-  EXPECT_NE(cache.Get(key, &store, 1), nullptr);
+  EXPECT_NE(cache.Get(key, &store, 1).report, nullptr);
 
   EngineStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.submitted, 2u);
@@ -204,7 +205,7 @@ constexpr uint64_t kGeneration = 7;
 
 std::shared_ptr<const diag::DiagnosisReport> Lookup(ResultCache& cache,
                                                     const CacheKey& key) {
-  return cache.Get(key, &kStore, kGeneration);
+  return cache.Get(key, &kStore, kGeneration).report;
 }
 
 void Insert(ResultCache& cache, const CacheKey& key,
@@ -255,13 +256,15 @@ TEST(ResultCacheTest, StampMismatchMissesAndDropsTheEntry) {
   const int other_store = 0;
   Insert(cache, KeyNamed("Q2"), "a");
   // Another store's question with the same key never sees this report.
-  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &other_store, kGeneration), nullptr);
+  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &other_store, kGeneration).report,
+            nullptr);
   EXPECT_EQ(cache.TotalCounters().invalidations, 1u);
   // The entry was dropped, so even the original stamp misses now.
   EXPECT_EQ(Lookup(cache, KeyNamed("Q2")), nullptr);
   Insert(cache, KeyNamed("Q2"), "a");
   // New data arrived (the generation moved on): a miss, and a drop.
-  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &kStore, kGeneration + 1), nullptr);
+  EXPECT_EQ(cache.Get(KeyNamed("Q2"), &kStore, kGeneration + 1).report,
+            nullptr);
   ResultCache::Counters counters = cache.TotalCounters();
   EXPECT_EQ(counters.invalidations, 2u);
   EXPECT_EQ(counters.entries, 0u);
@@ -1139,6 +1142,14 @@ class EngineInvalidationTest : public ::testing::Test {
             .ok());
   }
 
+  /// Whether `store` holds `tag`'s tenant-level row for the scenario's
+  /// analysis window.
+  bool HasTenantRow(const fleet::FleetStore& store, const std::string& tag) {
+    const TimeInterval window = scenario_->MakeContext().AnalysisWindow();
+    return store.Get(fleet::FleetKey{tag, "", window.begin, window.end})
+               .record != nullptr;
+  }
+
   std::unique_ptr<ScenarioOutput> scenario_;
   std::unique_ptr<diag::SymptomsDb> symptoms_;
 };
@@ -1201,9 +1212,12 @@ TEST_F(EngineInvalidationTest, ExplicitTenantInvalidationIsScopedToTag) {
 }
 
 TEST_F(EngineInvalidationTest, CacheHitRepopulatesInvalidatedFleetStore) {
-  // An explicit fleet-store invalidation with no new monitoring data must
-  // not make the tenant vanish from fleet queries forever: the next
-  // (generation-valid) cache hit republishes the verdict.
+  // An explicit fleet-store removal with no new monitoring data must not
+  // make the tenant vanish from fleet queries forever: the next
+  // (generation-valid) cache hit republishes the verdict, once, after
+  // each of the four removal paths. Every path drops the tenant-level row
+  // and bumps the store's invalidation epoch, which is what sends a hit
+  // to look at the store.
   fleet::FleetStore store;
   EngineOptions options;
   options.workers = 2;
@@ -1214,33 +1228,147 @@ TEST_F(EngineInvalidationTest, CacheHitRepopulatesInvalidatedFleetStore) {
   EXPECT_EQ(engine.Stats().fleet_publishes, 1u);
   ASSERT_GT(store.TotalCounters().entries, 0u);
 
-  ASSERT_GT(store.InvalidateTenant("tenant-a"), 0u);
-  ASSERT_EQ(store.TotalCounters().entries, 0u);
+  // A hit with no removal since the entry was stamped publishes nothing.
+  DiagnosisResponse first_hit = engine.Submit(Request("tenant-a")).get();
+  ASSERT_TRUE(first_hit.ok());
+  EXPECT_TRUE(first_hit.cache_hit);
+  EXPECT_EQ(engine.Stats().fleet_publishes, 1u);
 
-  DiagnosisResponse hit = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(engine.Stats().fleet_publishes, 2u);
-  EXPECT_GT(store.TotalCounters().entries, 0u);
+  // DropStale drops the rows older than the generation it is told the
+  // component has reached; claiming one more than V1 holds drops them
+  // without an append, so the result cache keeps hitting.
+  const uint64_t v1_generation =
+      scenario_->testbed->store.ComponentGeneration(scenario_->testbed->v1);
+  const std::vector<std::pair<std::string, std::function<size_t()>>>
+      removals = {
+          {"InvalidateTenant",
+           [&] { return store.InvalidateTenant("tenant-a"); }},
+          {"InvalidateComponent",
+           [&] { return store.InvalidateComponent("tenant-a", "V1"); }},
+          {"DropStale",
+           [&] {
+             return store.DropStale("tenant-a", "V1", v1_generation + 1);
+           }},
+          {"Clear",
+           [&] {
+             const size_t rows = store.TotalCounters().entries;
+             store.Clear();
+             return rows;
+           }},
+      };
+  uint64_t publishes = 1;
+  for (const auto& [name, remove] : removals) {
+    SCOPED_TRACE(name);
+    const uint64_t epoch = store.invalidation_epoch();
+    ASSERT_GT(remove(), 0u);
+    EXPECT_EQ(store.invalidation_epoch(), epoch + 1);
+    EXPECT_FALSE(HasTenantRow(store, "tenant-a"));
 
-  // A further hit with the store already populated does not republish.
-  DiagnosisResponse again = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(engine.Stats().fleet_publishes, 2u);
+    DiagnosisResponse hit = engine.Submit(Request("tenant-a")).get();
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(engine.Stats().fleet_publishes, ++publishes);
+    EXPECT_TRUE(HasTenantRow(store, "tenant-a"));
+    fleet::FleetQuery query(&store);
+    EXPECT_EQ(query.TenantsSharingComponent("V1"),
+              (std::vector<std::string>{"tenant-a"}));
 
-  // Component-level invalidation also repopulates on the next hit: the
-  // store drops the tenant row alongside the component's, which is the
-  // signal the cache-hit path checks.
-  ASSERT_GT(store.InvalidateComponent("tenant-a", "V1"), 0u);
-  DiagnosisResponse after_component =
-      engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(after_component.ok());
-  EXPECT_TRUE(after_component.cache_hit);
-  EXPECT_EQ(engine.Stats().fleet_publishes, 3u);
-  fleet::FleetQuery query(&store);
-  EXPECT_EQ(query.TenantsSharingComponent("V1"),
-            (std::vector<std::string>{"tenant-a"}));
+    // A further hit with the store already populated does not republish.
+    DiagnosisResponse again = engine.Submit(Request("tenant-a")).get();
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again.cache_hit);
+    EXPECT_EQ(engine.Stats().fleet_publishes, publishes);
+  }
+}
+
+TEST_F(EngineInvalidationTest, RemovalsRacingCacheHitsLeaveNoTenantRowLost) {
+  // Pollers hit cached questions while one thread removes tenant and
+  // component rows. A hit looks at the fleet store only when the store's
+  // invalidation epoch moved, and records the epoch it read before
+  // looking. That is sound only because a removal bumps the epoch after
+  // its erase: bumped before, a poller could read the new epoch, still
+  // find the row, record the epoch, and the erase then drop the row for
+  // good. Each round ends with one poll per question, which must leave
+  // every tenant row present. Only a round's last removal can lose a
+  // row, so the test runs many rounds, and ballast rows of other tenants
+  // lengthen each removal's walk over the shards: the window in which a
+  // misordered bump would be seen.
+  fleet::FleetStore store;
+  for (int i = 0; i < 200; ++i) {
+    fleet::TenantVerdict ballast;
+    ballast.tenant = StrFormat("ballast-%03d", i);
+    for (int c = 0; c < 20; ++c) {
+      fleet::ComponentVerdict component;
+      component.component = StrFormat("B%02d", c);
+      ballast.components.push_back(component);
+    }
+    store.Publish(ballast);
+  }
+  EngineOptions options;
+  options.workers = 2;
+  options.fleet_store = &store;
+  DiagnosisEngine engine(options, symptoms_.get());
+
+  const std::vector<std::string> tenants = {"tenant-0", "tenant-1",
+                                            "tenant-2", "tenant-3"};
+  for (const std::string& tenant : tenants) {
+    ASSERT_TRUE(engine.Submit(Request(tenant)).get().ok());
+  }
+  std::vector<DiagnosisRequest> questions;
+  for (const std::string& tenant : tenants) {
+    questions.push_back(Request(tenant));
+  }
+  auto poll = [&](const DiagnosisRequest& question) {
+    DiagnosisResponse response = engine.Submit(question).get();
+    return response.ok() && response.cache_hit;
+  };
+
+  constexpr int kRounds = 30;
+  constexpr int kPollers = 3;
+  constexpr int kRemovalsPerRound = 8;
+  int rounds_losing_a_row = 0;
+  std::atomic<int> failed_polls{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> polls{0};
+    std::vector<std::thread> pollers;
+    for (int p = 0; p < kPollers; ++p) {
+      pollers.emplace_back([&, p] {
+        for (size_t i = static_cast<size_t>(p); !stop.load(); ++i) {
+          if (!poll(questions[i % questions.size()])) ++failed_polls;
+          ++polls;
+        }
+      });
+    }
+    std::thread remover([&] {
+      for (int i = 0; i < kRemovalsPerRound; ++i) {
+        // Remove only while the pollers are polling.
+        const uint64_t seen = polls.load();
+        while (polls.load() < seen + 2 * kPollers) std::this_thread::yield();
+        const std::string& tenant = tenants[(round + i) % tenants.size()];
+        if ((round + i) % 2 == 0) {
+          store.InvalidateTenant(tenant);
+        } else {
+          store.InvalidateComponent(tenant, "V1");
+        }
+      }
+    });
+    remover.join();
+    stop = true;
+    for (std::thread& poller : pollers) poller.join();
+
+    for (const DiagnosisRequest& question : questions) {
+      ASSERT_TRUE(poll(question));
+    }
+    for (const std::string& tenant : tenants) {
+      if (!HasTenantRow(store, tenant)) {
+        ++rounds_losing_a_row;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(rounds_losing_a_row, 0);
+  EXPECT_EQ(failed_polls.load(), 0);
 }
 
 TEST_F(EngineInvalidationTest, ExplicitComponentInvalidationMatchesReport) {

@@ -182,6 +182,34 @@ TEST(FleetStoreTest, DropStaleUsesGenerationThreshold) {
   EXPECT_EQ(store.Get(FleetKey{"t", "", 1000, 2000}).record, nullptr);
 }
 
+TEST(FleetStoreTest, InvalidationEpochCountsRemovalsThatErased) {
+  // One bump per removal call that erased a row, whichever of the four it
+  // is; publishes and removals that match nothing leave the epoch alone.
+  FleetStore store;
+  EXPECT_EQ(store.invalidation_epoch(), 0u);
+  auto publish = [&] {
+    store.Publish(MakeVerdict("t", 4, {MakeComponent("V1", 0.9, 4),
+                                       MakeComponent("V2", 0.9, 4)}));
+  };
+  publish();
+  EXPECT_EQ(store.invalidation_epoch(), 0u);
+  EXPECT_EQ(store.InvalidateTenant("other"), 0u);
+  EXPECT_EQ(store.InvalidateComponent("t", "V9"), 1u);  // The tenant row.
+  EXPECT_EQ(store.invalidation_epoch(), 1u);
+  EXPECT_EQ(store.DropStale("t", "V1", 4), 0u);
+  EXPECT_EQ(store.invalidation_epoch(), 1u);
+  EXPECT_EQ(store.DropStale("t", "V1", 5), 1u);  // V1 (tenant row gone).
+  EXPECT_EQ(store.invalidation_epoch(), 2u);
+  EXPECT_EQ(store.InvalidateTenant("t"), 1u);  // V2.
+  EXPECT_EQ(store.invalidation_epoch(), 3u);
+  store.Clear();  // Nothing left to clear.
+  EXPECT_EQ(store.invalidation_epoch(), 3u);
+  publish();
+  store.Clear();
+  EXPECT_EQ(store.invalidation_epoch(), 4u);
+  EXPECT_EQ(store.TotalCounters().entries, 0u);
+}
+
 TEST(FleetStoreTest, ShardPublishDistributionIsPopulated) {
   FleetStore store(FleetStore::Options{8});
   for (int t = 0; t < 32; ++t) {
