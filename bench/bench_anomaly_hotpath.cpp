@@ -13,10 +13,13 @@
 //      the baseline). Every batched result is checked against the naive
 //      result; max |delta| above 1e-9 exits non-zero.
 //
-//   2. model_fit — full refit per score (ScoreAnomaly: sort + bandwidth
-//      selection + evaluate) vs a warm BaselineModelCache hit
-//      (FitCachedModel + ScoreWithModel). The scores must match bit for
-//      bit — a mismatch exits non-zero.
+//   2. model_fit — a fresh fit per score (ScoreAnomaly: sort + bandwidth
+//      selection + evaluate, allocating its buffers) vs a refit into
+//      reused buffers (SortedKde::Refit + ScoreWithModel through a
+//      ScoreScratch), the way Modules CO, DA and CR fit every baseline,
+//      from the 20 values of a periodic query's satisfactory runs up to
+//      10^4. The scores must match bit for bit — a mismatch exits
+//      non-zero.
 //
 //   3. store_slice — TimeSeriesStore window queries: a copy of the slice
 //      vs the SampleSpan view (SliceView) plus MeanIn, over random
@@ -40,7 +43,6 @@
 #include "common/sim_time.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
-#include "diads/model_cache.h"
 #include "monitor/timeseries.h"
 #include "stats/anomaly.h"
 #include "stats/kde.h"
@@ -141,12 +143,12 @@ KdeEvalRow RunKdeEval(const BenchOptions& bench, int baseline_n,
   return row;
 }
 
-// --- Experiment 2: refit per score vs warm model cache ---------------------
+// --- Experiment 2: fresh fit vs refit in reused buffers --------------------
 
 struct ModelFitRow {
   int baseline = 0;
-  double refit_us = 0;   ///< ScoreAnomaly (fit + evaluate) per call.
-  double cached_us = 0;  ///< Warm FitCachedModel + ScoreWithModel per call.
+  double fit_us = 0;    ///< ScoreAnomaly (fresh fit + evaluate) per call.
+  double refit_us = 0;  ///< Refit + ScoreWithModel in reused buffers.
   double speedup = 0;
 };
 
@@ -154,67 +156,46 @@ ModelFitRow RunModelFit(const BenchOptions& bench, int baseline_n,
                         const std::vector<double>& baseline,
                         const std::vector<double>& observations) {
   const stats::AnomalyConfig config;
-  diag::BaselineModelCache cache;
-  diag::BaselineModelKey key;
-  key.source = &cache;  // Any stable identity works for the bench.
-  key.series = 1;
-  key.config_fingerprint = diag::AnomalyConfigFingerprint(config);
-  key.provenance_fingerprint = diag::HashDoubles(baseline);
-  // The extractor stands in for the per-run baseline extraction a module
-  // performs on a miss (a copy models its cost floor).
-  const auto extract = [&baseline] {
-    diag::ExtractedBaseline e;
-    e.values = baseline;
-    return e;
-  };
-
-  Result<stats::AnomalyScore> refit_score =
-      stats::ScoreAnomaly(baseline, observations, config);
-  if (!refit_score.ok()) {
-    std::fprintf(stderr, "refit scoring failed\n");
-    std::exit(1);
-  }
-  // Warm the cache once; every timed iteration below is a hit.
-  {
-    Result<diag::CachedBaseline> base = diag::GetOrFitBaseline(
-        &cache, key, /*generation=*/1, config.bandwidth_rule, extract);
-    if (!base.ok() || base->model == nullptr) {
-      std::fprintf(stderr, "model fit failed\n");
+  stats::SortedKde model;
+  stats::ScoreScratch scratch;
+  const auto refit_score = [&]() -> double {
+    if (!model.Refit(baseline, config.bandwidth_rule).ok()) {
+      std::fprintf(stderr, "model refit failed\n");
       std::exit(1);
     }
-  }
+    return stats::ScoreWithModel(model, observations, config, &scratch)
+        ->score;
+  };
+  refit_score();  // Grows the buffers; every timed refit reuses them.
 
-  const int calls = std::max(1, bench.iters);
+  // Short baselines fit in about a microsecond: time enough calls to
+  // resolve that.
+  const int calls = std::max(std::max(1, bench.iters), 100000 / baseline_n);
+  const Clock::time_point fit_start = Clock::now();
+  double fit_sink = 0;
+  for (int it = 0; it < calls; ++it) {
+    fit_sink += stats::ScoreAnomaly(baseline, observations, config)->score;
+  }
+  const double fit_us = ElapsedUs(fit_start) / calls;
+
   const Clock::time_point refit_start = Clock::now();
   double refit_sink = 0;
-  for (int it = 0; it < calls; ++it) {
-    refit_sink += stats::ScoreAnomaly(baseline, observations, config)->score;
-  }
+  for (int it = 0; it < calls; ++it) refit_sink += refit_score();
   const double refit_us = ElapsedUs(refit_start) / calls;
 
-  const Clock::time_point cached_start = Clock::now();
-  double cached_sink = 0;
-  for (int it = 0; it < calls; ++it) {
-    Result<diag::CachedBaseline> base = diag::GetOrFitBaseline(
-        &cache, key, /*generation=*/1, config.bandwidth_rule, extract);
-    cached_sink +=
-        stats::ScoreWithModel(*base->model, observations, config)->score;
-  }
-  const double cached_us = ElapsedUs(cached_start) / calls;
-
-  if (refit_sink != cached_sink) {
+  if (fit_sink != refit_sink) {
     std::fprintf(stderr,
-                 "EXACTNESS VIOLATION: cached-model score differs from "
-                 "refit score (baseline=%d)\n",
+                 "EXACTNESS VIOLATION: refitted-model score differs from "
+                 "fresh-fit score (baseline=%d)\n",
                  baseline_n);
     std::exit(1);
   }
 
   ModelFitRow row;
   row.baseline = baseline_n;
+  row.fit_us = fit_us;
   row.refit_us = refit_us;
-  row.cached_us = cached_us;
-  row.speedup = cached_us > 0 ? refit_us / cached_us : 0;
+  row.speedup = refit_us > 0 ? fit_us / refit_us : 0;
   return row;
 }
 
@@ -363,25 +344,25 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", kde_table.Render().c_str());
 
-  // --- 2. refit per score vs warm model cache -----------------------------
+  // --- 2. fresh fit vs refit in reused buffers ----------------------------
   TablePrinter fit_table(
-      {"Baseline", "Refit (us)", "Cached (us)", "Speedup"});
-  for (int n : {100, 1000, 10000}) {
+      {"Baseline", "Fit+score (us)", "Refit+score (us)", "Speedup"});
+  for (int n : {20, 100, 1000, 10000}) {
     SeededRng rng(bench.seed + 1000 + static_cast<uint64_t>(n));
     const std::vector<double> baseline = NormalDraws(&rng, n, 100, 5);
     const std::vector<double> observations =
         NormalDraws(&rng, bench.observations, 140, 5);
     ModelFitRow row = RunModelFit(bench, n, baseline, observations);
     fit_table.AddRow({StrFormat("%d", row.baseline),
-                      StrFormat("%.1f", row.refit_us),
-                      StrFormat("%.1f", row.cached_us),
+                      StrFormat("%.2f", row.fit_us),
+                      StrFormat("%.2f", row.refit_us),
                       StrFormat("%.1fx", row.speedup)});
     diads::bench::BenchJson("anomaly_hotpath")
         .Str("experiment", "model_fit")
         .Int("baseline", row.baseline)
         .Int("observations", bench.observations)
+        .Num("fit_us", row.fit_us, 2)
         .Num("refit_us", row.refit_us, 2)
-        .Num("cached_us", row.cached_us, 2)
         .Num("speedup", row.speedup, 2)
         .Emit();
   }

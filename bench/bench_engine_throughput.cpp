@@ -28,15 +28,7 @@
 // digest against the serial ground truth; the headline is the p99
 // diagnosis latency ratio.
 //
-// A third experiment isolates the baseline-model cache: a fleet with a
-// deep run history (every diagnosis refits dozens of per-series KDEs) is
-// served a fresh-incident-only stream (result cache off, so every request
-// recomputes the module chain). "off" disables the model cache, "cold"
-// is the first pass of a cache-enabled engine (all misses + Put), "warm"
-// is the second pass over the same engine (all hits). Every report is
-// digest-verified against the serial ground truth.
-//
-// A fourth experiment measures the span tracer's overhead: the same
+// A third experiment measures the span tracer's overhead: the same
 // fresh-only compute-bound stream (zero-latency collection, result cache
 // off)
 // with the tracer attached vs detached, alternated passes, min-of-N wall
@@ -49,9 +41,7 @@
 //                               [--repeats=N] [--tenants=N] [--seed=N]
 //                               [--async-base-ms=N] [--async-slow-factor=N]
 //                               [--async-timeout-ms=N] [--async-fresh=N]
-//                               [--mc-good-runs=N] [--mc-bad-runs=N]
-//                               [--mc-fresh=N] [--trace-fresh=N]
-//                               [--trace-passes=N]
+//                               [--trace-fresh=N] [--trace-passes=N]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -87,12 +77,6 @@ struct BenchOptions {
   double async_slow_factor = 10; ///< V1's multiplier (the wedged agent).
   double async_timeout_ms = 15;  ///< Per-component fetch timeout.
   int async_fresh = 4;           ///< Fresh incidents per tenant, per mode.
-  // Model-cache experiment: a deep run history makes KDE fitting the
-  // dominant per-diagnosis cost, which is the fleet-scale regime
-  // (baselines of hundreds of runs, re-diagnosed per incident).
-  int mc_good_runs = 96;         ///< Satisfactory runs per tenant.
-  int mc_bad_runs = 24;          ///< Unsatisfactory runs per tenant.
-  int mc_fresh = 6;              ///< Fresh incidents per tenant, per pass.
   // Tracing-overhead experiment.
   int trace_fresh = 6;           ///< Fresh incidents per tenant, per pass.
   int trace_passes = 3;          ///< Passes per mode (min wall time wins).
@@ -294,73 +278,6 @@ AsyncModeResult RunAsyncMode(const workload::FleetWorkload& fleet,
   return result;
 }
 
-struct ModelCacheModeResult {
-  const char* mode = "";
-  int requests = 0;
-  double seconds = 0;
-  double per_sec = 0;
-  double p95_ms = 0;
-  uint64_t model_hits = 0;
-  uint64_t model_misses = 0;
-  double model_hit_rate = 0;
-};
-
-/// One measured pass of the model-cache experiment: a fresh-incident-only
-/// stream through `engine` (result cache off), digest-verified per tenant.
-/// Model-cache counters are netted against the pass start so cold and
-/// warm passes over one engine report their own hits/misses.
-ModelCacheModeResult RunModelCachePass(
-    const workload::FleetWorkload& fleet,
-    const std::vector<std::string>& serial_digests, const BenchOptions& bench,
-    engine::DiagnosisEngine* engine, const char* mode) {
-  const engine::EngineStatsSnapshot before = engine->Stats();
-  std::vector<engine::DiagnosisRequest> stream =
-      MakeStream(fleet, bench.mc_fresh, /*repeats=*/0);
-  std::vector<size_t> tenant_of_request;
-  for (int r = 0; r < bench.mc_fresh; ++r) {
-    for (size_t t = 0; t < fleet.tenants.size(); ++t) {
-      tenant_of_request.push_back(t);
-    }
-  }
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<engine::DiagnosisResponse> responses =
-      engine->BatchDiagnose(std::move(stream));
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (size_t i = 0; i < responses.size(); ++i) {
-    if (!responses[i].ok()) {
-      std::fprintf(stderr, "model-cache diagnosis failed: %s\n",
-                   responses[i].status.ToString().c_str());
-      std::exit(1);
-    }
-    if (diag::ReportDigest(*responses[i].report) !=
-        serial_digests[tenant_of_request[i]]) {
-      std::fprintf(stderr,
-                   "DIGEST MISMATCH: model-cache mode=%s request %zu "
-                   "differs from serial diagnosis\n",
-                   mode, i);
-      std::exit(1);
-    }
-  }
-  const engine::EngineStatsSnapshot after = engine->Stats();
-  if (std::getenv("DIADS_BENCH_DEBUG") != nullptr) {
-    std::printf("--- %s ---\n%s", mode, after.Render().c_str());
-  }
-  ModelCacheModeResult result;
-  result.mode = mode;
-  result.requests = static_cast<int>(responses.size());
-  result.seconds = seconds;
-  result.per_sec = seconds > 0 ? result.requests / seconds : 0;
-  result.p95_ms = LatencyPercentile(responses, 95);
-  result.model_hits = after.model_cache_hits - before.model_cache_hits;
-  result.model_misses = after.model_cache_misses - before.model_cache_misses;
-  const uint64_t total = result.model_hits + result.model_misses;
-  result.model_hit_rate =
-      total > 0 ? static_cast<double>(result.model_hits) / total : 0;
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -386,12 +303,6 @@ int main(int argc, char** argv) {
                 static_cast<int64_t>(bench.async_timeout_ms)));
   bench.async_fresh = static_cast<int>(
       FlagValue(argc, argv, "async-fresh", bench.async_fresh));
-  bench.mc_good_runs = static_cast<int>(
-      FlagValue(argc, argv, "mc-good-runs", bench.mc_good_runs));
-  bench.mc_bad_runs = static_cast<int>(
-      FlagValue(argc, argv, "mc-bad-runs", bench.mc_bad_runs));
-  bench.mc_fresh = static_cast<int>(
-      FlagValue(argc, argv, "mc-fresh", bench.mc_fresh));
   bench.trace_fresh = static_cast<int>(
       FlagValue(argc, argv, "trace-fresh", bench.trace_fresh));
   bench.trace_passes = static_cast<int>(
@@ -524,92 +435,6 @@ int main(int argc, char** argv) {
     diads::bench::BenchJson("engine_async_collection")
         .Str("mode", "summary")
         .Num("p99_speedup", speedup, 2)
-        .Emit();
-  }
-
-  // --- Model-cache experiment: cold vs warm fitted-baseline models --------
-  std::printf(
-      "\nBaseline-model cache on a deep-history fleet (%d satisfactory + "
-      "%d unsatisfactory runs per tenant, %d fresh incidents per tenant "
-      "per pass, result cache off):\n",
-      bench.mc_good_runs, bench.mc_bad_runs, bench.mc_fresh);
-  workload::FleetOptions mc_fleet_options = fleet_options;
-  mc_fleet_options.scenario_options.satisfactory_runs = bench.mc_good_runs;
-  mc_fleet_options.scenario_options.unsatisfactory_runs = bench.mc_bad_runs;
-  Result<workload::FleetWorkload> mc_fleet =
-      workload::BuildFleet(mc_fleet_options);
-  if (!mc_fleet.ok()) {
-    std::fprintf(stderr, "model-cache fleet build failed: %s\n",
-                 mc_fleet.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<std::string> mc_serial_digests;
-  for (const workload::FleetTenant& tenant : mc_fleet->tenants) {
-    Result<diag::DiagnosisReport> serial =
-        workload::SerialDiagnosis(tenant, diag::WorkflowConfig{}, &symptoms);
-    if (!serial.ok()) {
-      std::fprintf(stderr, "model-cache serial ground truth failed: %s\n",
-                   serial.status().ToString().c_str());
-      return 1;
-    }
-    mc_serial_digests.push_back(diag::ReportDigest(*serial));
-  }
-  engine::EngineOptions mc_options;
-  mc_options.workers = 4;
-  mc_options.enable_cache = false;  // Every request recomputes the modules.
-  mc_options.coalesce_identical = false;
-  std::vector<ModelCacheModeResult> mc_results;
-  {
-    engine::EngineOptions off_options = mc_options;
-    off_options.enable_model_cache = false;
-    engine::DiagnosisEngine off_engine(off_options, &symptoms);
-    mc_results.push_back(RunModelCachePass(*mc_fleet, mc_serial_digests,
-                                           bench, &off_engine, "off"));
-  }
-  {
-    engine::DiagnosisEngine on_engine(mc_options, &symptoms);
-    mc_results.push_back(RunModelCachePass(*mc_fleet, mc_serial_digests,
-                                           bench, &on_engine, "cold"));
-    mc_results.push_back(RunModelCachePass(*mc_fleet, mc_serial_digests,
-                                           bench, &on_engine, "warm"));
-  }
-  TablePrinter mc_table({"Model cache", "Requests", "Wall (s)",
-                         "Diagnoses/s", "p95 (ms)", "Hits", "Misses",
-                         "Hit rate"});
-  for (const ModelCacheModeResult& r : mc_results) {
-    mc_table.AddRow(
-        {r.mode, StrFormat("%d", r.requests), StrFormat("%.2f", r.seconds),
-         StrFormat("%.1f", r.per_sec), StrFormat("%.1f", r.p95_ms),
-         StrFormat("%llu", static_cast<unsigned long long>(r.model_hits)),
-         StrFormat("%llu", static_cast<unsigned long long>(r.model_misses)),
-         StrFormat("%.0f%%", r.model_hit_rate * 100)});
-    diads::bench::BenchJson("engine_model_cache")
-        .Str("mode", r.mode)
-        .Int("requests", r.requests)
-        .Num("wall_sec", r.seconds, 3)
-        .Num("diagnoses_per_sec", r.per_sec, 2)
-        .Num("p95_ms", r.p95_ms, 2)
-        .Uint("model_hits", r.model_hits)
-        .Uint("model_misses", r.model_misses)
-        .Num("model_hit_rate", r.model_hit_rate, 3)
-        .Int("good_runs", bench.mc_good_runs)
-        .Int("bad_runs", bench.mc_bad_runs)
-        .Emit();
-  }
-  std::printf("%s", mc_table.Render().c_str());
-  if (mc_results.size() == 3 && mc_results[0].per_sec > 0) {
-    const double warm_speedup =
-        mc_results[2].per_sec / mc_results[0].per_sec;
-    std::printf(
-        "\nWarm model cache: %.1f -> %.1f diagnoses/sec (%.2fx vs no model "
-        "cache; hit rate %.0f%%); all reports digest-identical to serial "
-        "diagnosis.\n",
-        mc_results[0].per_sec, mc_results[2].per_sec, warm_speedup,
-        mc_results[2].model_hit_rate * 100);
-    diads::bench::BenchJson("engine_model_cache")
-        .Str("mode", "summary")
-        .Num("warm_speedup", warm_speedup, 2)
-        .Num("warm_hit_rate", mc_results[2].model_hit_rate, 3)
         .Emit();
   }
 

@@ -31,10 +31,12 @@ Result<std::vector<DbOnlyCause>> DbOnlyDiagnoser::Diagnose(
   int anomalous_scans = 0;
   int scored_scans = 0;
   const db::Plan* plan = bad.front()->plan.get();
+  std::vector<double> baseline;
+  std::vector<double> observed;
   for (const db::PlanOp& op : plan->ops()) {
     if (!op.is_scan()) continue;
-    const std::vector<double> baseline = diag::OperatorSpans(good, op.index);
-    const std::vector<double> observed = diag::OperatorSpans(bad, op.index);
+    diag::OperatorSpans(good, op.index, &baseline);
+    diag::OperatorSpans(bad, op.index, &observed);
     if (baseline.size() < 2 || observed.empty()) continue;
     ++scored_scans;
     Result<stats::AnomalyScore> score =

@@ -78,9 +78,8 @@ class SlowdownDetector::Probe : public monitor::AppendListener {
       : detector_(detector), tenant_(tenant) {}
 
   void OnAppend(ComponentId component, monitor::MetricId metric,
-                const monitor::Sample& sample, uint64_t series_generation,
+                const monitor::Sample& sample,
                 uint32_t series_ordinal) override {
-    (void)series_generation;
     detector_->OnAppend(tenant_, component, metric, sample, series_ordinal);
   }
 

@@ -1,11 +1,10 @@
 #include "diads/correlated_operators.h"
 
 #include <algorithm>
-#include <memory>
+#include <iterator>
 
 #include "common/strings.h"
 #include "common/table_printer.h"
-#include "diads/model_cache.h"
 
 namespace diads::diag {
 
@@ -39,38 +38,17 @@ Result<CoResult> RunCorrelatedOperators(const DiagnosisContext& ctx,
         "plan");
   }
 
-  // Baseline-model identity shared by every operator of this plan: the
-  // baselines are per-run series, so the run catalog is the source, its
-  // size the append generation, and the satisfactory same-plan run set
-  // the provenance.
-  const TimeInterval window = ctx.AnalysisWindow();
-  const uint64_t config_fp =
-      AnomalyConfigFingerprint(config.operator_anomaly);
-  const uint64_t runs_generation = ctx.runs->size();
-  const uint64_t provenance = RunSetFingerprint(good_p);
-
   CoResult out;
+  SeriesScratch scratch;
   for (const db::PlanOp& op : ctx.apg->plan().ops()) {
-    BaselineModelKey key;
-    key.source = ctx.runs;
-    key.series = SeriesIdOfOperator(/*kind=*/1, fp, op.index);
-    key.window_begin = window.begin;
-    key.window_end = window.end;
-    key.config_fingerprint = config_fp;
-    key.provenance_fingerprint = provenance;
-    Result<CachedBaseline> base = GetOrFitBaseline(
-        ctx.model_cache, key, runs_generation,
-        config.operator_anomaly.bandwidth_rule, [&good_p, &op] {
-          ExtractedBaseline e;
-          e.values = OperatorSpans(good_p, op.index);
-          return e;
-        },
-        ctx.model_lookups);
-    DIADS_RETURN_IF_ERROR(base.status());
-    const std::vector<double> observed = OperatorSpans(bad_p, op.index);
-    if (base->model == nullptr || observed.empty()) continue;
-    Result<stats::AnomalyScore> score = stats::ScoreWithModel(
-        *base->model, observed, config.operator_anomaly);
+    OperatorSpans(good_p, op.index, &scratch.baseline);
+    const bool fitted =
+        FitBaseline(ctx, config.operator_anomaly.bandwidth_rule, &scratch);
+    OperatorSpans(bad_p, op.index, &scratch.observed);
+    if (!fitted || scratch.observed.empty()) continue;
+    Result<stats::AnomalyScore> score =
+        stats::ScoreWithModel(scratch.model, scratch.observed,
+                              config.operator_anomaly, &scratch.score);
     DIADS_RETURN_IF_ERROR(score.status());
     OperatorAnomaly a;
     a.op_index = op.index;

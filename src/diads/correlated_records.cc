@@ -1,11 +1,9 @@
 #include "diads/correlated_records.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/strings.h"
 #include "common/table_printer.h"
-#include "diads/model_cache.h"
 
 namespace diads::diag {
 
@@ -19,35 +17,18 @@ Result<CrResult> RunCorrelatedRecords(const DiagnosisContext& ctx,
         "Module CR needs labelled runs on both sides");
   }
 
-  const TimeInterval window = ctx.AnalysisWindow();
-  const uint64_t config_fp =
-      AnomalyConfigFingerprint(config.record_deviation);
-  const uint64_t plan_fp = ctx.apg->plan().Fingerprint();
-  const uint64_t runs_generation = ctx.runs->size();
-  const uint64_t provenance = RunSetFingerprint(good);
-
   CrResult out;
+  SeriesScratch scratch;
   for (int op_index : co.correlated_operator_set) {
-    BaselineModelKey key;
-    key.source = ctx.runs;
-    key.series = SeriesIdOfOperator(/*kind=*/2, plan_fp, op_index);
-    key.window_begin = window.begin;
-    key.window_end = window.end;
-    key.config_fingerprint = config_fp;
-    key.provenance_fingerprint = provenance;
-    Result<CachedBaseline> base = GetOrFitBaseline(
-        ctx.model_cache, key, runs_generation,
-        config.record_deviation.bandwidth_rule, [&good, op_index] {
-          ExtractedBaseline e;
-          e.values = OperatorRecordCounts(good, op_index);
-          return e;
-        },
-        ctx.model_lookups);
-    DIADS_RETURN_IF_ERROR(base.status());
-    const std::vector<double> observed = OperatorRecordCounts(bad, op_index);
-    if (base->model == nullptr || observed.empty()) continue;
-    Result<stats::AnomalyScore> score = stats::ScoreDeviationWithModel(
-        *base->model, observed, config.record_deviation);
+    OperatorRecordCounts(good, op_index, &scratch.baseline);
+    const bool fitted =
+        FitBaseline(ctx, config.record_deviation.bandwidth_rule, &scratch);
+    OperatorRecordCounts(bad, op_index, &scratch.observed);
+    if (!fitted || scratch.observed.empty()) continue;
+    Result<stats::AnomalyScore> score =
+        stats::ScoreDeviationWithModel(scratch.model, scratch.observed,
+                                       config.record_deviation,
+                                       &scratch.score);
     DIADS_RETURN_IF_ERROR(score.status());
     RecordCountAnomaly a;
     a.op_index = op_index;

@@ -7,7 +7,6 @@
 
 #include "common/strings.h"
 #include "common/table_printer.h"
-#include "diads/model_cache.h"
 #include "stats/correlation.h"
 
 namespace diads::diag {
@@ -19,15 +18,6 @@ struct OpSpanRanks {
   size_t count = 0;            ///< Runs the operator appeared in.
   std::vector<int32_t> ranks;  ///< stats::CentredRanks of the spans.
   int64_t sum_sq = 0;          ///< Sum of ranks[i]^2.
-};
-
-/// The metric loop's buffers, reused for every metric of a diagnosis:
-/// once they have grown to the run count, scoring a metric allocates
-/// nothing.
-struct MetricScratch {
-  std::vector<double> observed;  ///< Per-unsatisfactory-run means.
-  stats::ScoreScratch score;     ///< CDFs and the observations' order.
-  std::vector<int32_t> ranks;    ///< The metric's centred ranks, all runs.
 };
 
 /// stats::CentredRanks of baseline-then-observations without sorting
@@ -94,8 +84,9 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
   std::sort(cos.begin(), cos.end());
   cos.erase(std::unique(cos.begin(), cos.end()), cos.end());
   std::vector<OpSpanRanks> op_ranks(cos.size());
+  std::vector<double> spans;
   for (size_t slot = 0; slot < cos.size(); ++slot) {
-    const std::vector<double> spans = OperatorSpans(all_runs, cos[slot]);
+    OperatorSpans(all_runs, cos[slot], &spans);
     OpSpanRanks& entry = op_ranks[slot];
     entry.count = spans.size();
     entry.ranks = stats::CentredRanks(spans);
@@ -119,19 +110,6 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
   component_ops.erase(std::unique(component_ops.begin(), component_ops.end()),
                       component_ops.end());
 
-  // The model cache keys metric-series baselines on the *authoritative*
-  // store: when the engine diagnoses over a per-request collected
-  // snapshot, ctx.store is ephemeral but the tenant's live store
-  // identifies the series. The generation comes from ctx.store: a
-  // snapshot shares the source's buffer and records its generation at
-  // the fetch, so a baseline is stamped with the generation of the data
-  // it was extracted from, and a diagnosis over a snapshot never reads
-  // the live store.
-  const monitor::TimeSeriesStore* authority = ctx.Authority();
-  const TimeInterval window = ctx.AnalysisWindow();
-  const uint64_t config_fp = AnomalyConfigFingerprint(config.metric_anomaly);
-  const uint64_t provenance = RunSetFingerprint(good);
-
   DaResult out;
   size_t metric_count = 0;
   for (size_t row = 0; row < component_ops.size(); ++row) {
@@ -140,11 +118,15 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
     }
   }
   out.metrics.reserve(metric_count);
-  MetricScratch scratch;
+  // Every metric is extracted, fitted and scored through these buffers,
+  // and `ranks` holds its centred ranks over all runs.
+  SeriesScratch scratch;
+  scratch.baseline.reserve(good.size());
   scratch.observed.reserve(bad.size());
   scratch.score.order.reserve(bad.size());
   scratch.score.cdf.reserve(bad.size());
-  scratch.ranks.reserve(all_runs.size());
+  std::vector<int32_t> ranks;
+  ranks.reserve(all_runs.size());
 
   for (size_t first = 0; first < component_ops.size();) {
     const ComponentId component = component_ops[first].first;
@@ -157,60 +139,43 @@ Result<DaResult> RunDependencyAnalysis(const DiagnosisContext& ctx,
     for (monitor::MetricId metric : ctx.store->MetricsFor(component)) {
       const std::vector<monitor::Sample>& series =
           ctx.store->Series(component, metric);
-      BaselineModelKey key;
-      key.source = authority;
-      key.series = SeriesIdOfMetric(component, metric);
-      key.window_begin = window.begin;
-      key.window_end = window.end;
-      key.config_fingerprint = config_fp;
-      key.provenance_fingerprint = provenance;
-      Result<CachedBaseline> base = GetOrFitBaseline(
-          ctx.model_cache, key, ctx.store->Generation(component, metric),
-          config.metric_anomaly.bandwidth_rule,
-          [&series, &good] {
-            ExtractedBaseline e;
-            e.values.reserve(good.size());
-            e.missing = MetricPerRun(series, good, &e.values);
-            return e;
-          },
-          ctx.model_lookups);
-      DIADS_RETURN_IF_ERROR(base.status());
-      const int missing_good = base->missing;
-      const int missing_bad = MetricPerRun(series, bad, &scratch.observed);
-      if (base->model == nullptr || scratch.observed.empty()) continue;
+      MetricPerRun(series, good, &scratch.baseline);
+      const bool fitted =
+          FitBaseline(ctx, config.metric_anomaly.bandwidth_rule, &scratch);
+      MetricPerRun(series, bad, &scratch.observed);
+      if (!fitted || scratch.observed.empty()) continue;
 
       Result<stats::AnomalyScore> score = stats::ScoreWithModel(
-          *base->model, scratch.observed, config.metric_anomaly,
+          scratch.model, scratch.observed, config.metric_anomaly,
           &scratch.score);
       DIADS_RETURN_IF_ERROR(score.status());
 
       // Correlation of the metric with the running time of the dependent
-      // COS operators across *all* labelled runs (property (ii)). With no
-      // per-run extraction gaps the metric's all-run series is exactly
-      // baseline-then-observations (all_runs is good-then-bad and
-      // MetricPerRun is per-run), so it is ranked by merging the two
+      // COS operators across *all* labelled runs (property (ii)). A series
+      // with samples has a mean for every run, so the metric's all-run
+      // series is exactly baseline-then-observations (all_runs is
+      // good-then-bad), and an operator that ran in every labelled run
+      // lines up with it run by run. It is ranked by merging the two
       // sides' sorted orders, and each operator costs one integer dot
       // product. A constant side correlates 0 with anything.
       double best_corr = 0;
-      if (missing_good == 0 && missing_bad == 0) {
-        const size_t n = base->values->size() + scratch.observed.size();
-        int64_t sum_sq = -1;  // Ranked on the first operator that needs it.
-        for (size_t row = first; row < last; ++row) {
-          const OpSpanRanks& spans = op_ranks[component_ops[row].second];
-          if (spans.count != n || spans.sum_sq == 0) continue;
-          if (sum_sq < 0) {
-            sum_sq = MergeCentredRanks(*base->model, scratch.observed,
-                                       scratch.score.order, &scratch.ranks);
-            if (sum_sq == 0) break;
-          }
-          int64_t dot = 0;
-          for (size_t k = 0; k < n; ++k) {
-            dot += int64_t{scratch.ranks[k]} * spans.ranks[k];
-          }
-          const double corr =
-              stats::CentredRankCorrelation(dot, sum_sq, spans.sum_sq);
-          if (std::fabs(corr) > std::fabs(best_corr)) best_corr = corr;
+      const size_t n = scratch.baseline.size() + scratch.observed.size();
+      int64_t sum_sq = -1;  // Ranked on the first operator that needs it.
+      for (size_t row = first; row < last; ++row) {
+        const OpSpanRanks& spans = op_ranks[component_ops[row].second];
+        if (spans.count != n || spans.sum_sq == 0) continue;
+        if (sum_sq < 0) {
+          sum_sq = MergeCentredRanks(scratch.model, scratch.observed,
+                                     scratch.score.order, &ranks);
+          if (sum_sq == 0) break;
         }
+        int64_t dot = 0;
+        for (size_t k = 0; k < n; ++k) {
+          dot += int64_t{ranks[k]} * spans.ranks[k];
+        }
+        const double corr =
+            stats::CentredRankCorrelation(dot, sum_sq, spans.sum_sq);
+        if (std::fabs(corr) > std::fabs(best_corr)) best_corr = corr;
       }
 
       MetricAnomaly m;

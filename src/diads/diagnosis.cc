@@ -188,45 +188,43 @@ const char* ConfidenceBandName(ConfidenceBand band) {
   return "?";
 }
 
-std::vector<double> OperatorSpans(
-    const std::vector<const db::QueryRunRecord*>& runs, int op_index) {
-  std::vector<double> out;
-  out.reserve(runs.size());
+void OperatorSpans(const std::vector<const db::QueryRunRecord*>& runs,
+                   int op_index, std::vector<double>* out) {
+  out->clear();
   for (const db::QueryRunRecord* run : runs) {
     const db::OperatorRunStats* stats = run->FindOp(op_index);
     if (stats != nullptr) {
-      out.push_back(static_cast<double>(stats->span_ms()));
+      out->push_back(static_cast<double>(stats->span_ms()));
     }
   }
-  return out;
 }
 
-std::vector<double> OperatorRecordCounts(
-    const std::vector<const db::QueryRunRecord*>& runs, int op_index) {
-  std::vector<double> out;
-  out.reserve(runs.size());
+void OperatorRecordCounts(const std::vector<const db::QueryRunRecord*>& runs,
+                          int op_index, std::vector<double>* out) {
+  out->clear();
   for (const db::QueryRunRecord* run : runs) {
     const db::OperatorRunStats* stats = run->FindOp(op_index);
-    if (stats != nullptr) out.push_back(stats->actual_rows);
+    if (stats != nullptr) out->push_back(stats->actual_rows);
   }
-  return out;
 }
 
-int MetricPerRun(const std::vector<monitor::Sample>& series,
-                 const std::vector<const db::QueryRunRecord*>& runs,
-                 std::vector<double>* out) {
+void MetricPerRun(const std::vector<monitor::Sample>& series,
+                  const std::vector<const db::QueryRunRecord*>& runs,
+                  std::vector<double>* out) {
   out->clear();
   monitor::MeanCursor cursor(series);
-  int missed = 0;
   for (const db::QueryRunRecord* run : runs) {
     double mean = 0;
-    if (cursor.MeanIn(run->interval, &mean)) {
-      out->push_back(mean);
-    } else {
-      ++missed;
-    }
+    if (cursor.MeanIn(run->interval, &mean)) out->push_back(mean);
   }
-  return missed;
+}
+
+bool FitBaseline(const DiagnosisContext& ctx, stats::BandwidthRule rule,
+                 SeriesScratch* scratch) {
+  if (ctx.model_lookups != nullptr) ++ctx.model_lookups->misses;
+  // Refit fails only on an empty baseline, which is under the threshold.
+  return scratch->baseline.size() >= 2 &&
+         scratch->model.Refit(scratch->baseline, rule).ok();
 }
 
 }  // namespace diads::diag

@@ -29,8 +29,6 @@
 
 namespace diads::diag {
 
-class BaselineModelCache;  // diads/model_cache.h
-
 /// Workflow thresholds. Defaults follow Section 5 (anomaly threshold 0.8)
 /// and Section 4.1 (confidence bands high >= 80%, medium >= 50%).
 struct WorkflowConfig {
@@ -63,38 +61,28 @@ struct DiagnosisContext {
   /// catalog copy); nullptr disables what-if probing.
   std::function<Result<uint64_t>(const SystemEvent&)> plan_whatif_probe;
 
-  /// Optional anomaly-model fast path: when non-null, Modules CO/DA/CR
-  /// memoize their fitted baseline KDEs here across diagnoses. Pure
-  /// performance — a hit reproduces the refit's scores bit for bit, so
-  /// reports are ReportDigest-identical with the cache on or off.
-  BaselineModelCache* model_cache = nullptr;
-  /// Identity of the metric series in model-cache keys. Defaults to
-  /// `store` when null; the engine points it at the tenant's live store
-  /// so diagnoses over per-request collected snapshots (whose store
-  /// pointers are ephemeral) still share models. Series generations come
-  /// from `store`: a snapshot records each series' generation at its
-  /// fetch, so only the pointer of this store is used while diagnosing.
+  /// The tenant's live store when `store` is a per-request collected
+  /// snapshot (the engine, perfbench's traced pass); null means `store`
+  /// itself. The engine's result-cache stamps and fleet verdict stamps
+  /// read its append counters through Authority(). No module reads it:
+  /// a snapshot shares the source's buffers as they were at the fetch.
   const monitor::TimeSeriesStore* model_authority = nullptr;
 
   /// Observability plumbing. Both are strictly write-only side channels:
   /// nothing the workflow computes reads them, so enabling tracing or
-  /// lookup accounting cannot change a report (ReportDigest-neutral).
+  /// fit accounting cannot change a report (ReportDigest-neutral).
   ///
   /// Trace context for this diagnosis; modules open child spans under it.
   /// Disabled (no-op) by default.
   obs::TraceContext trace;
-  /// When non-null, GetOrFitBaseline attributes its cache hits/misses to
-  /// this diagnosis here (feeds the per-diagnosis CostProfile).
+  /// When non-null, Modules CO/DA/CR count every baseline they extract
+  /// and fit here, as `misses` (FitBaseline); `hits` stays 0.
   obs::ModelLookupCounters* model_lookups = nullptr;
 
   /// The effective authority: `model_authority` when set, else `store`.
-  /// The single fallback rule every consumer must share — model-cache
-  /// keys name their source by it, and the engine's result-cache stamps
-  /// and fleet verdict stamps validate against its append counters; they
-  /// only agree because they all call this. Module DA reads no counter of
-  /// it: a collected snapshot shares the source's buffers and carries
-  /// their generations, so its series' generations equal the
-  /// authority's at the fetch.
+  /// The single fallback rule every consumer shares: the engine's
+  /// result-cache stamps and fleet verdict stamps validate against its
+  /// append counters, and they only agree because they all call this.
   const monitor::TimeSeriesStore* Authority() const {
     return model_authority != nullptr ? model_authority : store;
   }
@@ -278,22 +266,44 @@ struct DiagnosisReport {
   }
 };
 
-/// Per-run series extraction helpers shared by the modules.
+/// Per-run series extraction helpers shared by the modules. Each writes
+/// `out` in run order after clearing it, so a reused buffer allocates
+/// nothing once it has grown.
 ///
-/// Running time t(O) per run for one operator (paper: stop - start).
-std::vector<double> OperatorSpans(
-    const std::vector<const db::QueryRunRecord*>& runs, int op_index);
-/// Actual record counts per run for one operator.
-std::vector<double> OperatorRecordCounts(
-    const std::vector<const db::QueryRunRecord*>& runs, int op_index);
+/// Running time t(O) per run for one operator (paper: stop - start); runs
+/// without the operator are skipped.
+void OperatorSpans(const std::vector<const db::QueryRunRecord*>& runs,
+                   int op_index, std::vector<double>* out);
+/// Actual record counts per run for one operator; runs without the
+/// operator are skipped.
+void OperatorRecordCounts(const std::vector<const db::QueryRunRecord*>& runs,
+                          int op_index, std::vector<double>* out);
 /// Per-run mean (monitor::MeanIn) of one metric series over each run's
-/// interval, written to `out` in run order after clearing it (so a reused
-/// buffer allocates nothing once it has grown). Runs with no sample are
-/// skipped in `out`; returns how many. Runs in time order sweep the
-/// series forward once (monitor::MeanCursor).
-int MetricPerRun(const std::vector<monitor::Sample>& series,
-                 const std::vector<const db::QueryRunRecord*>& runs,
-                 std::vector<double>* out);
+/// interval. A non-empty series has a mean for every run; an empty one
+/// leaves `out` empty. Runs in time order sweep the series forward once
+/// (monitor::MeanCursor).
+void MetricPerRun(const std::vector<monitor::Sample>& series,
+                  const std::vector<const db::QueryRunRecord*>& runs,
+                  std::vector<double>* out);
+
+/// The buffers a module scores each of its series through: the series'
+/// baseline (its values over the satisfactory runs) and the model fitted
+/// to it, its observations over the unsatisfactory runs, and the scoring
+/// scratch. Modules CO, DA and CR each keep one for all the series of a
+/// diagnosis, so once the buffers have grown to the run counts,
+/// extracting, fitting and scoring a series allocates nothing.
+struct SeriesScratch {
+  std::vector<double> baseline;
+  stats::SortedKde model;
+  std::vector<double> observed;
+  stats::ScoreScratch score;
+};
+
+/// Refits `scratch->model` to `scratch->baseline` and counts the baseline
+/// in ctx.model_lookups (when set). Returns false, fitting nothing, when
+/// the baseline has fewer than two values: too few to score against.
+bool FitBaseline(const DiagnosisContext& ctx, stats::BandwidthRule rule,
+                 SeriesScratch* scratch);
 
 }  // namespace diads::diag
 

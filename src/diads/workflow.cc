@@ -135,11 +135,8 @@ Result<DiagnosisReport> Workflow::DiagnoseOverCollection(
     ModuleTimings* timings) const {
   // Diagnose over the collected snapshot: every module reads the fetched
   // series, pinned at the fetch, instead of round-tripping to the store
-  // per series. The model cache keeps naming the series by the tenant's
-  // live store — the snapshot's pointer is ephemeral — and takes their
-  // generations from the snapshot.
+  // per series.
   DiagnosisContext collected_ctx = ctx_;
-  collected_ctx.model_authority = ctx_.Authority();
   collected_ctx.store = &outcome.gather.collected;
   Workflow collected_workflow(std::move(collected_ctx), config_,
                               symptoms_db_);

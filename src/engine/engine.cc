@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/strings.h"
 #include "fleet/store.h"
 #include "fleet/verdict.h"
 
@@ -44,9 +43,9 @@ uint64_t MixAnomalyConfig(uint64_t h, const stats::AnomalyConfig& config) {
 }
 
 /// The tenant store whose append counters stamp this request's cached
-/// results and fleet verdicts — DiagnosisContext::Authority(), the same
-/// rule the model cache keys on, so the stamp a Submit-time Get
-/// validates against is the stamp the worker's Put recorded.
+/// results and fleet verdicts — DiagnosisContext::Authority(), one rule
+/// for both, so the stamp a Submit-time Get validates against is the
+/// stamp the worker's Put recorded.
 const monitor::TimeSeriesStore* AuthorityOf(const DiagnosisRequest& request) {
   return request.ctx.Authority();
 }
@@ -159,11 +158,9 @@ DiagnosisEngine::DiagnosisEngine(
       collector_(collector != nullptr ? std::move(collector)
                                       : InProcessCollector(options.workers)),
       gatherer_(collector_.get(), options.gather),
-      stats_(&metrics_, &pool_, &cache_, &model_cache_),
+      stats_(&metrics_, &pool_, &cache_),
       cache_(ResultCache::Options{options.cache_capacity,
                                   options.cache_shards}),
-      model_cache_(diag::BaselineModelCache::Options{
-          options.model_cache_capacity, options.model_cache_shards}),
       pool_(ThreadPool::Options{options.workers, options.queue_capacity,
                                 options.fairness}) {}
 
@@ -338,17 +335,6 @@ void DiagnosisEngine::Compute(
     std::shared_ptr<const diag::DiagnosisReport>* report,
     std::shared_ptr<const CollectionSummary>* collection,
     obs::CostProfile* profile) {
-  if (options_.enable_model_cache) {
-    // Share fitted baseline models across all diagnoses served by this
-    // engine, keyed on the request's own (authoritative) store.
-    request->ctx.model_cache = &model_cache_;
-    request->ctx.model_authority = request->ctx.Authority();
-  }
-  // Per-diagnosis model-cache attribution (global cache stats cannot say
-  // which diagnosis paid for which fit). Lives on this stack frame; the
-  // workflow only reads the pointer synchronously.
-  obs::ModelLookupCounters model_lookups;
-  request->ctx.model_lookups = &model_lookups;
   diag::Workflow workflow(request->ctx, request->config, symptoms_db_);
   // One overlapped scatter/gather for this diagnosis's whole metric plan.
   // Collection only reads the tenant's store, so it runs before the
@@ -403,15 +389,6 @@ void DiagnosisEngine::Compute(
   profile->module_ms = {{"PD", timings.pd_ms}, {"CO", timings.co_ms},
                         {"DA", timings.da_ms}, {"CR", timings.cr_ms},
                         {"SD", timings.sd_ms}, {"IA", timings.ia_ms}};
-  profile->model_cache_hits = model_lookups.hits;
-  profile->model_cache_misses = model_lookups.misses;
-  // The per-diagnosis model-cache verdict as a zero-duration marker (the
-  // lookups themselves are interleaved through CO/DA/CR).
-  request->ctx.trace.Instant(
-      "model_cache", "cache",
-      {{"hits", StrFormat("%llu", (unsigned long long)model_lookups.hits)},
-       {"misses",
-        StrFormat("%llu", (unsigned long long)model_lookups.misses)}});
   if (!result.ok()) {
     *status = result.status();
     return;

@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "diads/impact_analysis.h"
-#include "diads/model_cache.h"
 #include "diads/symptoms_db.h"
 #include "diads/workflow.h"
 #include "engine/cache.h"
@@ -162,22 +161,6 @@ struct EngineOptions {
   /// bounded in-flight fetches, per-component timeout, bounded retries.
   /// Cache hits and coalesced waiters collect nothing.
   monitor::GatherOptions gather;
-  /// Memoize fitted baseline KDEs (Modules CO/DA/CR) across diagnoses in
-  /// a shared BaselineModelCache. Distinct from the *result* cache: the
-  /// result cache answers exact repeats without any compute; the model
-  /// cache speeds up *fresh* diagnoses that share baselines (new incident
-  /// tags, overlapping windows, re-runs after a threshold tweak of an
-  /// unrelated knob). Reports are digest-identical either way.
-  bool enable_model_cache = true;
-  /// Total fitted models the model cache holds, exactly (over at most
-  /// this many shards). When a cycle of re-diagnoses needs more models
-  /// than this, the cache keeps its residents and declines the rest (see
-  /// model_cache.h): the hit rate is about capacity / models per cycle,
-  /// up to 1.25x capacity, past which it falls toward zero.
-  /// EngineStatsSnapshot::model_cache_declined counts the models turned
-  /// away.
-  size_t model_cache_capacity = 8192;
-  int model_cache_shards = 16;
   /// Fleet-wide symptom store (may be null). When set, every successfully
   /// *computed* diagnosis is lowered to a fleet::TenantVerdict
   /// (ExtractVerdict over the request's context) and published after
@@ -198,10 +181,10 @@ struct EngineOptions {
   /// End-to-end span tracer (may be null = tracing off, the default).
   /// When set, every Submit opens a "diagnosis" root span and the serving
   /// path hangs its children off it: result_cache lookup, queue_wait,
-  /// gather (with per-component fetch spans), each workflow module, the
-  /// model-cache outcome, fleet_publish. Not owned; must outlive the
-  /// engine. Tracing is observation-only: reports are ReportDigest-
-  /// identical with the tracer attached or not.
+  /// gather (with per-component fetch spans), each workflow module,
+  /// fleet_publish. Not owned; must outlive the engine. Tracing is
+  /// observation-only: reports are ReportDigest-identical with the
+  /// tracer attached or not.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -284,8 +267,8 @@ class DiagnosisEngine {
   /// Runs the workflow for one request on a worker thread: gathers the
   /// diagnosis window's metrics through the collector, wraps the what-if
   /// probe with the engine-wide probe lock, records module and collection
-  /// latencies. Fills `profile` with the gather volume, module breakdown,
-  /// and model-cache outcomes as it goes.
+  /// latencies. Fills `profile` with the gather volume and module
+  /// breakdown as it goes.
   void Compute(DiagnosisRequest* request, Status* status,
                std::shared_ptr<const diag::DiagnosisReport>* report,
                std::shared_ptr<const CollectionSummary>* collection,
@@ -331,9 +314,6 @@ class DiagnosisEngine {
   obs::MetricsRegistry metrics_;  ///< Before stats_, which registers into it.
   EngineStats stats_;
   ResultCache cache_;
-  /// Fitted baseline models shared by all workers (see
-  /// EngineOptions::enable_model_cache).
-  diag::BaselineModelCache model_cache_;
   /// Computations identical Submits may join (coalescing on only); an
   /// entry leaves when its computation resolves. Uncoalesced computations
   /// are owned by their pool task alone.

@@ -1,14 +1,6 @@
 #include "engine/self_monitor.h"
 
 namespace diads::engine {
-namespace {
-
-double HitRate(uint64_t hits, uint64_t misses) {
-  const uint64_t total = hits + misses;
-  return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-}
-
-}  // namespace
 
 const char* EngineMetricName(EngineMetric m) {
   switch (m) {
@@ -21,8 +13,6 @@ const char* EngineMetricName(EngineMetric m) {
     case EngineMetric::kFailed: return "engine.failed";
     case EngineMetric::kResultCacheHitRate:
       return "engine.result_cache_hit_rate";
-    case EngineMetric::kModelCacheHitRate:
-      return "engine.model_cache_hit_rate";
     case EngineMetric::kDegradedDiagnoses:
       return "engine.degraded_diagnoses";
     case EngineMetric::kGatherP99Ms: return "engine.gather_p99_ms";
@@ -36,8 +26,7 @@ const std::vector<EngineMetric>& AllEngineMetrics() {
       EngineMetric::kRequestP50Ms,     EngineMetric::kRequestP99Ms,
       EngineMetric::kSubmitted,        EngineMetric::kCompleted,
       EngineMetric::kFailed,           EngineMetric::kResultCacheHitRate,
-      EngineMetric::kModelCacheHitRate, EngineMetric::kDegradedDiagnoses,
-      EngineMetric::kGatherP99Ms};
+      EngineMetric::kDegradedDiagnoses, EngineMetric::kGatherP99Ms};
   return kAll;
 }
 
@@ -54,10 +43,7 @@ void AppendSnapshot(const EngineStatsSnapshot& snapshot,
   put(EngineMetric::kSubmitted, static_cast<double>(snapshot.submitted));
   put(EngineMetric::kCompleted, static_cast<double>(snapshot.completed));
   put(EngineMetric::kFailed, static_cast<double>(snapshot.failed));
-  put(EngineMetric::kResultCacheHitRate,
-      HitRate(snapshot.cache_hits, snapshot.cache_misses));
-  put(EngineMetric::kModelCacheHitRate,
-      HitRate(snapshot.model_cache_hits, snapshot.model_cache_misses));
+  put(EngineMetric::kResultCacheHitRate, snapshot.CacheHitRate());
   put(EngineMetric::kDegradedDiagnoses,
       static_cast<double>(snapshot.degraded_diagnoses));
   put(EngineMetric::kGatherP99Ms, snapshot.gather_latency.p99_ms);

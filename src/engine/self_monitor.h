@@ -38,7 +38,8 @@ enum class EngineMetric : int {
   kCompleted = 1005,
   kFailed = 1006,
   kResultCacheHitRate = 1007,   // hits / (hits + misses), 0 when no lookups
-  kModelCacheHitRate = 1008,
+  // 1008 was the baseline-model cache's hit rate; the cache is gone, and
+  // the id stays unused so stored series keep their meaning.
   kDegradedDiagnoses = 1009,
   kGatherP99Ms = 1010,
 };

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/strings.h"
-#include "diads/model_cache.h"
 #include "diads/workflow.h"
 #include "engine/cache.h"
 #include "engine/thread_pool.h"
@@ -16,7 +15,6 @@ struct ScrapeView {
   uint64_t queue_depth = 0;
   double queued_cost = 0;
   ResultCache::Counters cache;
-  diag::BaselineModelCache::Counters models;
   double elapsed_sec = 0;
   uint64_t completed = 0;
 };
@@ -68,7 +66,6 @@ double At(const ScrapeView& view) {
 
 using Queue = FairQueueCounters;
 using Cache = ResultCache::Counters;
-using Models = diag::BaselineModelCache::Counters;
 
 std::vector<EngineMetricRow> MakeRows() {
   // The rows the engine records come first, the hottest at the front:
@@ -153,25 +150,6 @@ std::vector<EngineMetricRow> MakeRows() {
            "Result-cache entries dropped stale or invalidated",
            &S::cache_invalidations,
            At<&ScrapeView::cache, &Cache::invalidations>),
-      // Read from the baseline-model cache.
-      Read("diads_model_cache_hits_total", "Baseline-model cache hits",
-           &S::model_cache_hits, At<&ScrapeView::models, &Models::hits>),
-      Read("diads_model_cache_misses_total", "Baseline-model cache misses",
-           &S::model_cache_misses, At<&ScrapeView::models, &Models::misses>),
-      Read("diads_model_cache_evictions_total",
-           "Baseline-model cache CLOCK evictions", &S::model_cache_evictions,
-           At<&ScrapeView::models, &Models::evictions>),
-      Read("diads_model_cache_invalidations_total",
-           "Baseline-model cache append-driven drops",
-           &S::model_cache_invalidations,
-           At<&ScrapeView::models, &Models::invalidations>),
-      Read("diads_model_cache_declined_total",
-           "Fitted models the baseline-model cache declined to admit",
-           &S::model_cache_declined,
-           At<&ScrapeView::models, &Models::declined>),
-      Read("diads_model_cache_entries", "Baseline-model cache live entries",
-           &S::model_cache_entries, At<&ScrapeView::models, &Models::entries>,
-           kGauge),
       // Read from the clock.
       Read("diads_engine_elapsed_sec", "Seconds since engine start",
            &S::elapsed_sec, At<&ScrapeView::elapsed_sec>),
@@ -221,11 +199,9 @@ const std::vector<EngineMetricRow>& EngineMetricRows() {
 }
 
 EngineStats::EngineStats(obs::MetricsRegistry* registry,
-                         const ThreadPool* pool, const ResultCache* cache,
-                         const diag::BaselineModelCache* model_cache)
+                         const ThreadPool* pool, const ResultCache* cache)
     : pool_(pool),
       cache_(cache),
-      model_cache_(model_cache),
       start_(std::chrono::steady_clock::now()) {
   const std::vector<EngineMetricRow>& rows = EngineMetricRows();
   instruments_.resize(rows.size());
@@ -292,7 +268,6 @@ ScrapeView EngineStats::View() const {
     view.queued_cost = pool_->QueuedCost();
   }
   if (cache_ != nullptr) view.cache = cache_->TotalCounters();
-  if (model_cache_ != nullptr) view.models = model_cache_->TotalCounters();
   view.elapsed_sec = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start_)
                          .count();
@@ -369,18 +344,6 @@ std::string EngineStatsSnapshot::Render() const {
   if (auto_submitted > 0) {
     out += StrFormat("detect: %llu auto-submitted diagnoses\n",
                      static_cast<unsigned long long>(auto_submitted));
-  }
-  if (model_cache_hits + model_cache_misses > 0) {
-    out += StrFormat(
-        "models: %llu hits, %llu misses, %llu evictions, "
-        "%llu invalidations, %llu declined (hit rate %.1f%%, %llu cached)\n",
-        static_cast<unsigned long long>(model_cache_hits),
-        static_cast<unsigned long long>(model_cache_misses),
-        static_cast<unsigned long long>(model_cache_evictions),
-        static_cast<unsigned long long>(model_cache_invalidations),
-        static_cast<unsigned long long>(model_cache_declined),
-        ModelCacheHitRate() * 100.0,
-        static_cast<unsigned long long>(model_cache_entries));
   }
   out += StrFormat("queue:  depth %llu (max %llu)\n",
                    static_cast<unsigned long long>(queue_depth),

@@ -17,8 +17,8 @@
 // Each extracted component verdict is stamped with the authoritative
 // store's per-component append generation (and the whole verdict with the
 // store-wide generation), so the fleet store can drop stale entries the
-// moment new monitoring data arrives — the same counters the baseline
-// model cache invalidates on, no TTLs involved.
+// moment new monitoring data arrives — the same counters the engine's
+// result cache validates against, no TTLs involved.
 #ifndef DIADS_FLEET_VERDICT_H_
 #define DIADS_FLEET_VERDICT_H_
 
@@ -113,11 +113,11 @@ struct TenantVerdict {
 
 /// Lowers a finished diagnosis into its storable verdict. Component names
 /// come from the context's registry (via the SAN topology); generation
-/// stamps come from the context's authoritative store (model_authority
-/// when set, else the store itself — the same authority the model cache
-/// keys on). Components named by a cause but never scored by Module DA
-/// (tables, pools) still get a verdict entry, so implicated-set queries
-/// see them.
+/// stamps come from the context's authoritative store
+/// (DiagnosisContext::Authority(): model_authority when set, else the
+/// store itself, which the engine's result-cache stamps read too).
+/// Components named by a cause but never scored by Module DA (tables,
+/// pools) still get a verdict entry, so implicated-set queries see them.
 TenantVerdict ExtractVerdict(const diag::DiagnosisContext& ctx,
                              const diag::DiagnosisReport& report,
                              const std::string& tenant);

@@ -69,13 +69,11 @@ Status TimeSeriesStore::Append(ComponentId component, MetricId metric,
           ? buffer->samples
           : Writable(s, 0);
   samples.push_back(Sample{time, value});
-  ++s.generation;
   ++s.component->generation;
   ++store_generation_;
   ++total_samples_;
   if (listener_ != nullptr) {
-    listener_->OnAppend(component, metric, samples.back(), s.generation,
-                        s.ordinal);
+    listener_->OnAppend(component, metric, samples.back(), s.ordinal);
   }
   return Status::Ok();
 }
@@ -117,7 +115,6 @@ PinnedSeries TimeSeriesStore::Pin(ComponentId component,
   // not written concurrently with reads).
   it->second.buffer->pinned.store(true, std::memory_order_relaxed);
   pinned.buffer_ = it->second.buffer;
-  pinned.generation_ = it->second.generation;
   return pinned;
 }
 
@@ -145,11 +142,11 @@ Status TimeSeriesStore::AdoptSeries(ComponentId component, MetricId metric,
     return Status::Ok();
   }
   SeriesData& s = existing != series_.end() ? existing->second : series_[key];
+  // One generation step per sample, as the appends that wrote them took.
   AddSeries(component, metric, s);
   total_samples_ += incoming.size();
-  s.generation = pinned.generation_;
-  s.component->generation += pinned.generation_;
-  store_generation_ += pinned.generation_;
+  s.component->generation += incoming.size();
+  store_generation_ += incoming.size();
   s.buffer = std::move(pinned.buffer_);
   return Status::Ok();
 }
@@ -247,13 +244,6 @@ const std::vector<Sample>& TimeSeriesStore::Series(ComponentId component,
     return EmptySeries();
   }
   return it->second.buffer->samples;
-}
-
-uint64_t TimeSeriesStore::Generation(ComponentId component,
-                                     MetricId metric) const {
-  auto it = series_.find(SeriesKey{component, metric});
-  if (it == series_.end()) return 0;
-  return it->second.generation;
 }
 
 const std::vector<MetricId>& TimeSeriesStore::MetricsFor(

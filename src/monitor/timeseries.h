@@ -20,12 +20,12 @@
 // Storage: each series lives in one sample buffer held by a
 // std::shared_ptr. A collector that knows how many samples it will write
 // sizes the buffer once (Reserve). A collected snapshot shares buffers
-// instead of copying them: Pin hands out a series' buffer with its
-// generation, and AdoptSeries makes a pinned buffer another store's
-// series. A pinned buffer is never written again — the source's next
-// write to the series copies it first (copy-on-write) — so a snapshot
-// reads the samples as they were at the fetch while the source goes on
-// appending on another thread.
+// instead of copying them: Pin hands out a series' buffer, and
+// AdoptSeries makes a pinned buffer another store's series. A pinned
+// buffer is never written again — the source's next write to the series
+// copies it first (copy-on-write) — so a snapshot reads the samples as
+// they were at the fetch while the source goes on appending on another
+// thread.
 #ifndef DIADS_MONITOR_TIMESERIES_H_
 #define DIADS_MONITOR_TIMESERIES_H_
 
@@ -84,25 +84,21 @@ struct SampleBuffer {
   std::atomic<bool> pinned{false};
 };
 
-/// A series' sample buffer as one TimeSeriesStore::Pin found it, with the
-/// series' generation at that moment. The buffer is immutable from the
-/// pin on (the store copies it before its next write to the series), so
-/// a pin may be read from any thread, without the store's lock or
-/// lifetime, while the store keeps appending.
+/// A series' sample buffer as one TimeSeriesStore::Pin found it. The
+/// buffer is immutable from the pin on (the store copies it before its
+/// next write to the series), so a pin may be read from any thread,
+/// without the store's lock or lifetime, while the store keeps appending.
 class PinnedSeries {
  public:
   PinnedSeries() = default;
 
   /// The pinned samples; empty for a default pin or an empty series.
   const std::vector<Sample>& samples() const;
-  /// The source's Generation() of the series when it was pinned.
-  uint64_t generation() const { return generation_; }
   bool empty() const { return buffer_ == nullptr; }
 
  private:
   friend class TimeSeriesStore;
   std::shared_ptr<SampleBuffer> buffer_;
-  uint64_t generation_ = 0;
 };
 
 /// Key of one series.
@@ -136,8 +132,9 @@ struct SeriesKeyHash {
 
 /// Observes successful appends to one TimeSeriesStore (the online
 /// detection hook). The callback runs synchronously on the appending
-/// thread, *after* the sample is stored and every generation counter is
-/// bumped, so a listener reading Generation() sees the post-append value.
+/// thread, *after* the sample is stored and the component and store
+/// generations are bumped, so a listener reading them sees the
+/// post-append values.
 /// Listeners must only observe: mutating the store from OnAppend is
 /// undefined (the store is mid-append and not re-entrant).
 class AppendListener {
@@ -149,8 +146,7 @@ class AppendListener {
   /// listener keep per-series state in a flat array indexed directly,
   /// instead of re-hashing (component, metric) on every append.
   virtual void OnAppend(ComponentId component, MetricId metric,
-                        const Sample& sample, uint64_t series_generation,
-                        uint32_t series_ordinal) = 0;
+                        const Sample& sample, uint32_t series_ordinal) = 0;
 };
 
 /// Append-only store of monitoring samples. Not thread-safe against its
@@ -168,8 +164,7 @@ class TimeSeriesStore {
 
   /// Appends a sample; time must be non-decreasing within a series and
   /// the value finite (NaN and +-inf are InvalidArgument, with the store
-  /// unchanged). Bumps the series' generation counter (model-cache
-  /// invalidation).
+  /// unchanged). Bumps the component and store generations.
   Status Append(ComponentId component, MetricId metric, SimTimeMs time,
                 double value);
 
@@ -193,10 +188,10 @@ class TimeSeriesStore {
       const std::vector<std::pair<ComponentId, size_t>>& series_per_component);
 
   /// Shares the series' buffer with the caller: the returned pin holds the
-  /// samples and generation as they are now, and the store copies the
-  /// buffer before its next write to the series. Empty for an absent or
-  /// empty series. Safe to call from many threads at once, as long as
-  /// none appends to the store meanwhile.
+  /// samples as they are now, and the store copies the buffer before its
+  /// next write to the series. Empty for an absent or empty series. Safe
+  /// to call from many threads at once, as long as none appends to the
+  /// store meanwhile.
   PinnedSeries Pin(ComponentId component, MetricId metric) const;
 
   /// Makes a pinned buffer this store's series without copying it. The
@@ -204,9 +199,8 @@ class TimeSeriesStore {
   /// A series that already has samples is extended instead, by a copy of
   /// the pinned samples, and is refused (InvalidArgument, store unchanged)
   /// if they start before its last sample. Every counter advances as
-  /// single appends of the pinned samples would advance it (a new series
-  /// takes the pin's generation, which counts exactly those appends), and
-  /// an installed listener sees each sample in order, through the copying
+  /// single appends of the pinned samples would advance it, and an
+  /// installed listener sees each sample in order, through the copying
   /// path. An empty pin is a no-op.
   Status AdoptSeries(ComponentId component, MetricId metric,
                      PinnedSeries pinned);
@@ -246,15 +240,9 @@ class TimeSeriesStore {
   const std::vector<Sample>& Series(ComponentId component,
                                     MetricId metric) const;
 
-  /// Monotone per-series append counter: 0 for an absent series,
-  /// incremented by every Append. Cached models fitted from a series are
-  /// valid exactly while its generation is unchanged. A series adopted
-  /// from a pin carries the pin's generation, so a snapshot answers for
-  /// the data it holds without consulting its source.
-  uint64_t Generation(ComponentId component, MetricId metric) const;
-
-  /// Monotone per-component append counter: the sum of Generation() over
-  /// the component's series, maintained incrementally. Fleet-store entries
+  /// Monotone per-component append counter: the number of samples
+  /// appended to the component's series (an adopted series counts its
+  /// samples), maintained incrementally. Fleet-store entries
   /// and per-component cache invalidation stamp this — a component's
   /// published verdict is valid exactly while no series of that component
   /// has been appended to.
@@ -292,7 +280,6 @@ class TimeSeriesStore {
     /// The series' entry in components_, set with its first sample, so an
     /// append looks up one hash table, not two. Map nodes never move.
     ComponentData* component = nullptr;
-    uint64_t generation = 0;
     /// Dense creation-order index (see AppendListener::OnAppend);
     /// assigned with the series' first sample.
     uint32_t ordinal = kUnassignedOrdinal;

@@ -23,12 +23,9 @@ std::string CostProfile::ToJson() const {
   }
   out += StrFormat(
       "},\"result_cache_hit\":%s,"
-      "\"model_cache\":{\"hits\":%llu,\"misses\":%llu},"
       "\"gather\":{\"fetches\":%llu,\"timeouts\":%llu,\"retries\":%llu,"
       "\"samples\":%llu,\"bytes\":%llu,\"stale_components\":[",
       result_cache_hit ? "true" : "false",
-      (unsigned long long)model_cache_hits,
-      (unsigned long long)model_cache_misses,
       (unsigned long long)fetches_issued, (unsigned long long)fetch_timeouts,
       (unsigned long long)fetch_retries, (unsigned long long)samples_collected,
       (unsigned long long)bytes_collected);
@@ -45,10 +42,6 @@ std::string CostProfile::Render() const {
       "cost: total=%.2fms queue=%.2fms gather=%.2fms modules=%.2fms",
       total_ms, queue_wait_ms, gather_ms, ModuleTotalMs());
   if (result_cache_hit) out += " [result-cache hit]";
-  out += StrFormat(" model-cache=%llu/%llu hit",
-                   (unsigned long long)model_cache_hits,
-                   (unsigned long long)(model_cache_hits +
-                                        model_cache_misses));
   out += StrFormat(" fetches=%llu", (unsigned long long)fetches_issued);
   if (fetch_timeouts > 0 || !stale_components.empty()) {
     out += StrFormat(" timeouts=%llu stale=%zu",

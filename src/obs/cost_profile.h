@@ -20,9 +20,10 @@
 
 namespace diads::obs {
 
-/// Per-diagnosis baseline-model-cache outcome counts, threaded through
-/// DiagnosisContext so GetOrFitBaseline can attribute hits/misses to the
-/// diagnosis that incurred them (the cache's own stats are global).
+/// Per-diagnosis count of the baselines Modules CO/DA/CR fitted, threaded
+/// through DiagnosisContext::model_lookups. Every baseline is fitted
+/// fresh, so each one is a miss and `hits` stays 0; the two-field shape
+/// is what perfbench's diads.model_lookups row (hits + misses) reads.
 struct ModelLookupCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -37,10 +38,8 @@ struct CostProfile {
   std::vector<std::pair<std::string, double>> module_ms;
   double total_ms = 0;       ///< Submit -> response ready.
 
-  // --- cache outcomes ---
+  // --- cache outcome ---
   bool result_cache_hit = false;
-  uint64_t model_cache_hits = 0;
-  uint64_t model_cache_misses = 0;
 
   // --- gather volume & degradations ---
   uint64_t fetches_issued = 0;

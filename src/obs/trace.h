@@ -11,12 +11,11 @@
 //   │   ├─ fetch:C7                (one per component fetch attempt)
 //   │   └─ fetch:C12 ...
 //   ├─ workflow
-//   │   ├─ module:PD ... module:IA (the Figure-2 module chain)
-//   │   └─ model_cache             (per-diagnosis hit/miss outcome)
+//   │   └─ module:PD ... module:IA (the Figure-2 module chain)
 //   └─ fleet_publish
 //
 // so "why did my *diagnosis* slow down?" is answerable from data: queue
-// wait vs SAN gather vs KDE scoring vs cache misses vs publish.
+// wait vs SAN gather vs KDE scoring vs publish.
 //
 // Design constraints, in priority order:
 //   * ReportDigest-neutral: tracing only observes. Enabling it must not
@@ -127,8 +126,8 @@ class TraceContext {
   SpanHandle StartSpan(const std::string& name,
                        const std::string& category) const;
 
-  /// Files a zero-duration marker span (outcome annotations like the
-  /// model-cache verdict, which have no meaningful extent of their own).
+  /// Files a zero-duration marker span (outcome annotations, which have
+  /// no meaningful extent of their own).
   void Instant(const std::string& name, const std::string& category,
                std::vector<std::pair<std::string, std::string>> args) const;
 

@@ -44,14 +44,6 @@ Result<AnomalyScore> ScoreModelImpl(const SortedKde& model,
   return out;
 }
 
-Result<AnomalyScore> ScoreModelImpl(const SortedKde& model,
-                                    const std::vector<double>& observations,
-                                    const AnomalyConfig& config,
-                                    bool two_sided) {
-  ScoreScratch scratch;
-  return ScoreModelImpl(model, observations, config, two_sided, &scratch);
-}
-
 Result<AnomalyScore> ScoreImpl(const std::vector<double>& baseline,
                                const std::vector<double>& observations,
                                const AnomalyConfig& config, bool two_sided) {
@@ -60,7 +52,8 @@ Result<AnomalyScore> ScoreImpl(const std::vector<double>& baseline,
   }
   Result<SortedKde> model = SortedKde::Fit(baseline, config.bandwidth_rule);
   DIADS_RETURN_IF_ERROR(model.status());
-  return ScoreModelImpl(*model, observations, config, two_sided);
+  ScoreScratch scratch;
+  return ScoreModelImpl(*model, observations, config, two_sided, &scratch);
 }
 
 }  // namespace
@@ -79,21 +72,16 @@ Result<AnomalyScore> ScoreDeviation(const std::vector<double>& baseline,
 
 Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
                                     const std::vector<double>& observations,
-                                    const AnomalyConfig& config) {
-  return ScoreModelImpl(model, observations, config, /*two_sided=*/false);
+                                    const AnomalyConfig& config,
+                                    ScoreScratch* scratch) {
+  return ScoreModelImpl(model, observations, config, /*two_sided=*/false,
+                        scratch);
 }
 
 Result<AnomalyScore> ScoreDeviationWithModel(
     const SortedKde& model, const std::vector<double>& observations,
-    const AnomalyConfig& config) {
-  return ScoreModelImpl(model, observations, config, /*two_sided=*/true);
-}
-
-Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
-                                    const std::vector<double>& observations,
-                                    const AnomalyConfig& config,
-                                    ScoreScratch* scratch) {
-  return ScoreModelImpl(model, observations, config, /*two_sided=*/false,
+    const AnomalyConfig& config, ScoreScratch* scratch) {
+  return ScoreModelImpl(model, observations, config, /*two_sided=*/true,
                         scratch);
 }
 

@@ -56,24 +56,9 @@ Result<AnomalyScore> ScoreDeviation(const std::vector<double>& baseline,
                                     const std::vector<double>& observations,
                                     const AnomalyConfig& config = {});
 
-/// Scores against an already-fitted model — the fast path used with the
-/// baseline-model cache: a fit amortized over many diagnoses produces the
-/// same AnomalyScore, bit for bit, as refitting from the same baseline
-/// (SortedKde::Fit is deterministic and evaluation is a pure function of
-/// the fitted state). ScoreAnomaly/ScoreDeviation above are exactly
-/// Fit + ScoreWithModel/ScoreDeviationWithModel.
-Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
-                                    const std::vector<double>& observations,
-                                    const AnomalyConfig& config = {});
-
-/// Two-sided model-based variant (Module CR).
-Result<AnomalyScore> ScoreDeviationWithModel(
-    const SortedKde& model, const std::vector<double>& observations,
-    const AnomalyConfig& config = {});
-
 /// Buffers for scoring many series in a loop without allocating: once
-/// they have grown to the largest observation count, ScoreWithModel
-/// through them allocates nothing.
+/// they have grown to the largest observation count, scoring through
+/// them allocates nothing.
 struct ScoreScratch {
   /// After scoring: the observations' indices in ascending order of value
   /// (SortedKde::CdfBatch's order).
@@ -82,12 +67,21 @@ struct ScoreScratch {
   std::vector<double> cdf;
 };
 
-/// ScoreWithModel through reused buffers; the same AnomalyScore, bit for
-/// bit.
+/// Scores against an already-fitted model, such as one a module refits in
+/// place for each series it scores (SortedKde::Refit), through reused
+/// buffers: the same AnomalyScore, bit for bit, as ScoreAnomaly over the
+/// same baseline (fitting is deterministic and evaluation is a pure
+/// function of the fitted state). ScoreAnomaly/ScoreDeviation above are
+/// exactly Fit + ScoreWithModel/ScoreDeviationWithModel.
 Result<AnomalyScore> ScoreWithModel(const SortedKde& model,
                                     const std::vector<double>& observations,
                                     const AnomalyConfig& config,
                                     ScoreScratch* scratch);
+
+/// Two-sided model-based variant (Module CR).
+Result<AnomalyScore> ScoreDeviationWithModel(
+    const SortedKde& model, const std::vector<double>& observations,
+    const AnomalyConfig& config, ScoreScratch* scratch);
 
 }  // namespace diads::stats
 

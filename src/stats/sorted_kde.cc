@@ -39,61 +39,61 @@ double SelectBandwidthSorted(const std::vector<double>& sorted,
   return std::max(h, std::max(1e-9, scale * 1e-6));
 }
 
-/// The argsort of `samples` and the samples in that order, from one sort
-/// of (value, index) pairs by value: the comparisons read the values in
-/// place instead of through the permutation. Equal values end up in an
-/// unspecified order.
-void SortWithOrder(const std::vector<double>& samples,
-                   std::vector<uint32_t>* order, std::vector<double>* sorted) {
-  using Entry = std::pair<double, uint32_t>;
-  std::vector<Entry> pairs(samples.size());
-  for (size_t i = 0; i < samples.size(); ++i) {
-    pairs[i] = {samples[i], static_cast<uint32_t>(i)};
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const Entry& a, const Entry& b) {
-    return a.first < b.first;
-  });
-  order->resize(pairs.size());
-  sorted->resize(pairs.size());
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    (*sorted)[k] = pairs[k].first;
-    (*order)[k] = pairs[k].second;
-  }
-}
-
 }  // namespace
 
-SortedKde::SortedKde(std::vector<uint32_t> order,
-                     std::vector<double> sorted_samples, double bandwidth)
-    : order_(std::move(order)),
-      samples_(std::move(sorted_samples)),
-      bandwidth_(bandwidth),
-      tail_(kTailSigmas * bandwidth) {}
-
-Result<SortedKde> SortedKde::Fit(const std::vector<double>& samples,
-                                 BandwidthRule rule) {
+Status SortedKde::SortSamples(const std::vector<double>& samples) {
   if (samples.empty()) {
     return Status::InvalidArgument("KDE requires at least one sample");
   }
-  std::vector<uint32_t> order;
-  std::vector<double> sorted;
-  SortWithOrder(samples, &order, &sorted);
-  const double h = SelectBandwidthSorted(sorted, rule);
-  return SortedKde(std::move(order), std::move(sorted), h);
+  // The argsort and the samples in that order from one sort of (value,
+  // index) pairs by value: the comparisons read the values in place
+  // instead of through the permutation. Equal values end up in an
+  // unspecified order.
+  using Entry = std::pair<double, uint32_t>;
+  pairs_.resize(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    pairs_[i] = {samples[i], static_cast<uint32_t>(i)};
+  }
+  std::sort(pairs_.begin(), pairs_.end(), [](const Entry& a, const Entry& b) {
+    return a.first < b.first;
+  });
+  order_.resize(pairs_.size());
+  samples_.resize(pairs_.size());
+  for (size_t k = 0; k < pairs_.size(); ++k) {
+    samples_[k] = pairs_[k].first;
+    order_[k] = pairs_[k].second;
+  }
+  return Status::Ok();
+}
+
+void SortedKde::SetBandwidth(double bandwidth) {
+  bandwidth_ = bandwidth;
+  tail_ = kTailSigmas * bandwidth;
+}
+
+Status SortedKde::Refit(const std::vector<double>& samples,
+                        BandwidthRule rule) {
+  DIADS_RETURN_IF_ERROR(SortSamples(samples));
+  SetBandwidth(SelectBandwidthSorted(samples_, rule));
+  return Status::Ok();
+}
+
+Result<SortedKde> SortedKde::Fit(const std::vector<double>& samples,
+                                 BandwidthRule rule) {
+  SortedKde model;
+  DIADS_RETURN_IF_ERROR(model.Refit(samples, rule));
+  return model;
 }
 
 Result<SortedKde> SortedKde::FitWithBandwidth(
     const std::vector<double>& samples, double bandwidth) {
-  if (samples.empty()) {
-    return Status::InvalidArgument("KDE requires at least one sample");
-  }
+  SortedKde model;
+  DIADS_RETURN_IF_ERROR(model.SortSamples(samples));
   if (bandwidth <= 0) {
     return Status::InvalidArgument("KDE bandwidth must be positive");
   }
-  std::vector<uint32_t> order;
-  std::vector<double> sorted;
-  SortWithOrder(samples, &order, &sorted);
-  return SortedKde(std::move(order), std::move(sorted), bandwidth);
+  model.SetBandwidth(bandwidth);
+  return model;
 }
 
 double SortedKde::WindowSum(double x, size_t lo, size_t hi) const {

@@ -30,13 +30,13 @@
 // stats_test.cc; the truncation error is <= a few ULPs, far below that
 // bound), and CdfBatch(xs)[i] is bit-identical to Cdf(xs[i]). Within one
 // binary every anomaly score produced through SortedKde is a pure
-// deterministic function of (sorted samples, bandwidth), which is what
-// makes cached models (diads/model_cache.h) digest-safe: a cache hit
-// reuses exactly the arithmetic a refit would perform.
+// deterministic function of (sorted samples, bandwidth), so a model
+// refitted in place (Refit) scores exactly as a freshly fitted one.
 #ifndef DIADS_STATS_SORTED_KDE_H_
 #define DIADS_STATS_SORTED_KDE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -54,6 +54,9 @@ class SortedKde {
   /// per sample is ~6e-16 — at most a few ULPs of the final CDF.
   static constexpr double kTailSigmas = 8.0;
 
+  /// A model with no samples, to be fitted by Refit before any other use.
+  SortedKde() = default;
+
   /// Fits to `samples` (at least one required, none NaN); sorts them once
   /// and selects the bandwidth with `rule` (identical rule semantics to
   /// Kde::Fit, computed without the redundant per-percentile sort copies).
@@ -63,6 +66,13 @@ class SortedKde {
   /// Fits with an explicit bandwidth (> 0).
   static Result<SortedKde> FitWithBandwidth(const std::vector<double>& samples,
                                             double bandwidth);
+
+  /// Fit, into this model's own buffers: once they have grown to
+  /// samples.size(), a refit allocates nothing. The model is then exactly
+  /// the one Fit(samples, rule) returns. On an error (no samples) the
+  /// model is left unusable until the next successful refit.
+  Status Refit(const std::vector<double>& samples,
+               BandwidthRule rule = BandwidthRule::kSilverman);
 
   /// Estimated P(S <= x): two binary searches plus the in-window kernel
   /// sum (ascending sample order).
@@ -96,8 +106,10 @@ class SortedKde {
   const std::vector<uint32_t>& sample_order() const { return order_; }
 
  private:
-  SortedKde(std::vector<uint32_t> order, std::vector<double> sorted_samples,
-            double bandwidth);
+  /// Sorts `samples` into order_ and samples_ (one sort of (value, index)
+  /// pairs by value, through pairs_); the bandwidth is left to the caller.
+  Status SortSamples(const std::vector<double>& samples);
+  void SetBandwidth(double bandwidth);
 
   /// Kernel sum over [lo, hi) for evaluation point x, where lo/hi are the
   /// window bounds found for x; samples before lo each contribute an exact
@@ -107,6 +119,8 @@ class SortedKde {
 
   std::vector<uint32_t> order_;  ///< Argsort of the fitted vector.
   std::vector<double> samples_;  ///< Ascending.
+  /// The fit's sort buffer, kept so that a refit allocates nothing.
+  std::vector<std::pair<double, uint32_t>> pairs_;
   double bandwidth_ = 0;
   double tail_ = 0;  ///< kTailSigmas * bandwidth_.
 };

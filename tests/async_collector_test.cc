@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "diads/model_cache.h"
 #include "diads/report.h"
 #include "diads/symptom_index.h"
 #include "diads/workflow.h"
@@ -459,18 +458,16 @@ TEST_F(CollectionDiagnosisTest,
 // The isolation contract: a snapshot never changes after its fetch. One
 // thread appends to the source store — to every series the snapshot
 // pinned and to series it never saw — while another diagnoses over a
-// snapshot gathered before the appends, with a model cache. The report is
-// the one a serial diagnosis gave before the appends. Under TSan this
+// snapshot gathered before the appends. The report is the one a serial
+// diagnosis gave before the appends. Under TSan this
 // also checks that pinned buffers are shared without a race.
 TEST_F(CollectionDiagnosisTest, AppendsToSourceNeverReachAGatheredSnapshot) {
   Result<ScenarioOutput> scenario =
       RunScenario(ScenarioId::kS1SanMisconfiguration, {});
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   TimeSeriesStore& source = scenario->testbed->store;
-  diag::BaselineModelCache cache;
-  diag::DiagnosisContext ctx = scenario->MakeContext();
-  ctx.model_cache = &cache;
-  const diag::Workflow workflow(ctx, diag::WorkflowConfig{}, symptoms_);
+  const diag::Workflow workflow(scenario->MakeContext(),
+                                diag::WorkflowConfig{}, symptoms_);
   Result<diag::DiagnosisReport> serial = workflow.Diagnose();
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::string serial_digest = diag::ReportDigest(*serial);

@@ -27,9 +27,8 @@
 //     a planner refactor cannot move a single estimate bit;
 //   * CollectedDiagnosisMatchesGoldenDigest — the serving path (gather
 //     into a collected snapshot, then diagnose over it) reproduces the
-//     same golden digest per configuration, model cache cold and warm,
-//     and so does a store holding only a copy of each planned series'
-//     covering slice;
+//     same golden digest per configuration, and so does a store holding
+//     only a copy of each planned series' covering slice;
 //   * cross-backend parity properties — semantically identical testbeds
 //     expose identical SAN component sets and identical
 //     SeriesKeyHash-keyed metric inventories through either backend
@@ -43,7 +42,6 @@
 #include "apg/schema.h"
 #include "common/strings.h"
 #include "db/query.h"
-#include "diads/model_cache.h"
 #include "diads/symptom_index.h"
 #include "monitor/async_collector.h"
 #include "monitor/collection_planner.h"
@@ -117,8 +115,7 @@ TEST_P(ConformanceCaseTest, ApgSatisfiesStructuralSchema) {
 // The engine diagnoses through gather -> collected snapshot ->
 // DiagnoseOverCollection, not through the serial Diagnose the golden table
 // is computed from. Both must give the golden digest, on every
-// configuration, whether the baseline models are fitted (cold) or served
-// from a model cache the first diagnosis filled (warm).
+// configuration.
 TEST_P(ConformanceCaseTest, CollectedDiagnosisMatchesGoldenDigest) {
   const DiagnosedScenario* d = Diagnosed();
   ASSERT_NE(d, nullptr);
@@ -141,26 +138,15 @@ TEST_P(ConformanceCaseTest, CollectedDiagnosisMatchesGoldenDigest) {
   monitor::SimulatedSanCollector collector(latency);
   const monitor::MetricGatherer gatherer(&collector, monitor::GatherOptions{});
   const diag::SymptomsDb symptoms = diag::SymptomsDb::MakeDefault();
-  diag::BaselineModelCache cache;
-  diag::DiagnosisContext ctx = d->scenario.MakeContext();
-  ctx.model_cache = &cache;
-  const diag::Workflow workflow(std::move(ctx), diag::WorkflowConfig{},
-                                &symptoms);
-  diag::BaselineModelCache::Counters cold;
-  for (const bool warm : {false, true}) {
-    SCOPED_TRACE(warm ? "warm model cache" : "cold model cache");
+  const diag::Workflow workflow(d->scenario.MakeContext(),
+                                diag::WorkflowConfig{}, &symptoms);
+  {
     diag::CollectionOutcome outcome;
     Result<diag::DiagnosisReport> report = workflow.DiagnoseWithCollection(
         gatherer, diag::ImpactMethod::kInverseDependency, nullptr, &outcome);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_FALSE(outcome.degraded());
     EXPECT_EQ(diag::ReportDigestHashHex(*report), expected);
-    if (!warm) {
-      cold = cache.TotalCounters();
-    } else if (cold.entries > 0) {
-      // Plan-change diagnoses fit no models; every other one reuses them.
-      EXPECT_GT(cache.TotalCounters().hits, cold.hits);
-    }
   }
 
   // A snapshot shares whole series, but a fetch still ships only each

@@ -1,9 +1,14 @@
 // Unit tests for the common module: Status/Result, component registry,
-// simulated time, RNG, strings, table printing, and the event log.
+// simulated time, RNG, strings, table printing, the event log, and CRC-32.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/event_log.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -367,6 +372,86 @@ TEST(EventLogTest, PlanAffectingClassification) {
   EXPECT_FALSE(IsPlanAffectingEvent(EventType::kVolumeCreated));
   EXPECT_FALSE(IsPlanAffectingEvent(EventType::kDmlBatch));
   EXPECT_FALSE(IsPlanAffectingEvent(EventType::kTableLockContention));
+}
+
+// --- CRC-32 -----------------------------------------------------------------
+
+/// The byte-at-a-time table loop over the reflected 0xEDB88320 polynomial
+/// that common/crc32.cc ran before slicing-by-8: the reference every
+/// segment-log record written so far was framed with.
+uint32_t ByteWiseCrc32Update(uint32_t crc, const unsigned char* data,
+                             size_t size) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> entries(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      entries[i] = c;
+    }
+    return entries;
+  }();
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(SeededRng* rng, size_t size) {
+  std::vector<unsigned char> out(size);
+  for (unsigned char& byte : out) {
+    byte = static_cast<unsigned char>(rng->UniformInt(0, 255));
+  }
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32Update(0xCBF43926u, "x", 0), 0xCBF43926u);
+}
+
+TEST(Crc32Test, ChainedUpdatesMatchOneCallAtEverySplit) {
+  SeededRng rng(71);
+  const std::vector<unsigned char> buffer = RandomBytes(&rng, 1024);
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  EXPECT_EQ(whole, ByteWiseCrc32Update(0, buffer.data(), buffer.size()));
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = Crc32Update(0, buffer.data(), split);
+    EXPECT_EQ(Crc32Update(head, buffer.data() + split, buffer.size() - split),
+              whole)
+        << "split " << split;
+  }
+}
+
+// Slicing-by-8 reads eight bytes per step whatever the buffer's address:
+// every length (tails of 0-7 bytes included) at every alignment modulo 8
+// must give the byte-wise loop's checksum, from a zero and a chained start.
+TEST(Crc32Test, MatchesByteWiseLoopAtEveryLengthAndAlignment) {
+  SeededRng rng(73);
+  std::vector<size_t> sizes = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65,
+                               4096, 4700, 10000};
+  for (int i = 0; i < 40; ++i) {
+    sizes.push_back(static_cast<size_t>(rng.UniformInt(0, 10000)));
+  }
+  for (const size_t size : sizes) {
+    const std::vector<unsigned char> bytes = RandomBytes(&rng, size);
+    const uint32_t start = static_cast<uint32_t>(rng.UniformInt(0, 0xFFFFFFF));
+    for (size_t alignment = 0; alignment < 8; ++alignment) {
+      SCOPED_TRACE(testing::Message()
+                   << "size " << size << " alignment " << alignment);
+      std::vector<unsigned char> storage(size + 16);
+      const size_t shift =
+          (alignment + 8 -
+           reinterpret_cast<uintptr_t>(storage.data()) % 8) % 8;
+      unsigned char* at = storage.data() + shift;
+      if (size > 0) std::memcpy(at, bytes.data(), size);
+      EXPECT_EQ(Crc32(at, size), ByteWiseCrc32Update(0, at, size));
+      EXPECT_EQ(Crc32Update(start, at, size),
+                ByteWiseCrc32Update(start, at, size));
+    }
+  }
 }
 
 }  // namespace

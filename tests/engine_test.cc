@@ -390,73 +390,6 @@ TEST_F(EngineScenarioTest, CacheDisabledStillIdentical) {
   EXPECT_EQ(diag::ReportDigest(*second.report), *serial_digest_);
 }
 
-TEST_F(EngineScenarioTest, ModelCacheOnVsOffDigestIdentical) {
-  // Fresh incidents (distinct tags) bypass the result cache, so every
-  // request recomputes the module chain; with the model cache on, the
-  // second one reuses the first one's fitted baselines and must still
-  // produce a byte-identical report.
-  EngineOptions on_options;
-  on_options.workers = 2;
-  on_options.enable_cache = false;
-  on_options.coalesce_identical = false;
-  on_options.enable_model_cache = true;
-  DiagnosisEngine on_engine(on_options, symptoms_);
-  DiagnosisRequest first = RequestForScenario();
-  first.tag = "incident-1";
-  DiagnosisRequest second = RequestForScenario();
-  second.tag = "incident-2";
-  DiagnosisResponse r1 = on_engine.Submit(std::move(first)).get();
-  DiagnosisResponse r2 = on_engine.Submit(std::move(second)).get();
-  ASSERT_TRUE(r1.ok()) << r1.status.ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status.ToString();
-  EXPECT_EQ(diag::ReportDigest(*r1.report), *serial_digest_);
-  EXPECT_EQ(diag::ReportDigest(*r2.report), *serial_digest_);
-  EngineStatsSnapshot on_stats = on_engine.Stats();
-  EXPECT_GT(on_stats.model_cache_misses, 0u);
-  EXPECT_GT(on_stats.model_cache_hits, 0u);  // Second incident reused.
-  EXPECT_GT(on_stats.ModelCacheHitRate(), 0.0);
-
-  EngineOptions off_options = on_options;
-  off_options.enable_model_cache = false;
-  DiagnosisEngine off_engine(off_options, symptoms_);
-  DiagnosisRequest plain = RequestForScenario();
-  plain.tag = "incident-3";
-  DiagnosisResponse r3 = off_engine.Submit(std::move(plain)).get();
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(diag::ReportDigest(*r3.report), *serial_digest_);
-  EngineStatsSnapshot off_stats = off_engine.Stats();
-  EXPECT_EQ(off_stats.model_cache_hits, 0u);
-  EXPECT_EQ(off_stats.model_cache_misses, 0u);
-
-  // A cache smaller than the scenario's model set: LRU would evict each
-  // model just before the second incident asks for it again. The CLOCK
-  // cache keeps its residents, declines the surplus, and must still
-  // report byte-identically. One shard keeps the outcome independent of
-  // where the store happens to be allocated (the key hashes its address).
-  ASSERT_GT(on_stats.model_cache_entries, 8u);
-  EngineOptions small_options = on_options;
-  small_options.model_cache_shards = 1;
-  small_options.model_cache_capacity =
-      on_stats.model_cache_entries - on_stats.model_cache_entries / 8;
-  DiagnosisEngine small_engine(small_options, symptoms_);
-  DiagnosisRequest cold = RequestForScenario();
-  cold.tag = "incident-4";
-  DiagnosisResponse r4 = small_engine.Submit(std::move(cold)).get();
-  ASSERT_TRUE(r4.ok()) << r4.status.ToString();
-  const EngineStatsSnapshot after_cold = small_engine.Stats();
-  DiagnosisRequest again = RequestForScenario();
-  again.tag = "incident-5";
-  DiagnosisResponse r5 = small_engine.Submit(std::move(again)).get();
-  ASSERT_TRUE(r5.ok()) << r5.status.ToString();
-  const EngineStatsSnapshot after_again = small_engine.Stats();
-  EXPECT_EQ(diag::ReportDigest(*r4.report), *serial_digest_);
-  EXPECT_EQ(diag::ReportDigest(*r5.report), *serial_digest_);
-  EXPECT_GT(after_again.model_cache_hits, after_cold.model_cache_hits);
-  EXPECT_GT(after_again.model_cache_declined, after_cold.model_cache_declined);
-  EXPECT_LE(after_again.model_cache_entries,
-            small_options.model_cache_capacity);
-}
-
 TEST_F(EngineScenarioTest, ConcurrentIdenticalRequestsCoalesce) {
   EngineOptions options;
   options.workers = 4;
@@ -733,8 +666,8 @@ TEST_F(EngineScenarioTest, TraceCoversColdDiagnosisEndToEnd) {
   // One cold diagnosis through the full serving path (async collector +
   // fleet store + tracer) must leave a span tree covering queue wait,
   // result-cache lookup, the scatter/gather with per-component fetches,
-  // every workflow module, the model-cache outcome, and the fleet
-  // publish — with consistent parent/child nesting.
+  // every workflow module, and the fleet publish — with consistent
+  // parent/child nesting.
   monitor::SimulatedLatencyOptions latency;
   latency.base_latency_ms = 0.5;
   auto collector =
@@ -759,7 +692,7 @@ TEST_F(EngineScenarioTest, TraceCoversColdDiagnosisEndToEnd) {
   for (const char* required :
        {"diagnosis", "queue_wait", "result_cache", "gather", "module:PD",
         "module:CO", "module:DA", "module:CR", "module:SD", "module:IA",
-        "model_cache", "fleet_publish"}) {
+        "fleet_publish"}) {
     EXPECT_TRUE(names.count(required) != 0)
         << "trace is missing span " << required;
   }

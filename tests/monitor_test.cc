@@ -179,19 +179,22 @@ TEST(TimeSeriesStoreTest, SliceViewMatchesFilterEverywhere) {
       store.SliceView(c, MetricId::kVolBytesRead, TimeInterval{5, 5}).empty());
 }
 
-TEST(TimeSeriesStoreTest, GenerationCountsAppendsPerSeries) {
+TEST(TimeSeriesStoreTest, GenerationsCountAppendsPerComponentAndStore) {
   TimeSeriesStore store;
   const ComponentId a{1}, b{2};
-  EXPECT_EQ(store.Generation(a, MetricId::kVolBytesRead), 0u);
+  EXPECT_EQ(store.ComponentGeneration(a), 0u);
   ASSERT_TRUE(store.Append(a, MetricId::kVolBytesRead, 10, 1.0).ok());
   ASSERT_TRUE(store.Append(a, MetricId::kVolBytesRead, 20, 2.0).ok());
   ASSERT_TRUE(store.Append(a, MetricId::kVolBytesWritten, 10, 3.0).ok());
-  EXPECT_EQ(store.Generation(a, MetricId::kVolBytesRead), 2u);
-  EXPECT_EQ(store.Generation(a, MetricId::kVolBytesWritten), 1u);
-  EXPECT_EQ(store.Generation(b, MetricId::kVolBytesRead), 0u);
-  // A rejected append (time regression) does not advance the generation.
+  ASSERT_TRUE(store.Append(b, MetricId::kVolBytesRead, 10, 4.0).ok());
+  EXPECT_EQ(store.ComponentGeneration(a), 3u);
+  EXPECT_EQ(store.ComponentGeneration(b), 1u);
+  EXPECT_EQ(store.ComponentGeneration(ComponentId{3}), 0u);
+  EXPECT_EQ(store.StoreGeneration(), 4u);
+  // A rejected append (time regression) does not advance a generation.
   EXPECT_FALSE(store.Append(a, MetricId::kVolBytesRead, 5, 4.0).ok());
-  EXPECT_EQ(store.Generation(a, MetricId::kVolBytesRead), 2u);
+  EXPECT_EQ(store.ComponentGeneration(a), 3u);
+  EXPECT_EQ(store.StoreGeneration(), 4u);
 }
 
 // --- AdoptSeries (bulk adoption of a pinned series) --------------------------
@@ -228,9 +231,7 @@ std::string DumpStore(const TimeSeriesStore& store) {
     }
     out += "\n";
     for (MetricId m : kBulkMetrics) {
-      out += StrFormat(" m%d gen=%llu:", static_cast<int>(m),
-                       static_cast<unsigned long long>(
-                           store.Generation(c, m)));
+      out += StrFormat(" m%d:", static_cast<int>(m));
       out += DumpSamples(store.Series(c, m)) + "\n";
     }
   }
@@ -243,12 +244,12 @@ class RecordingListener : public AppendListener {
   explicit RecordingListener(const TimeSeriesStore* store) : store_(store) {}
 
   void OnAppend(ComponentId component, MetricId metric, const Sample& sample,
-                uint64_t series_generation, uint32_t series_ordinal) override {
+                uint32_t series_ordinal) override {
     calls.push_back(StrFormat(
-        "C%u m%d %lld=%a gen=%llu ordinal=%u store_gen=%llu",
+        "C%u m%d %lld=%a ordinal=%u component_gen=%llu store_gen=%llu",
         component.value, static_cast<int>(metric),
-        static_cast<long long>(sample.time), sample.value,
-        static_cast<unsigned long long>(series_generation), series_ordinal,
+        static_cast<long long>(sample.time), sample.value, series_ordinal,
+        static_cast<unsigned long long>(store_->ComponentGeneration(component)),
         static_cast<unsigned long long>(store_->StoreGeneration())));
   }
 
@@ -409,13 +410,12 @@ TEST(TimeSeriesStoreTest, PinnedSeriesNeverChangesAfterWrites) {
     const PinnedSeries other = store.Pin(a, m2);
     const std::string contents = DumpSamples(pinned.samples());
     const Sample* data = pinned.samples().data();
-    EXPECT_EQ(pinned.generation(), 5u);
     EXPECT_EQ(data, store.Series(a, m1).data());  // Shared, not copied.
 
     TimeSeriesStore snapshot;
     ASSERT_TRUE(snapshot.AdoptSeries(a, m1, pinned).ok());
     EXPECT_EQ(snapshot.Series(a, m1).data(), data);
-    EXPECT_EQ(snapshot.Generation(a, m1), 5u);
+    EXPECT_EQ(snapshot.ComponentGeneration(a), 5u);
     EXPECT_EQ(snapshot.StoreGeneration(), 5u);
 
     for (SimTimeMs t = 600; t <= 2000; t += 100) {
@@ -428,7 +428,7 @@ TEST(TimeSeriesStoreTest, PinnedSeriesNeverChangesAfterWrites) {
 
     EXPECT_EQ(DumpSamples(pinned.samples()), contents);
     EXPECT_EQ(pinned.samples().data(), data);
-    EXPECT_EQ(pinned.generation(), 5u);
+    EXPECT_EQ(pinned.samples().size(), 5u);
     EXPECT_EQ(other.samples().size(), 1u);
     EXPECT_EQ(store.Series(a, m1).size(), 20u);
     EXPECT_EQ(DumpSamples(store.Series(a, m1)).substr(0, contents.size()),
@@ -548,7 +548,6 @@ TEST(TimeSeriesStoreTest, ReserveSizesOnceAndStaysInvisible) {
   store.ForEachSeries(
       [&](ComponentId, MetricId, const std::vector<Sample>&) { ++visited; });
   EXPECT_EQ(visited, 0);
-  EXPECT_EQ(store.Generation(c, m1), 0u);
   EXPECT_EQ(store.ComponentGeneration(c), 0u);
   EXPECT_EQ(store.StoreGeneration(), 0u);
   EXPECT_EQ(store.total_samples(), 0u);
@@ -723,14 +722,14 @@ TEST(TimeSeriesStoreTest, RejectsNonFiniteSamples) {
     // An existing series.
     ASSERT_TRUE(store.Append(c, m, 50, 2.0).ok());
     const std::string before = DumpStore(store);
-    const uint64_t generation = store.Generation(c, m);
+    const uint64_t generation = store.ComponentGeneration(c);
     const size_t calls = listener.calls.size();
     for (double bad : kBad) {
       EXPECT_EQ(store.Append(c, m, 100, bad).code(),
                 StatusCode::kInvalidArgument);
     }
     EXPECT_EQ(DumpStore(store), before);
-    EXPECT_EQ(store.Generation(c, m), generation);
+    EXPECT_EQ(store.ComponentGeneration(c), generation);
     EXPECT_EQ(listener.calls.size(), calls);
     // Large finite values are still measurements.
     EXPECT_TRUE(store.Append(c, m, 400, 1e308).ok());

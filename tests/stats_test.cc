@@ -348,6 +348,39 @@ TEST(SortedKdeTest, SampleOrderIsTheFitsArgsort) {
   }
 }
 
+// One model refitted in place to baselines that grow and shrink (rounded
+// values, so with ties) must be, every time, the model a fresh fit
+// returns: the same sorted samples, argsort and bandwidth bits, and the
+// same CDF bits.
+TEST(SortedKdeTest, RefitInPlaceMatchesAFreshFit) {
+  SeededRng rng(67);
+  for (const BandwidthRule rule :
+       {BandwidthRule::kSilverman, BandwidthRule::kScott}) {
+    SortedKde model;
+    for (const int size : {40, 3, 500, 1, 20, 20}) {
+      SCOPED_TRACE(testing::Message() << "n=" << size);
+      std::vector<double> samples;
+      for (int i = 0; i < size; ++i) {
+        samples.push_back(std::round(rng.Normal(100, 6)) * 0.5);
+      }
+      ASSERT_TRUE(model.Refit(samples, rule).ok());
+      Result<SortedKde> fresh = SortedKde::Fit(samples, rule);
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(model.sorted_samples(), fresh->sorted_samples());
+      EXPECT_EQ(model.sample_order(), fresh->sample_order());
+      EXPECT_EQ(Bits(model.bandwidth()), Bits(fresh->bandwidth()));
+      std::vector<double> xs;
+      for (int i = 0; i < 30; ++i) xs.push_back(rng.Normal(52, 6));
+      const std::vector<double> refit_cdf = model.CdfBatch(xs);
+      const std::vector<double> fresh_cdf = fresh->CdfBatch(xs);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        EXPECT_EQ(Bits(refit_cdf[i]), Bits(fresh_cdf[i])) << "i=" << i;
+      }
+    }
+    EXPECT_EQ(model.Refit({}, rule).code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SortedKdeTest, TailsAreExact) {
   Result<SortedKde> kde = SortedKde::Fit({10, 20, 30});
   ASSERT_TRUE(kde.ok());
@@ -385,7 +418,9 @@ TEST(AnomalyTest, ModelBasedScoringMatchesDirectScoring) {
     Result<SortedKde> model = SortedKde::Fit(baseline, config.bandwidth_rule);
     ASSERT_TRUE(model.ok());
     Result<AnomalyScore> direct = ScoreAnomaly(baseline, observed, config);
-    Result<AnomalyScore> via_model = ScoreWithModel(*model, observed, config);
+    ScoreScratch scratch;
+    Result<AnomalyScore> via_model =
+        ScoreWithModel(*model, observed, config, &scratch);
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(via_model.ok());
     EXPECT_EQ(direct->score, via_model->score);  // Bit-identical.
@@ -393,13 +428,15 @@ TEST(AnomalyTest, ModelBasedScoringMatchesDirectScoring) {
     Result<AnomalyScore> direct_dev =
         ScoreDeviation(baseline, observed, config);
     Result<AnomalyScore> model_dev =
-        ScoreDeviationWithModel(*model, observed, config);
+        ScoreDeviationWithModel(*model, observed, config, &scratch);
     ASSERT_TRUE(direct_dev.ok());
     ASSERT_TRUE(model_dev.ok());
     EXPECT_EQ(direct_dev->score, model_dev->score);
   }
-  EXPECT_FALSE(
-      ScoreWithModel(*SortedKde::Fit(baseline), {}, AnomalyConfig{}).ok());
+  ScoreScratch scratch;
+  EXPECT_FALSE(ScoreWithModel(*SortedKde::Fit(baseline), {}, AnomalyConfig{},
+                              &scratch)
+                   .ok());
 }
 
 // --- Correlation ---------------------------------------------------------------

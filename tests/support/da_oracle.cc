@@ -6,15 +6,11 @@
 #include <numeric>
 #include <set>
 
-#include "diads/model_cache.h"
 #include "stats/descriptive.h"
 
 namespace diads::testsupport {
 namespace {
 
-using diag::BaselineModelKey;
-using diag::CachedBaseline;
-using diag::ExtractedBaseline;
 using monitor::Sample;
 
 // --- Per-run means ----------------------------------------------------------
@@ -174,12 +170,6 @@ Result<diag::DaResult> OracleDependencyAnalysis(
     for (ComponentId c : *outer) component_ops[c].insert(op_index);
   }
 
-  const monitor::TimeSeriesStore* authority = ctx.Authority();
-  const TimeInterval window = ctx.AnalysisWindow();
-  const uint64_t config_fp =
-      diag::AnomalyConfigFingerprint(config.metric_anomaly);
-  const uint64_t provenance = diag::RunSetFingerprint(good);
-
   std::vector<const db::QueryRunRecord*> all_runs = good;
   all_runs.insert(all_runs.end(), bad.begin(), bad.end());
   struct OpSpanRanks {
@@ -191,8 +181,8 @@ Result<diag::DaResult> OracleDependencyAnalysis(
     (void)component;
     for (int op_index : ops) {
       if (op_ranks.count(op_index) != 0) continue;
-      const std::vector<double> spans =
-          diag::OperatorSpans(all_runs, op_index);
+      std::vector<double> spans;
+      diag::OperatorSpans(all_runs, op_index, &spans);
       OpSpanRanks entry;
       entry.count = spans.size();
       entry.ranks = FrozenMidRanks(spans);
@@ -204,33 +194,19 @@ Result<diag::DaResult> OracleDependencyAnalysis(
   for (const auto& [component_key, ops] : component_ops) {
     const ComponentId component = component_key;
     for (monitor::MetricId metric : ctx.store->MetricsFor(component)) {
-      BaselineModelKey key;
-      key.source = authority;
-      key.series = diag::SeriesIdOfMetric(component, metric);
-      key.window_begin = window.begin;
-      key.window_end = window.end;
-      key.config_fingerprint = config_fp;
-      key.provenance_fingerprint = provenance;
-      Result<CachedBaseline> base = diag::GetOrFitBaseline(
-          ctx.model_cache, key, authority->Generation(component, metric),
-          config.metric_anomaly.bandwidth_rule,
-          [&ctx, &good, component, metric] {
-            ExtractedBaseline e;
-            e.values = FrozenMetricPerRun(*ctx.store, component, metric,
-                                          good, &e.missing);
-            return e;
-          },
-          ctx.model_lookups);
-      DIADS_RETURN_IF_ERROR(base.status());
-      const std::vector<double>& baseline = *base->values;
-      const int missing_good = base->missing;
+      int missing_good = 0;
+      const std::vector<double> baseline = FrozenMetricPerRun(
+          *ctx.store, component, metric, good, &missing_good);
       int missing_bad = 0;
       const std::vector<double> observed =
           FrozenMetricPerRun(*ctx.store, component, metric, bad, &missing_bad);
-      if (base->model == nullptr || observed.empty()) continue;
+      if (baseline.size() < 2 || observed.empty()) continue;
+      Result<stats::SortedKde> model =
+          stats::SortedKde::Fit(baseline, config.metric_anomaly.bandwidth_rule);
+      DIADS_RETURN_IF_ERROR(model.status());
 
       const stats::AnomalyScore score =
-          FrozenScoreWithModel(*base->model, observed, config.metric_anomaly);
+          FrozenScoreWithModel(*model, observed, config.metric_anomaly);
 
       double best_corr = 0;
       if (missing_good == 0 && missing_bad == 0) {

@@ -8,9 +8,8 @@
 // run, each observation's CDF by its own binary search and a kernel term
 // per in-window sample, midranks by sorting the concatenated series, and a
 // two-pass Pearson over them per (metric, operator) pair. It shares with
-// the module only what both must agree on: the context, the APG paths, the
-// fitted models (SortedKde::Fit) and the baseline-model cache, so a cache
-// state seen by one can be given to the other. Do not optimise it.
+// the module only what both must agree on: the context, the APG paths and
+// the fitted models (SortedKde::Fit). Do not optimise it.
 #ifndef DIADS_TESTS_SUPPORT_DA_ORACLE_H_
 #define DIADS_TESTS_SUPPORT_DA_ORACLE_H_
 
